@@ -22,6 +22,7 @@ from .groups import (
     standard_colors,
     subset_action,
     trivial_action,
+    verify_action,
     verify_group,
     zero_free_colors,
 )

@@ -17,8 +17,8 @@ sit at index 0 and the table is fully verified).  Spin kinds: ``regular``,
 triples with the gain read in the from->to orientation.  The signed block is
 only needed by the ``potts`` command; signs are "+" or "-".
 
-Exit codes: 0 success, 2 parse error, 3 bound exceeded, 4 divergence or
-verification failure.
+Exit codes: 0 success, 2 parse error or invalid argument, 3 bound exceeded,
+4 divergence or verification failure.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .groups import (
     standard_colors,
     subset_action,
     trivial_action,
+    verify_action,
     verify_group,
     zero_free_colors,
 )
@@ -51,13 +52,7 @@ from .holonomy import (
     holonomy_generators,
     holonomy_group,
 )
-from .counting import (
-    count_brute,
-    count_delcon,
-    count_inclexcl,
-    count_mobius,
-    verify_all,
-)
+from .counting import COUNTERS, count_brute, verify_all
 from .polynomials import (
     chromatic_polynomial,
     grand_polynomial,
@@ -92,10 +87,14 @@ def _expect(condition: bool, where: str, message: str):
         raise InstanceError(f"{where}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get_int(obj: dict, where: str, key: str, minimum: int = 0) -> int:
     _expect(key in obj, where, f"missing field {key!r}")
     value = obj[key]
-    _expect(isinstance(value, int) and not isinstance(value, bool), f"{where}.{key}", "must be an integer")
+    _expect(_is_int(value), f"{where}.{key}", "must be an integer")
     _expect(value >= minimum, f"{where}.{key}", f"must be at least {minimum}")
     return value
 
@@ -139,20 +138,14 @@ def _parse_spin(spec, group: FiniteGroup, group_kind: str, where: str) -> SpinAc
             action = SpinAction(group, spec["act"], name="table")
         except (ValueError, TypeError) as exc:
             raise InstanceError(f"{where}.act: {exc}") from exc
-        act, n = action.act, group.order
-        for q in range(action.size):
-            for g in range(n):
-                for h in range(n):
-                    _expect(
-                        act[act[q][g]][h] == act[q][group.mul[g][h]],
-                        f"{where}.act",
-                        "is not a right action",
-                    )
+        _expect(verify_action(action), f"{where}.act", "is not a right action")
         return action
     raise InstanceError(f"{where}.kind: unknown spin kind {kind!r}")
 
 
-def _parse_graph(spec, group: FiniteGroup, where: str = "graph") -> GainGraph:
+def _parse_edges(spec, where: str, label: str, read_label) -> tuple[int, list[tuple]]:
+    """Vertex count and [from, to, label] triples of a graph block; the label
+    is checked and converted by ``read_label(value, slot)``."""
     _expect(isinstance(spec, dict), where, "must be an object")
     n = _get_int(spec, where, "vertices")
     edges = spec.get("edges", [])
@@ -160,34 +153,34 @@ def _parse_graph(spec, group: FiniteGroup, where: str = "graph") -> GainGraph:
     triples = []
     for i, entry in enumerate(edges):
         slot = f"{where}.edges[{i}]"
-        _expect(isinstance(entry, list) and len(entry) == 3, slot, "must be [from, to, gain]")
-        u, v, gain = entry
-        for label, value in (("from", u), ("to", v), ("gain", gain)):
-            _expect(isinstance(value, int) and not isinstance(value, bool), slot, f"{label} must be an integer")
+        _expect(isinstance(entry, list) and len(entry) == 3, slot, f"must be [from, to, {label}]")
+        u, v, value = entry
+        _expect(_is_int(u) and _is_int(v), slot, "endpoints must be integers")
         _expect(0 <= u < n and 0 <= v < n, slot, "endpoint out of range")
+        triples.append((u, v, read_label(value, slot)))
+    return n, triples
+
+
+def _parse_graph(spec, group: FiniteGroup, where: str = "graph") -> GainGraph:
+    def read_gain(gain, slot: str) -> int:
+        _expect(_is_int(gain), slot, "gain must be an integer")
         _expect(0 <= gain < group.order, slot, f"gain {gain} outside group of order {group.order}")
-        triples.append((u, v, gain))
-    return gain_graph(group, n, triples)
+        return gain
+
+    return gain_graph(group, *_parse_edges(spec, where, "gain", read_gain))
 
 
 _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
 
 
+def _read_sign(sign, slot: str) -> int:
+    _expect(isinstance(sign, str) and sign in _SIGN_CHARS, slot, "sign must be '+' or '-'")
+    return _SIGN_CHARS[sign]
+
+
 def _parse_signed(spec, where: str = "signed_graph") -> SignedGraph:
-    _expect(isinstance(spec, dict), where, "must be an object")
-    n = _get_int(spec, where, "vertices")
-    edges = spec.get("edges", [])
-    _expect(isinstance(edges, list), f"{where}.edges", "must be a list")
-    parsed = []
-    for i, entry in enumerate(edges):
-        slot = f"{where}.edges[{i}]"
-        _expect(isinstance(entry, list) and len(entry) == 3, slot, "must be [from, to, sign]")
-        u, v, sign = entry
-        _expect(isinstance(u, int) and isinstance(v, int), slot, "endpoints must be integers")
-        _expect(0 <= u < n and 0 <= v < n, slot, "endpoint out of range")
-        _expect(sign in _SIGN_CHARS, slot, "sign must be '+' or '-'")
-        parsed.append((u, v, _SIGN_CHARS[sign]))
-    return SignedGraph(n, tuple(parsed))
+    n, triples = _parse_edges(spec, where, "sign", _read_sign)
+    return SignedGraph(n, tuple(triples))
 
 
 def parse_instance(text: str) -> ParsedInstance:
@@ -256,11 +249,10 @@ def cmd_count(args) -> int:
     action = _combined_action(inst, _int_list(args.mults) if args.mults else None)
     report: dict = {"command": "count", "method": args.method, "spins": action.size}
     lines = []
+    bounds = {"max_states": args.max_states, "max_subsets": args.max_subsets}
     started = time.perf_counter()
     if args.method == "all":
-        outcome = verify_all(
-            inst.graph, action, max_states=args.max_states, max_subsets=args.max_subsets
-        )
+        outcome = verify_all(inst.graph, action, **bounds)
         for name, result in outcome.results.items():
             report[name] = {"value": result.value, "stats": result.stats}
             lines.append(f"{name}: {result.value}")
@@ -274,13 +266,7 @@ def cmd_count(args) -> int:
         else:
             exit_code = EXIT_OK if outcome.agree else EXIT_DIVERGE
     else:
-        runner = {
-            "brute": lambda: count_brute(inst.graph, action, max_states=args.max_states),
-            "delcon": lambda: count_delcon(inst.graph, action),
-            "inclexcl": lambda: count_inclexcl(inst.graph, action, max_subsets=args.max_subsets),
-            "mobius": lambda: count_mobius(inst.graph, action),
-        }[args.method]
-        result = runner()
+        result = COUNTERS[args.method](inst.graph, action, **bounds)
         report["value"] = result.value
         report["stats"] = result.stats
         lines.append(f"{args.method}: {result.value}")
@@ -455,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="instance file, or - for stdin")
     p.add_argument(
         "--method",
-        choices=["brute", "delcon", "inclexcl", "mobius", "all"],
+        choices=[*COUNTERS, "all"],
         default="all",
     )
     p.add_argument("--mults", default="", help="comma list of part multiplicities")
@@ -508,10 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BoundExceeded as exc:

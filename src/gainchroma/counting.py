@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Any, Callable, Iterable
 
 from .groups import BoundExceeded, SpinAction, fixed_set
 from .graphs import (
@@ -133,6 +134,40 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     return CountResult(value, "delcon", {"calls": calls})
 
 
+def subset_sum(
+    g: GainGraph,
+    weighted_subsets: Iterable[tuple[frozenset[int], int]],
+    factor: Callable[[frozenset[int]], Any],
+    isolated: Any,
+    cache: HolonomyCache,
+    zero: Any = 0,
+):
+    """The sum, over (subset, weight) pairs, of weight times ``isolated`` per
+    vertex the subset leaves isolated times ``factor(H)`` per component, where
+    H is the component's holonomy subgroup.
+
+    ``factor`` is called once per distinct subgroup.  The values may be ints
+    or ``MultiPoly``; ``zero`` is the empty sum.
+    """
+    factors: dict[frozenset[int], Any] = {}
+    total = zero
+    for subset, weight in weighted_subsets:
+        if weight == 0:
+            continue
+        split = components(g, subset)
+        term = weight * isolated ** len(split.isolated)
+        for comp in split.edge_sets:
+            if term == 0:
+                break
+            subgroup = cache.subgroup(comp)
+            f = factors.get(subgroup)
+            if f is None:
+                f = factors[subgroup] = factor(subgroup)
+            term = term * f
+        total = total + term
+    return total
+
+
 def count_inclexcl(
     g: GainGraph,
     a: SpinAction,
@@ -147,25 +182,13 @@ def count_inclexcl(
     m = len(ids)
     if 2**m > max_subsets:
         raise BoundExceeded(f"2**{m} subsets exceed the inclusion-exclusion limit {max_subsets}")
-    if cache is None:
-        cache = HolonomyCache(g)
-    q = a.size
-    fixed_count: dict[frozenset[int], int] = {}
-    total = 0
-    for mask in range(1 << m):
-        subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
-        split = components(g, subset)
-        term = q ** len(split.isolated)
-        for comp in split.edge_sets:
-            if term == 0:
-                break
-            subgroup = cache.subgroup(comp)
-            cnt = fixed_count.get(subgroup)
-            if cnt is None:
-                cnt = len(fixed_set(a, subgroup))
-                fixed_count[subgroup] = cnt
-            term *= cnt
-        total += -term if mask.bit_count() & 1 else term
+    signed_subsets = (
+        (frozenset(ids[i] for i in range(m) if mask >> i & 1), -1 if mask.bit_count() & 1 else 1)
+        for mask in range(1 << m)
+    )
+    total = subset_sum(
+        g, signed_subsets, lambda h: len(fixed_set(a, h)), a.size, cache or HolonomyCache(g)
+    )
     return CountResult(total, "inclexcl", {"subsets": 1 << m})
 
 
@@ -187,27 +210,13 @@ def count_mobius(
     stats = {"closed_sets": len(lattice.sets)}
     if lattice.bottomless:
         return CountResult(0, "mobius", stats)
-    if cache is None:
-        cache = HolonomyCache(g)
-    q = a.size
-    fixed_count: dict[frozenset[int], int] = {}
-    total = 0
-    for subset in lattice.sets:
-        mu = lattice.mobius_from_bottom[subset]
-        if mu == 0:
-            continue
-        split = components(g, subset)
-        term = q ** len(split.isolated)
-        for comp in split.edge_sets:
-            if term == 0:
-                break
-            subgroup = cache.subgroup(comp)
-            cnt = fixed_count.get(subgroup)
-            if cnt is None:
-                cnt = len(fixed_set(a, subgroup))
-                fixed_count[subgroup] = cnt
-            term *= cnt
-        total += mu * term
+    total = subset_sum(
+        g,
+        lattice.mobius_from_bottom.items(),
+        lambda h: len(fixed_set(a, h)),
+        a.size,
+        cache or HolonomyCache(g),
+    )
     return CountResult(total, "mobius", stats)
 
 
@@ -263,6 +272,18 @@ class MethodReport:
         return values.pop() if len(values) == 1 else None
 
 
+# Counter name -> runner, in report order.  A runner takes the graph, the
+# action and verify_all's bound keywords.  The runners are lambdas so that each
+# call looks count_* up in this module's globals, where perfbench's tracer
+# rebinds them.
+COUNTERS = {
+    "brute": lambda g, a, max_states=10**8, **_: count_brute(g, a, max_states=max_states),
+    "delcon": lambda g, a, max_calls=10**6, **_: count_delcon(g, a, max_calls=max_calls),
+    "inclexcl": lambda g, a, max_subsets=2**22, **_: count_inclexcl(g, a, max_subsets=max_subsets),
+    "mobius": lambda g, a, max_lattice_edges=18, **_: count_mobius(g, a, max_edges=max_lattice_edges),
+}
+
+
 def verify_all(
     g: GainGraph,
     a: SpinAction,
@@ -274,15 +295,16 @@ def verify_all(
     """Run all four counters and report agreement; counters that overrun
     their bounds are recorded instead of raising."""
     report = MethodReport()
-    runners = {
-        "brute": lambda: count_brute(g, a, max_states=max_states),
-        "delcon": lambda: count_delcon(g, a, max_calls=max_calls),
-        "inclexcl": lambda: count_inclexcl(g, a, max_subsets=max_subsets),
-        "mobius": lambda: count_mobius(g, a, max_edges=max_lattice_edges),
-    }
-    for name, run in runners.items():
+    for name, run in COUNTERS.items():
         try:
-            report.results[name] = run()
+            report.results[name] = run(
+                g,
+                a,
+                max_states=max_states,
+                max_calls=max_calls,
+                max_subsets=max_subsets,
+                max_lattice_edges=max_lattice_edges,
+            )
         except BoundExceeded as exc:
             report.errors[name] = str(exc)
     return report

@@ -11,7 +11,6 @@ assigning one group element per vertex; edge subsets are frozensets of ids.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -144,70 +143,65 @@ class ComponentSplit(NamedTuple):
     isolated: tuple[int, ...]
 
 
+def traverse(
+    g: GainGraph, subset: Iterable[int] | None = None, roots: Iterable[int] | None = None
+) -> tuple[ComponentSplit, frozenset[int], dict[int, int]]:
+    """Breadth-first search over an edge subset, in edge-id order.
+
+    Each search starts from the smallest vertex of a component, or from each
+    of the given roots in turn; roots must meet every component.  Returns the
+    component split (components in start order, unreached vertices isolated),
+    the forest of tree edges, and ``psi``: the gain of the tree path from its
+    component's start to each reached vertex.
+    """
+    s = normalize_edge_subset(g, subset)
+    by_id, incident = g._by_id, g._incident
+    mul, inv = g.group.mul, g.group.inv
+    if roots is None:
+        roots = sorted({w for eid in s for w in (by_id[eid].u, by_id[eid].v)})
+    psi: dict[int, int] = {}
+    forest: set[int] = set()
+    edge_sets = []
+    vertex_sets = []
+    for root in roots:
+        if root in psi:
+            continue
+        psi[root] = 0
+        comp_edges: set[int] = set()
+        reached = [root]
+        for w in reached:  # grows while iterated: a FIFO queue
+            for eid in incident[w]:
+                if eid not in s:
+                    continue
+                comp_edges.add(eid)
+                e = by_id[eid]
+                if e.u == w:
+                    other, gain = e.v, e.gain
+                else:
+                    other, gain = e.u, inv[e.gain]
+                if other not in psi:
+                    psi[other] = mul[psi[w]][gain]
+                    forest.add(eid)
+                    reached.append(other)
+        edge_sets.append(frozenset(comp_edges))
+        vertex_sets.append(frozenset(reached))
+    isolated = tuple(v for v in range(g.vertex_count) if v not in psi)
+    return ComponentSplit(tuple(edge_sets), tuple(vertex_sets), isolated), frozenset(forest), psi
+
+
 def components(g: GainGraph, subset: Iterable[int] | None = None) -> ComponentSplit:
     """Partition an edge subset into connected pieces.
 
     Components are ordered by their smallest vertex; vertices touching no
     edge of the subset are reported separately as isolated.
     """
-    s = normalize_edge_subset(g, subset)
-    touched = set()
-    for eid in s:
-        e = g.edge(eid)
-        touched.add(e.u)
-        touched.add(e.v)
-    visited: set[int] = set()
-    edge_sets = []
-    vertex_sets = []
-    for start in range(g.vertex_count):
-        if start not in touched or start in visited:
-            continue
-        comp_edges: set[int] = set()
-        comp_verts = {start}
-        visited.add(start)
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            for eid in g.incident_ids(w):
-                if eid not in s:
-                    continue
-                comp_edges.add(eid)
-                e = g.edge(eid)
-                other = e.v if e.u == w else e.u
-                if other not in visited:
-                    visited.add(other)
-                    comp_verts.add(other)
-                    queue.append(other)
-        edge_sets.append(frozenset(comp_edges))
-        vertex_sets.append(frozenset(comp_verts))
-    isolated = tuple(v for v in range(g.vertex_count) if v not in touched)
-    return ComponentSplit(tuple(edge_sets), tuple(vertex_sets), isolated)
+    return traverse(g, subset)[0]
 
 
 def spanning_forest(g: GainGraph, subset: Iterable[int] | None = None) -> frozenset[int]:
     """A maximal cycle-free subset of the given edges, chosen by breadth-first
     search in edge-id order from the smallest vertex of each component."""
-    s = normalize_edge_subset(g, subset)
-    touched = sorted({w for eid in s for w in (g.edge(eid).u, g.edge(eid).v)})
-    visited: set[int] = set()
-    forest: set[int] = set()
-    for start in touched:
-        if start in visited:
-            continue
-        visited.add(start)
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            for eid in g.incident_ids(w):
-                if eid not in s:
-                    continue
-                e = g.edge(eid)
-                other = e.v if e.u == w else e.u
-                if other not in visited:
-                    visited.add(other)
-                    forest.add(eid)
-                    queue.append(other)
-    return frozenset(forest)
+    return traverse(g, subset)[1]
 
 
 def oriented_gain(g: GainGraph, eid: int, tail: int) -> int:
@@ -340,29 +334,6 @@ def walk_gain(g: GainGraph, walk: Sequence[int]) -> int:
     return acc
 
 
-def _potentials(g: GainGraph, subset: frozenset[int], forest: frozenset[int]) -> dict[int, int]:
-    """Tree-path gain from each component's smallest vertex, along the forest."""
-    touched = sorted({w for eid in subset for w in (g.edge(eid).u, g.edge(eid).v)})
-    mul = g.group.mul
-    psi: dict[int, int] = {}
-    for start in touched:
-        if start in psi:
-            continue
-        psi[start] = 0
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            for eid in g.incident_ids(w):
-                if eid not in forest:
-                    continue
-                e = g.edge(eid)
-                other = e.v if e.u == w else e.u
-                if other not in psi:
-                    psi[other] = mul[psi[w]][oriented_gain(g, eid, w)]
-                    queue.append(other)
-    return psi
-
-
 def is_balanced(g: GainGraph, subset: Iterable[int] | None = None) -> bool:
     """True when every simple closed walk inside the subset has identity gain.
 
@@ -370,8 +341,7 @@ def is_balanced(g: GainGraph, subset: Iterable[int] | None = None) -> bool:
     every remaining subset edge must carry the identity.
     """
     s = normalize_edge_subset(g, subset)
-    forest = spanning_forest(g, s)
-    psi = _potentials(g, s, forest)
+    psi = traverse(g, s)[2]
     mul = g.group.mul
     for eid in s:
         e = g.edge(eid)

@@ -123,6 +123,8 @@ def build_cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with mul[i][j] = (i + j) mod n."""
     if n < 1:
         raise ValueError("cyclic group order must be at least 1")
+    if n > GROUP_ORDER_LIMIT:
+        raise BoundExceeded(f"group order {n} exceeds limit {GROUP_ORDER_LIMIT}")
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(mul, name=f"Z{n}")
 
@@ -150,8 +152,7 @@ class SpinAction:
 
     ``act[q][g]`` is the image of spin q under element g.  The constructor
     checks shape, index ranges, and that the identity fixes every spin; the
-    full right-action law is cheap to check exhaustively at desk scale and
-    is covered by the test suite.
+    full right-action law is the job of :func:`verify_action`.
     """
 
     __slots__ = ("group", "size", "act", "name")
@@ -191,6 +192,20 @@ class SpinAction:
         return f"SpinAction({self.name!r}, size={self.size}, group={self.group.name!r})"
 
 
+def verify_action(action: SpinAction) -> bool:
+    """Exhaustively check the right-action law (q*g)*h == q*(g*h) on every
+    spin and pair of group elements; walks size * order**2 triples."""
+    act, mul = action.act, action.group.mul
+    rng = range(action.group.order)
+    for row in act:
+        for g in rng:
+            moved, mul_g = act[row[g]], mul[g]
+            for h in rng:
+                if moved[h] != row[mul_g[h]]:
+                    return False
+    return True
+
+
 def regular_action(group: FiniteGroup) -> SpinAction:
     """The group acting on itself by right translation; only the identity
     has fixed points."""
@@ -201,6 +216,8 @@ def trivial_action(group: FiniteGroup, size: int) -> SpinAction:
     """Every spin fixed by every element."""
     if size < 1:
         raise ValueError("trivial action needs at least one spin")
+    if size > SPIN_COUNT_LIMIT:
+        raise BoundExceeded(f"spin count {size} exceeds limit {SPIN_COUNT_LIMIT}")
     rows = tuple((q,) * group.order for q in range(size))
     return SpinAction(group, rows, name=f"trivial({size})")
 

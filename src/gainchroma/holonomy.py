@@ -12,12 +12,11 @@ smallest vertex, purely for reproducibility.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, generate_subgroup
-from .graphs import GainGraph, components, normalize_edge_subset, spanning_forest
+from .graphs import GainGraph, components, normalize_edge_subset, traverse
 
 
 class HolonomyContext:
@@ -39,74 +38,30 @@ class HolonomyContext:
     ):
         self.graph = graph
         self.subset = normalize_edge_subset(graph, subset)
-        self.split = components(graph, self.subset)
-        if forest is None:
-            self.forest = spanning_forest(graph, self.subset)
-        else:
+        self.split, self.forest, self.psi = traverse(graph, self.subset)
+        self.bases = tuple(min(verts) for verts in self.split.vertex_sets)
+        if forest is not None:
             self.forest = frozenset(forest)
-            self._check_forest()
-        if bases is None:
-            self.bases = tuple(min(verts) for verts in self.split.vertex_sets)
-        else:
+            if not self.forest <= self.subset:
+                raise ValueError("forest must be a subset of the edge set")
+        if bases is not None:
             self.bases = tuple(bases)
             if len(self.bases) != len(self.split.edge_sets):
                 raise ValueError("need exactly one base vertex per component")
             for base, verts in zip(self.bases, self.split.vertex_sets):
                 if base not in verts:
                     raise ValueError(f"base {base} does not lie in its component")
+        if forest is not None or bases is not None:
+            _, tree, self.psi = traverse(graph, self.forest, self.bases)
+            # Every forest edge is a tree edge of the search, so the forest is
+            # cycle-free; with the rank of the edge set it is also maximal.
+            rank = sum(len(verts) - 1 for verts in self.split.vertex_sets)
+            if tree != self.forest or len(tree) != rank:
+                raise ValueError("forest is not maximal and cycle-free in the edge set")
         self.comp_of = {}
         for j, verts in enumerate(self.split.vertex_sets):
             for w in verts:
                 self.comp_of[w] = j
-        self.psi = self._tree_gains()
-
-    def _check_forest(self):
-        g = self.graph
-        if not self.forest <= self.subset:
-            raise ValueError("forest must be a subset of the edge set")
-        for eid in self.forest:
-            if g.edge(eid).is_loop:
-                raise ValueError("a forest cannot contain loops")
-        for verts in self.split.vertex_sets:
-            tree = {eid for eid in self.forest if g.edge(eid).u in verts}
-            # right edge count plus full reachability makes it a spanning tree
-            if len(tree) != len(verts) - 1:
-                raise ValueError("forest is not maximal and cycle-free in the edge set")
-            seen = {min(verts)}
-            queue = deque([min(verts)])
-            while queue:
-                w = queue.popleft()
-                for eid in g.incident_ids(w):
-                    if eid not in tree:
-                        continue
-                    e = g.edge(eid)
-                    other = e.v if e.u == w else e.u
-                    if other not in seen:
-                        seen.add(other)
-                        queue.append(other)
-            if seen != verts:
-                raise ValueError("forest does not span every component")
-
-    def _tree_gains(self) -> dict[int, int]:
-        g = self.graph
-        mul = g.group.mul
-        inv = g.group.inv
-        psi: dict[int, int] = {}
-        for base in self.bases:
-            psi[base] = 0
-            queue = deque([base])
-            while queue:
-                w = queue.popleft()
-                for eid in g.incident_ids(w):
-                    if eid not in self.forest:
-                        continue
-                    e = g.edge(eid)
-                    other = e.v if e.u == w else e.u
-                    if other not in psi:
-                        step = e.gain if w == e.u else inv[e.gain]
-                        psi[other] = mul[psi[w]][step]
-                        queue.append(other)
-        return psi
 
 
 def holonomy_generators(ctx: HolonomyContext, component: int) -> tuple[int, ...]:

@@ -25,9 +25,10 @@ from .groups import (
     standard_colors,
     zero_free_colors,
 )
-from .graphs import GainGraph, SimpleGraph, components, is_balanced
+from .graphs import GainGraph, SimpleGraph
+from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, HolonomyCache, enumerate_closed_sets
-from .counting import count_auto
+from .counting import count_auto, subset_sum
 
 PART_LIMIT = 8
 
@@ -335,28 +336,14 @@ def grand_polynomial(
         lattice = enumerate_closed_sets(g, max_edges=max_edges)
     if lattice.bottomless:
         return MultiPoly.zero(p)
-    if cache is None:
-        cache = HolonomyCache(g)
-    iso_factor = MultiPoly.linear(p, [part.size for part in parts])
-    fixed_counts: dict[frozenset[int], list[int]] = {}
-    total = MultiPoly.zero(p)
-    for subset in lattice.sets:
-        mu = lattice.mobius_from_bottom[subset]
-        if mu == 0:
-            continue
-        split = components(g, subset)
-        term = MultiPoly.constant(p, mu)
-        for comp in split.edge_sets:
-            subgroup = cache.subgroup(comp)
-            counts = fixed_counts.get(subgroup)
-            if counts is None:
-                counts = [len(fixed_set(part, subgroup)) for part in parts]
-                fixed_counts[subgroup] = counts
-            term = term * MultiPoly.linear(p, counts)
-        if split.isolated:
-            term = term * iso_factor ** len(split.isolated)
-        total = total + term
-    return total
+    return subset_sum(
+        g,
+        lattice.mobius_from_bottom.items(),
+        lambda h: MultiPoly.linear(p, [len(fixed_set(part, h)) for part in parts]),
+        MultiPoly.linear(p, [part.size for part in parts]),
+        cache or HolonomyCache(g),
+        zero=MultiPoly.zero(p),
+    )
 
 
 def leading_form(g: GainGraph, parts: Sequence[SpinAction]) -> MultiPoly:
@@ -400,24 +387,15 @@ def regular_plus_zeroes(
         return MultiPoly.zero(2)
     balanced_factor = MultiPoly.linear(2, [order, 1])
     k2 = MultiPoly.linear(2, [0, 1])
-    balance_of: dict[frozenset[int], bool] = {}
-    total = MultiPoly.zero(2)
-    for subset in lattice.sets:
-        mu = lattice.mobius_from_bottom[subset]
-        if mu == 0:
-            continue
-        split = components(g, subset)
-        c = len(split.edge_sets) + len(split.isolated)
-        b = len(split.isolated)
-        for comp in split.edge_sets:
-            verdict = balance_of.get(comp)
-            if verdict is None:
-                verdict = is_balanced(g, comp)
-                balance_of[comp] = verdict
-            if verdict:
-                b += 1
-        total = total + mu * (balanced_factor**b * k2 ** (c - b))
-    return total
+    # a component is balanced exactly when its holonomy group is trivial
+    return subset_sum(
+        g,
+        lattice.mobius_from_bottom.items(),
+        lambda h: balanced_factor if len(h) == 1 else k2,
+        balanced_factor,
+        HolonomyCache(g),
+        zero=MultiPoly.zero(2),
+    )
 
 
 def _interpolate(points: Sequence[tuple[Fraction, int]]) -> UniPoly:

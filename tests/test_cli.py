@@ -3,11 +3,13 @@ import json
 import pytest
 
 from gainchroma import CountResult
+from gainchroma.counting import COUNTERS
 from gainchroma.cli import (
     EXIT_BOUND,
     EXIT_DIVERGE,
     EXIT_PARSE,
     InstanceError,
+    build_parser,
     main,
     parse_instance,
     render_instance,
@@ -316,3 +318,60 @@ class TestPottsAndSetcolor:
         out = capsys.readouterr().out
         assert code == 0
         assert "satisfiable states: 2" in out
+
+
+class TestSignedEdges:
+    @pytest.mark.parametrize("edge", [[True, False, "+"], [0, 1, ["+"]]])
+    def test_bad_edge_is_a_parse_error(self, edge, tmp_path, capsys):
+        payload = dict(POTTS, signed_graph={"vertices": 2, "edges": [edge]})
+        with pytest.raises(InstanceError, match=r"signed_graph\.edges\[0\]"):
+            parse_instance(json.dumps(payload))
+        assert main(["potts", write(tmp_path, payload)]) == EXIT_PARSE
+
+
+class TestInvalidArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "DIGON", "--mults=-1"],
+            ["setcolor", "--vertices", "2", "--edges", "0-1", "--k", "-1"],
+            ["setcolor", "--vertices", "-1", "--k", "1"],
+            ["potts", "TRIVIAL_GROUP_POTTS"],
+        ],
+    )
+    def test_exit_2_without_traceback(self, argv, tmp_path, capsys):
+        files = {"DIGON": DIGON, "TRIVIAL_GROUP_POTTS": dict(POTTS, group={"kind": "cyclic", "n": 1})}
+        argv = [write(tmp_path, files[a]) if a in files else a for a in argv]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"group": {"kind": "cyclic", "n": 10**9}},
+            {"spins": [{"kind": "trivial", "size": 10**12}]},
+        ],
+    )
+    def test_huge_tables_exit_3(self, changes, tmp_path, capsys):
+        assert main(["count", write(tmp_path, dict(DIGON, **changes))]) == EXIT_BOUND
+
+
+def _count_method_choices():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return next(a for a in commands.choices["count"]._actions if a.dest == "method").choices
+
+
+class TestSingleMethod:
+    def test_method_choices_are_the_counter_table(self):
+        assert list(_count_method_choices()) == [*COUNTERS, "all"]
+
+    @pytest.mark.parametrize("name", list(COUNTERS))
+    @pytest.mark.parametrize("payload", [K2_STANDARD, LOOP_VERTEX, TABLE_INSTANCE])
+    def test_matches_the_all_report(self, name, payload, tmp_path, capsys):
+        path = write(tmp_path, payload)
+        assert main(["count", path, "--method", "all", "--json"]) == 0
+        everything = json.loads(capsys.readouterr().out)
+        assert main(["count", path, "--method", name, "--json"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert single["value"] == everything[name]["value"]
+        assert single["stats"] == everything[name]["stats"]

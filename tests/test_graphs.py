@@ -28,6 +28,7 @@ from gainchroma import (
     trivial_action,
     walk_gain,
 )
+from gainchroma.graphs import traverse
 from helpers import naive_count, powerset, random_graph
 
 Z2 = build_cyclic(2)
@@ -252,6 +253,28 @@ class TestSpanningForest:
             len(es) == len(vs) - 1
             for es, vs in zip(fsplit.edge_sets, fsplit.vertex_sets)
         )
+
+
+class TestTraverse:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_potentials_are_tree_path_gains(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, S3, max_vertices=5, max_edges=8)
+        split, forest, psi = traverse(g)
+        mul, inv = S3.mul, S3.inv
+        assert all(psi[min(verts)] == 0 for verts in split.vertex_sets)
+        for eid in forest:
+            e = g.edge(eid)
+            assert mul[psi[e.u]][e.gain] == psi[e.v]
+        # rerooted along the same forest, every gain is taken relative to the new root
+        roots = [max(verts) for verts in split.vertex_sets]
+        resplit, reforest, repsi = traverse(g, forest, roots)
+        assert reforest == forest
+        assert resplit.isolated == split.isolated
+        for root, verts in zip(roots, split.vertex_sets):
+            for v in verts:
+                assert repsi[v] == mul[inv[psi[root]]][psi[v]]
 
 
 class TestWalkGain:

@@ -18,6 +18,7 @@ from gainchroma import (
     standard_colors,
     subset_action,
     trivial_action,
+    verify_action,
     verify_group,
     zero_free_colors,
 )
@@ -56,6 +57,11 @@ class TestBuildCyclic:
     def test_modular_inverse(self):
         g = build_cyclic(3)
         assert g.inv[1] == 2
+
+    def test_order_bound_checked_before_building(self):
+        # a table of 10**18 entries would never finish; the bound must come first
+        with pytest.raises(BoundExceeded):
+            build_cyclic(10**9)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -216,6 +222,30 @@ class TestActions:
     def test_spin_bound(self):
         with pytest.raises(BoundExceeded):
             trivial_action(build_cyclic(2), 5000)
+
+    def test_spin_bound_checked_before_building(self):
+        with pytest.raises(BoundExceeded):
+            trivial_action(build_cyclic(2), 10**12)
+
+
+class TestVerifyAction:
+    def test_stock_constructors_pass(self):
+        s3, z4 = build_symmetric(3), build_cyclic(4)
+        for action in (
+            regular_action(s3),
+            trivial_action(z4, 3),
+            standard_colors(s3, 2),
+            zero_free_colors(z4, 2),
+            subset_action(3),
+            disjoint_union_action([regular_action(s3), subset_action(3)], [2, 1]),
+        ):
+            assert verify_action(action)
+
+    def test_rejects_left_multiplication(self):
+        # q*g = g*q is a left action; S3 is not abelian, so the right law fails
+        s3 = build_symmetric(3)
+        left = SpinAction(s3, [[s3.mul[g][q] for g in range(6)] for q in range(6)])
+        assert not verify_action(left)
 
 
 class TestDisjointUnion:
