@@ -48,6 +48,7 @@ from .groups import (
 from .graphs import GainGraph, SimpleGraph, gain_graph
 from .holonomy import (
     HolonomyContext,
+    enumerate_closed_sets,
     holonomy_closure,
     holonomy_generators,
     holonomy_group,
@@ -66,6 +67,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BOUND = 3
 EXIT_DIVERGE = 4
+
+# Every graph block allocates per vertex, and every counter is exponential
+# long before this size, so larger files are refused before any allocation.
+VERTEX_LIMIT = 4096
 
 
 class InstanceError(ValueError):
@@ -148,6 +153,8 @@ def _parse_edges(spec, where: str, label: str, read_label) -> tuple[int, list[tu
     is checked and converted by ``read_label(value, slot)``."""
     _expect(isinstance(spec, dict), where, "must be an object")
     n = _get_int(spec, where, "vertices")
+    if n > VERTEX_LIMIT:
+        raise BoundExceeded(f"{where}.vertices: vertex count {n} exceeds limit {VERTEX_LIMIT}")
     edges = spec.get("edges", [])
     _expect(isinstance(edges, list), f"{where}.edges", "must be a list")
     triples = []
@@ -289,15 +296,16 @@ def cmd_poly(args) -> int:
             if not 0 <= i < len(parts):
                 raise InstanceError(f"--parts index {i} out of range")
         parts = [parts[i] for i in indices]
-    poly = grand_polynomial(inst.graph, parts)
+    lattice = enumerate_closed_sets(inst.graph)
+    poly = grand_polynomial(inst.graph, parts, lattice=lattice)
     report: dict = {"command": "poly", "grand": poly.render()}
     lines = [f"grand: {poly.render()}"]
     if args.chromatic:
-        cp = chromatic_polynomial(inst.graph)
+        cp = chromatic_polynomial(inst.graph, lattice=lattice)
         report["chromatic"] = cp.render()
         lines.append(f"chromatic: {cp.render()}")
     if args.zero_free:
-        zf = zero_free_polynomial(inst.graph)
+        zf = zero_free_polynomial(inst.graph, lattice=lattice)
         report["zero_free"] = zf.render()
         lines.append(f"zero_free: {zf.render()}")
     if args.graph_chromatic:

@@ -16,17 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .groups import BoundExceeded, SpinAction, fixed_set
-from .graphs import (
-    GainGraph,
-    balanced_component_count,
-    components,
-    contract_link,
-    delete_edge,
-)
-from .holonomy import ClosedSetLattice, HolonomyCache, enumerate_closed_sets
+from .graphs import GainGraph, balanced_component_count, contract_link, delete_edge
+from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
+from .holonomy import ClosedSetLattice, HolonomyCache, enumerate_closed_sets, signed_subset_sum
 
 
 @dataclass(frozen=True)
@@ -134,32 +129,30 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     return CountResult(value, "delcon", {"calls": calls})
 
 
-def subset_sum(
-    g: GainGraph,
-    weighted_subsets: Iterable[tuple[frozenset[int], int]],
+def lattice_sum(
+    lattice: ClosedSetLattice,
     factor: Callable[[frozenset[int]], Any],
     isolated: Any,
-    cache: HolonomyCache,
     zero: Any = 0,
 ):
-    """The sum, over (subset, weight) pairs, of weight times ``isolated`` per
-    vertex the subset leaves isolated times ``factor(H)`` per component, where
-    H is the component's holonomy subgroup.
+    """The sum, over the closed sets of a lattice with a bottom, of the
+    set's Möbius value times ``isolated`` per vertex it leaves isolated times
+    ``factor(H)`` per component, where H is the component's holonomy
+    subgroup.
 
     ``factor`` is called once per distinct subgroup.  The values may be ints
     or ``MultiPoly``; ``zero`` is the empty sum.
     """
     factors: dict[frozenset[int], Any] = {}
     total = zero
-    for subset, weight in weighted_subsets:
+    for subset, lone, subgroups in zip(lattice.sets, lattice.isolated, lattice.subgroups, strict=True):
+        weight = lattice.mobius_from_bottom[subset]
         if weight == 0:
             continue
-        split = components(g, subset)
-        term = weight * isolated ** len(split.isolated)
-        for comp in split.edge_sets:
+        term = weight * isolated**lone
+        for subgroup in subgroups:
             if term == 0:
                 break
-            subgroup = cache.subgroup(comp)
             f = factors.get(subgroup)
             if f is None:
                 f = factors[subgroup] = factor(subgroup)
@@ -176,19 +169,16 @@ def count_inclexcl(
 ) -> CountResult:
     """Count by inclusion-exclusion over all edge subsets: each subset
     contributes (-1)**|A| times the product of holonomy fixed counts over its
-    components, times |Q| per vertex it leaves isolated."""
+    components, times |Q| per vertex it leaves isolated.
+
+    ``cache`` is accepted for compatibility and unused: the subset walk
+    carries each component's subgroup along.
+    """
     _check_compat(g, a)
-    ids = sorted(g.edge_ids)
-    m = len(ids)
+    m = len(g.edges)
     if 2**m > max_subsets:
         raise BoundExceeded(f"2**{m} subsets exceed the inclusion-exclusion limit {max_subsets}")
-    signed_subsets = (
-        (frozenset(ids[i] for i in range(m) if mask >> i & 1), -1 if mask.bit_count() & 1 else 1)
-        for mask in range(1 << m)
-    )
-    total = subset_sum(
-        g, signed_subsets, lambda h: len(fixed_set(a, h)), a.size, cache or HolonomyCache(g)
-    )
+    total = signed_subset_sum(g, lambda h: len(fixed_set(a, h)))
     return CountResult(total, "inclexcl", {"subsets": 1 << m})
 
 
@@ -202,7 +192,9 @@ def count_mobius(
     """Count by Möbius inversion over the holonomy-closed edge sets.
 
     A bottomless lattice (the graph has an identity loop, which every state
-    satisfies) gives zero immediately.
+    satisfies) gives zero immediately.  ``cache`` is accepted for
+    compatibility and unused: the lattice records each closed set's
+    subgroups.
     """
     _check_compat(g, a)
     if lattice is None:
@@ -210,13 +202,7 @@ def count_mobius(
     stats = {"closed_sets": len(lattice.sets)}
     if lattice.bottomless:
         return CountResult(0, "mobius", stats)
-    total = subset_sum(
-        g,
-        lattice.mobius_from_bottom.items(),
-        lambda h: len(fixed_set(a, h)),
-        a.size,
-        cache or HolonomyCache(g),
-    )
+    total = lattice_sum(lattice, lambda h: len(fixed_set(a, h)), a.size)
     return CountResult(total, "mobius", stats)
 
 

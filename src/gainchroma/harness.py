@@ -199,10 +199,10 @@ def check_satisfied_closure(inst: Instance, state_cap: int = 10**5, samples: int
 
 def check_deletion_contraction(inst: Instance) -> CheckResult:
     g, a = inst.graph, inst.action
+    whole = count_inclexcl(g, a).value
     for e in g.edges:
         if e.is_loop:
             continue
-        whole = count_inclexcl(g, a).value
         deleted = count_inclexcl(delete_edge(g, e.id), a).value
         contracted = count_inclexcl(contract_link(g, e.id), a).value
         if whole != deleted - contracted:

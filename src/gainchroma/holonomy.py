@@ -13,10 +13,11 @@ smallest vertex, purely for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, generate_subgroup
-from .graphs import GainGraph, components, normalize_edge_subset, traverse
+from .graphs import GainGraph, normalize_edge_subset, traverse
+from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 
 
 class HolonomyContext:
@@ -180,6 +181,130 @@ def is_holonomy_closed(graph: GainGraph, subset: Iterable[int] | None = None) ->
     return holonomy_closure(graph, s) == s
 
 
+class _EdgeWalk:
+    """Include/exclude walk over every edge subset of one graph.
+
+    Bit i of a mask stands for the i-th smallest edge id.  The state is a
+    union-find with rollback over the vertices (union by size, no path
+    compression): ``up[v]`` is the gain of the tree path from ``parent[v]``
+    to v, and ``sub[r]`` is the id of the holonomy subgroup of root r's
+    component, taken at r.  Every vertex starts as a root with the trivial
+    group, so a vertex the subset leaves isolated is a component with
+    trivial holonomy.
+
+    Subgroups get ids as the walk meets them: ``subgroups[h]`` holds the
+    elements of subgroup h.  Joining a subgroup with one element is memoized;
+    no subgroup table is built up front.
+    """
+
+    def __init__(self, graph: GainGraph):
+        n = graph.vertex_count
+        self.graph = graph
+        self.ids = tuple(sorted(graph.edge_ids))
+        self.edges = tuple((e.u, e.v, e.gain) for e in map(graph.edge, self.ids))
+        self.parent = list(range(n))
+        self.up = [0] * n
+        self.size = [1] * n
+        self.sub = [0] * n
+        self.subgroups: list[frozenset[int]] = [frozenset({0})]
+        self._gens: list[tuple[int, ...]] = [()]
+        self._ids = {self.subgroups[0]: 0}
+        self._joins: dict[int, int] = {}
+
+    def join(self, h: int, x: int) -> int:
+        """Id of the subgroup generated by subgroup ``h`` and element ``x``."""
+        key = h * self.graph.group.order + x
+        got = self._joins.get(key)
+        if got is None:
+            if x in self.subgroups[h]:
+                got = h
+            else:
+                gens = self._gens[h] + (x,)
+                elems = generate_subgroup(self.graph.group, gens)
+                got = self._ids.get(elems)
+                if got is None:
+                    got = self._ids[elems] = len(self.subgroups)
+                    self.subgroups.append(elems)
+                    self._gens.append(gens)
+            self._joins[key] = got
+        return got
+
+    def find(self, v: int) -> tuple[int, int]:
+        """The root of v and the gain of the tree path from the root to v."""
+        parent, up, mul = self.parent, self.up, self.graph.group.mul
+        h = 0
+        while parent[v] != v:
+            h = mul[up[v]][h]
+            v = parent[v]
+        return v, h
+
+    def run(self, leaf: Callable[[int, int], None]):
+        """Call ``leaf(mask, sign)`` once per edge subset, with the state
+        describing that subset and sign = (-1)**|mask|."""
+        edges, m = self.edges, len(self.edges)
+        parent, up, size, sub = self.parent, self.up, self.size, self.sub
+        mul, inv = self.graph.group.mul, self.graph.group.inv
+        join, gens, find = self.join, self._gens, self.find
+
+        def descend(i: int, mask: int, sign: int):
+            if i == m:
+                leaf(mask, sign)
+                return
+            descend(i + 1, mask, sign)
+            u, v, gain = edges[i]
+            ru, hu = find(u)
+            rv, hv = find(v)
+            # the holonomy of the edge, or the gain from ru to rv through it
+            t = mul[mul[hu][gain]][inv[hv]]
+            if ru == rv:
+                before = sub[ru]
+                sub[ru] = join(before, t)
+                descend(i + 1, mask | 1 << i, -sign)
+                sub[ru] = before
+                return
+            if size[ru] < size[rv]:
+                ru, rv, t = rv, ru, inv[t]
+            # rv goes under ru, so its group is seen from ru through t
+            before = h = sub[ru]
+            t_inv = inv[t]
+            for y in gens[sub[rv]]:
+                h = join(h, mul[mul[t][y]][t_inv])
+            parent[rv], up[rv], sub[ru] = ru, t, h
+            size[ru] += size[rv]
+            descend(i + 1, mask | 1 << i, -sign)
+            size[ru] -= size[rv]
+            parent[rv], up[rv], sub[ru] = rv, 0, before
+
+        descend(0, 0, 1)
+
+
+def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int]) -> int:
+    """Sum over all edge subsets of (-1)**|subset| times the product of
+    ``factor(H)`` over the subset's components, H being the component's
+    holonomy subgroup; a vertex the subset leaves isolated is a component
+    with H trivial.  H is taken at some base vertex of its component, so
+    ``factor`` must not change under conjugation.  It is called once per
+    distinct subgroup."""
+    walk = _EdgeWalk(graph)
+    parent, sub, members = walk.parent, walk.sub, walk.subgroups
+    vertices = range(graph.vertex_count)
+    factors: list[int] = []
+    total = 0
+
+    def leaf(mask: int, sign: int):
+        nonlocal total
+        while len(factors) < len(members):
+            factors.append(factor(members[len(factors)]))
+        term = sign
+        for r in vertices:
+            if parent[r] == r:
+                term *= factors[sub[r]]
+        total += term
+
+    walk.run(leaf)
+    return total
+
+
 @dataclass(frozen=True)
 class ClosedSetLattice:
     """All holonomy-closed edge sets of a graph, with Möbius values from the
@@ -189,69 +314,70 @@ class ClosedSetLattice:
     the empty set is not closed (the graph has an identity loop) the lattice
     is flagged bottomless and carries no Möbius values; every state satisfies
     an identity loop, so all counting built on this lattice is zero.
+
+    ``isolated[j]`` counts the vertices ``sets[j]`` leaves isolated and
+    ``subgroups[j]`` holds the holonomy subgroup of each of its components,
+    each taken at some base vertex of the component (so known up to
+    conjugacy).
     """
 
     sets: tuple[frozenset[int], ...]
     mobius_from_bottom: dict[frozenset[int], int]
     bottomless: bool
+    isolated: tuple[int, ...] = ()
+    subgroups: tuple[tuple[frozenset[int], ...], ...] = ()
 
 
 def enumerate_closed_sets(graph: GainGraph, max_edges: int = 18) -> ClosedSetLattice:
-    """Filter the power set of edges down to the holonomy-closed sets and
-    compute mu(empty, A) by direct recursion over containment."""
-    ids = sorted(graph.edge_ids)
-    m = len(ids)
+    """Find the holonomy-closed sets in one walk over all edge subsets B,
+    computing the closure of each, and read off the Möbius values by Rota's
+    crosscut identity mu(empty, A) = sum of (-1)**|B| over B with closure A.
+
+    An edge outside B lies in its closure when both ends are in one component
+    of B and its holonomy lies in that component's group; for a loop at a
+    vertex B does not cover, the group is trivial.
+    """
+    m = len(graph.edges)
     if m > max_edges:
         raise BoundExceeded(f"{m} edges exceed the closed-set enumeration limit {max_edges}")
+    walk = _EdgeWalk(graph)
     mul, inv = graph.group.mul, graph.group.inv
-    identity_loops = [e for e in graph.edges if e.is_loop and e.gain == 0]
+    sub, members = walk.sub, walk.subgroups
+    vertices = range(graph.vertex_count)
+    table = [(1 << i, u, v, gain) for i, (u, v, gain) in enumerate(walk.edges)]
+    mu_by_mask: dict[int, int] = {}
+    closed: list[tuple[int, int, tuple[frozenset[int], ...]]] = []
 
-    comp_closed: dict[frozenset[int], bool] = {}
+    def leaf(mask: int, sign: int):
+        found = list(map(walk.find, vertices))
+        closure = mask
+        for bit, u, v, gain in table:
+            if not mask & bit:
+                (r, psi_u), (rv, psi_v) = found[u], found[v]
+                if r == rv and mul[mul[psi_u][gain]][inv[psi_v]] in members[sub[r]]:
+                    closure |= bit
+        mu_by_mask[closure] = mu_by_mask.get(closure, 0) + sign
+        if closure == mask:
+            covered = 0
+            for bit, u, v, _ in table:
+                if mask & bit:
+                    covered |= 1 << u | 1 << v
+            comps = tuple(members[sub[r]] for r in vertices if found[r][0] == r and covered >> r & 1)
+            closed.append((mask, len(vertices) - covered.bit_count(), comps))
 
-    def component_is_closed(conn: frozenset[int]) -> bool:
-        got = comp_closed.get(conn)
-        if got is None:
-            ctx = HolonomyContext(graph, conn)
-            subgroup = holonomy_group(ctx, 0)
-            verts = ctx.split.vertex_sets[0]
-            psi = ctx.psi
-            got = True
-            for e in graph.edges:
-                if e.id in conn or e.u not in verts or e.v not in verts:
-                    continue
-                hol = mul[mul[psi[e.u]][e.gain]][inv[psi[e.v]]]
-                if hol in subgroup:
-                    got = False
-                    break
-            comp_closed[conn] = got
-        return got
-
-    closed: list[tuple[int, frozenset[int]]] = []
-    for mask in range(1 << m):
-        subset = frozenset(ids[i] for i in range(m) if mask >> i & 1)
-        split = components(graph, subset)
-        covered = set()
-        for verts in split.vertex_sets:
-            covered |= verts
-        if any(l.id not in subset and l.u not in covered for l in identity_loops):
-            continue
-        if all(component_is_closed(comp) for comp in split.edge_sets):
-            closed.append((mask, subset))
-
-    closed.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[1]))))
-    bottomless = not closed or closed[0][1] != frozenset()
-    mobius: dict[frozenset[int], int] = {}
-    if not bottomless:
-        mu_by_mask: dict[int, int] = {}
-        for mask, subset in closed:
-            if mask == 0:
-                mu = 1
-            else:
-                mu = -sum(
-                    mu_by_mask[m2]
-                    for m2, _ in closed
-                    if m2 != mask and m2 & mask == m2 and m2 in mu_by_mask
-                )
-            mu_by_mask[mask] = mu
-            mobius[subset] = mu
-    return ClosedSetLattice(tuple(s for _, s in closed), mobius, bottomless)
+    walk.run(leaf)
+    ids = walk.ids
+    subsets = [tuple(ids[i] for i in range(m) if mask >> i & 1) for mask, _, _ in closed]
+    order = sorted(range(len(closed)), key=lambda j: (len(subsets[j]), subsets[j]))
+    sets = tuple(frozenset(subsets[j]) for j in order)
+    bottomless = closed[order[0]][0] != 0
+    mobius = {} if bottomless else {
+        s: mu_by_mask[closed[j][0]] for s, j in zip(sets, order)
+    }
+    return ClosedSetLattice(
+        sets,
+        mobius,
+        bottomless,
+        tuple(closed[j][1] for j in order),
+        tuple(closed[j][2] for j in order),
+    )

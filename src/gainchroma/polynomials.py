@@ -28,7 +28,7 @@ from .groups import (
 from .graphs import GainGraph, SimpleGraph
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, HolonomyCache, enumerate_closed_sets
-from .counting import count_auto, subset_sum
+from .counting import count_auto, lattice_sum
 
 PART_LIMIT = 8
 
@@ -329,6 +329,7 @@ def grand_polynomial(
     factor per component (sum over parts of ki times the part's fixed count
     under the component's holonomy group) and a factor sum ki*|Qi| per
     isolated vertex.  A bottomless lattice gives the zero polynomial.
+    ``cache`` is accepted for compatibility and unused.
     """
     _check_parts(g, parts)
     p = len(parts)
@@ -336,12 +337,10 @@ def grand_polynomial(
         lattice = enumerate_closed_sets(g, max_edges=max_edges)
     if lattice.bottomless:
         return MultiPoly.zero(p)
-    return subset_sum(
-        g,
-        lattice.mobius_from_bottom.items(),
+    return lattice_sum(
+        lattice,
         lambda h: MultiPoly.linear(p, [len(fixed_set(part, h)) for part in parts]),
         MultiPoly.linear(p, [part.size for part in parts]),
-        cache or HolonomyCache(g),
         zero=MultiPoly.zero(p),
     )
 
@@ -388,12 +387,10 @@ def regular_plus_zeroes(
     balanced_factor = MultiPoly.linear(2, [order, 1])
     k2 = MultiPoly.linear(2, [0, 1])
     # a component is balanced exactly when its holonomy group is trivial
-    return subset_sum(
-        g,
-        lattice.mobius_from_bottom.items(),
+    return lattice_sum(
+        lattice,
         lambda h: balanced_factor if len(h) == 1 else k2,
         balanced_factor,
-        HolonomyCache(g),
         zero=MultiPoly.zero(2),
     )
 
@@ -415,23 +412,26 @@ def _interpolate(points: Sequence[tuple[Fraction, int]]) -> UniPoly:
     return total
 
 
-def chromatic_polynomial(g: GainGraph, max_vertices: int = 16) -> UniPoly:
+def chromatic_polynomial(
+    g: GainGraph, max_vertices: int = 16, lattice: ClosedSetLattice | None = None
+) -> UniPoly:
     """The count polynomial over spin sets made of k regular copies of the
     group plus one fixed spin, as a polynomial in the spin count k*|G| + 1.
 
     Recovered by interpolating exact counts at k = 0..|V|; the coefficients
-    must come out integral, anything else signals a bug.
+    must come out integral, anything else signals a bug.  ``lattice``, when
+    given, must be the graph's closed-set lattice.
     """
     n = g.vertex_count
     if n > max_vertices:
         raise BoundExceeded(f"{n} vertices exceed the interpolation limit {max_vertices}")
     order = g.group.order
-    lattice = enumerate_closed_sets(g) if len(g.edges) <= 18 else None
-    cache = HolonomyCache(g)
+    if lattice is None and len(g.edges) <= 18:
+        lattice = enumerate_closed_sets(g)
     points = []
     for k in range(n + 1):
         colors = standard_colors(g.group, k)
-        value = count_auto(g, colors, lattice=lattice, cache=cache)
+        value = count_auto(g, colors, lattice=lattice)
         points.append((Fraction(k * order + 1), value))
     poly = _interpolate(points)
     poly.integer_coefficients()
@@ -443,24 +443,28 @@ def _without_nonidentity_loops(g: GainGraph) -> GainGraph:
     return GainGraph(g.group, g.vertex_count, keep)
 
 
-def zero_free_polynomial(g: GainGraph, max_vertices: int = 16) -> UniPoly:
+def zero_free_polynomial(
+    g: GainGraph, max_vertices: int = 16, lattice: ClosedSetLattice | None = None
+) -> UniPoly:
     """The count polynomial over spin sets made of k regular copies of the
     group, as a polynomial in the spin count k*|G|.
 
     Interpolated at k = 1..|V|+1 (k = 0 is the empty spin set, which is not
     an evaluation point of this polynomial).  Deleting nonidentity loops must
-    not change it; that is verified before returning.
+    not change it; that is verified before returning, with the stripped
+    graph's own lattice.  ``lattice``, when given, must be the graph's
+    closed-set lattice.
     """
     n = g.vertex_count
     if n > max_vertices:
         raise BoundExceeded(f"{n} vertices exceed the interpolation limit {max_vertices}")
     order = g.group.order
-    lattice = enumerate_closed_sets(g) if len(g.edges) <= 18 else None
-    cache = HolonomyCache(g)
+    if lattice is None and len(g.edges) <= 18:
+        lattice = enumerate_closed_sets(g)
     points = []
     for k in range(1, n + 2):
         colors = zero_free_colors(g.group, k)
-        value = count_auto(g, colors, lattice=lattice, cache=cache)
+        value = count_auto(g, colors, lattice=lattice)
         points.append((Fraction(k * order), value))
     poly = _interpolate(points)
     poly.integer_coefficients()

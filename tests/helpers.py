@@ -10,7 +10,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from gainchroma import GainGraph, SpinAction, gain_graph
+from gainchroma import (
+    GainGraph,
+    HolonomyContext,
+    SpinAction,
+    component_subgroup,
+    components,
+    fixed_set,
+    gain_graph,
+    holonomy_group,
+)
 
 
 def naive_count(graph: GainGraph, action: SpinAction) -> int:
@@ -74,3 +83,52 @@ def powerset(ids):
     ids = sorted(ids)
     for r in range(len(ids) + 1):
         yield from (frozenset(c) for c in itertools.combinations(ids, r))
+
+
+def oracle_inclexcl(graph: GainGraph, action: SpinAction) -> int:
+    """Inclusion-exclusion with a breadth-first split and a fresh holonomy
+    context per subset: the path the subset walk replaced."""
+    total = 0
+    for subset in powerset(graph.edge_ids):
+        split = components(graph, subset)
+        term = (-1) ** len(subset) * action.size ** len(split.isolated)
+        for comp in split.edge_sets:
+            term *= len(fixed_set(action, component_subgroup(graph, comp)))
+        total += term
+    return total
+
+
+def oracle_closed_sets(graph: GainGraph):
+    """``(sets, mobius_from_bottom, bottomless)`` as the subset walk must
+    give them, from a per-subset split, a holonomy context per component and
+    the recursion mu(A) = -sum of mu(B) over closed B strictly inside A."""
+    mul, inv = graph.group.mul, graph.group.inv
+    identity_loops = [e for e in graph.edges if e.is_loop and e.gain == 0]
+
+    def component_is_closed(conn) -> bool:
+        ctx = HolonomyContext(graph, conn)
+        subgroup = holonomy_group(ctx, 0)
+        verts = ctx.split.vertex_sets[0]
+        psi = ctx.psi
+        for e in graph.edges:
+            if e.id in conn or e.u not in verts or e.v not in verts:
+                continue
+            if mul[mul[psi[e.u]][e.gain]][inv[psi[e.v]]] in subgroup:
+                return False
+        return True
+
+    closed = []
+    for subset in powerset(graph.edge_ids):
+        split = components(graph, subset)
+        covered = set().union(*split.vertex_sets)
+        if any(l.id not in subset and l.u not in covered for l in identity_loops):
+            continue
+        if all(component_is_closed(comp) for comp in split.edge_sets):
+            closed.append(subset)
+    closed.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    bottomless = closed[0] != frozenset()
+    mobius = {}
+    if not bottomless:
+        for a in closed:
+            mobius[a] = 1 if not a else -sum(mu for b, mu in mobius.items() if b < a)
+    return tuple(closed), mobius, bottomless

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gainchroma import CountResult
+from gainchroma import cli
 from gainchroma.counting import COUNTERS
 from gainchroma.cli import (
     EXIT_BOUND,
@@ -354,6 +355,18 @@ class TestInvalidArguments:
     )
     def test_huge_tables_exit_3(self, changes, tmp_path, capsys):
         assert main(["count", write(tmp_path, dict(DIGON, **changes))]) == EXIT_BOUND
+
+
+    @pytest.mark.parametrize("block", ["graph", "signed_graph"])
+    def test_huge_vertex_count_exits_3_before_allocating(self, block, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a graph was built before the vertex bound was checked")
+
+        monkeypatch.setattr(cli, {"graph": "gain_graph", "signed_graph": "SignedGraph"}[block], refuse)
+        edge = [0, 1, "+" if block == "signed_graph" else 0]
+        payload = dict(POTTS, **{block: {"vertices": 10**12, "edges": [edge]}})
+        assert main(["potts", write(tmp_path, payload)]) == EXIT_BOUND
+        assert f"{block}.vertices" in capsys.readouterr().err
 
 
 def _count_method_choices():

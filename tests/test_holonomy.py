@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from gainchroma import (
     component_subgroup,
     components,
     conjugate_subgroup,
+    count_inclexcl,
     enumerate_closed_sets,
     gain_graph,
     generate_subgroup,
@@ -28,7 +30,7 @@ from gainchroma import (
     trivial_action,
     walk_gain,
 )
-from helpers import dfs_forest, powerset, random_graph
+from helpers import dfs_forest, oracle_closed_sets, oracle_inclexcl, powerset, random_graph
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -198,6 +200,86 @@ class TestLattice:
             lat = enumerate_closed_sets(g)
             expected = {s for s in powerset(g.edge_ids) if is_holonomy_closed(g, s)}
             assert set(lat.sets) == expected
+
+
+def _walk_test_graphs(seed: int, count: int):
+    """Seeded random Z2/Z4/S3 multigraphs with loops, identity loops, parallel
+    edges and isolated vertices, plus graphs with no edges and no vertices.
+
+    Every fourth graph is a larger S3 graph, so that components with
+    non-commuting holonomy merge and union-find paths grow two links long."""
+    rng = random.Random(seed)
+    yield gain_graph(S3, 0, [])
+    yield gain_graph(Z2, 3, [])
+    yield gain_graph(S3, 3, [(0, 1, 1), (1, 0, 3), (1, 2, 2), (2, 2, 0)])
+    for i in range(count):
+        large = i % 4 == 3
+        group = S3 if large else (Z2, Z4, S3)[i % 3]
+        n = rng.randint(4, 6) if large else rng.randint(1, 5)
+        triples = []
+        for _ in range(rng.randint(7, 10) if large else rng.randint(0, 7)):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.2 else rng.randrange(n)
+            triples.append((u, v, rng.randrange(group.order)))
+        if triples and rng.random() < 0.3:
+            triples.append(triples[0])  # an exact parallel duplicate
+        yield gain_graph(group, n, triples)
+
+
+def _conjugacy_class(group, subgroup):
+    return min(tuple(sorted(conjugate_subgroup(group, subgroup, x))) for x in range(group.order))
+
+
+class TestSubsetWalk:
+    GRAPHS = list(_walk_test_graphs(seed=31, count=60))
+
+    def test_the_graphs_cover_every_feature(self):
+        edges = [e for g in self.GRAPHS for e in g.edges]
+        assert any(e.is_loop and e.gain == 0 for e in edges)
+        assert any(e.is_loop and e.gain != 0 for e in edges)
+        assert any(len(components(g).isolated) for g in self.GRAPHS if g.edges)
+        assert any(
+            len({(e.u, e.v) for e in g.edges}) < len(g.edges) for g in self.GRAPHS
+        )
+        assert {g.group for g in self.GRAPHS} == {Z2, Z4, S3}
+
+    def test_lattice_matches_the_oracle(self):
+        for g in self.GRAPHS:
+            lat = enumerate_closed_sets(g)
+            sets, mobius, bottomless = oracle_closed_sets(g)
+            assert lat.sets == sets
+            assert lat.mobius_from_bottom == mobius
+            assert lat.bottomless == bottomless
+            for a, lone, subgroups in zip(lat.sets, lat.isolated, lat.subgroups, strict=True):
+                split = components(g, a)
+                assert lone == len(split.isolated)
+                assert sorted(_conjugacy_class(g.group, h) for h in subgroups) == sorted(
+                    _conjugacy_class(g.group, component_subgroup(g, c)) for c in split.edge_sets
+                )
+
+    def test_inclexcl_matches_the_oracle(self):
+        for g in self.GRAPHS:
+            actions = [regular_action(g.group), standard_colors(g.group, 1), trivial_action(g.group, 2)]
+            if g.group == S3:
+                actions.append(subset_action(3))
+            for action in actions:
+                assert count_inclexcl(g, action).value == oracle_inclexcl(g, action)
+
+    def test_crosscut_identity_from_the_closure_alone(self):
+        # mu(empty, A) is the sum of (-1)**|B| over the B whose closure is A;
+        # with no bottom (an identity loop) every such sum vanishes
+        rng = random.Random(47)
+        for i in range(30):
+            g = random_graph(rng, (Z2, Z4, S3)[i % 3], max_vertices=4, max_edges=6)
+            sums = collections.Counter()
+            for b in powerset(g.edge_ids):
+                sums[holonomy_closure(g, b)] += (-1) ** len(b)
+            lat = enumerate_closed_sets(g)
+            for a in powerset(g.edge_ids):
+                if lat.bottomless or not is_holonomy_closed(g, a):
+                    assert sums[a] == 0
+                else:
+                    assert sums[a] == lat.mobius_from_bottom[a]
 
 
 class TestChoiceIndependence:
