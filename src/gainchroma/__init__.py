@@ -3,7 +3,7 @@
 A gain graph is a multigraph whose oriented edges carry elements of a finite
 group; a state assigns each vertex a spin from a set the group acts on, and
 an edge is frustrated when its equation s_v * gain != s_w holds.  This
-package counts states in which every edge is frustrated, by four mutually
+package counts states in which every edge is frustrated, by five mutually
 cross-checking methods, and assembles the counts into exact multivariate and
 univariate polynomials.
 """
@@ -65,6 +65,7 @@ from .counting import (
     count_auto,
     count_brute,
     count_delcon,
+    count_elim,
     count_inclexcl,
     count_mobius,
     theta,

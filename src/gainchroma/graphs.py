@@ -258,7 +258,12 @@ def satisfied_edges(g: GainGraph, action: SpinAction, state: Sequence[int]) -> f
     for q in state:
         if not 0 <= q < action.size:
             raise ValueError(f"{q} is not a spin index")
-    act = action.act
+    return _satisfied_edges(g, action.act, state)
+
+
+def _satisfied_edges(g: GainGraph, act, state: Sequence[int]) -> frozenset[int]:
+    """``satisfied_edges`` without its input checks, for callers that have
+    checked the graph and action once and generate valid states themselves."""
     return frozenset(e.id for e in g.edges if act[state[e.u]][e.gain] == state[e.v])
 
 

@@ -69,7 +69,7 @@ class FiniteGroup:
         return self.mul[self.mul[self.inv[by]][g]][by]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteGroup) and self.mul == other.mul
+        return self is other or (isinstance(other, FiniteGroup) and self.mul == other.mul)
 
     def __hash__(self) -> int:
         return hash(self.mul)

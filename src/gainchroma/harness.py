@@ -27,6 +27,7 @@ from .groups import (
 )
 from .graphs import (
     GainGraph,
+    _satisfied_edges,
     contract_link,
     delete_edge,
     gain_graph,
@@ -37,7 +38,7 @@ from .graphs import (
     SimpleGraph,
 )
 from .holonomy import is_holonomy_closed
-from .counting import count_inclexcl, verify_all
+from .counting import _check_compat, count_inclexcl, verify_all
 from .polynomials import graph_chromatic
 
 import itertools
@@ -175,6 +176,7 @@ def check_satisfied_closure(inst: Instance, state_cap: int = 10**5, samples: int
     random sample is checked.
     """
     g, a = inst.graph, inst.action
+    _check_compat(g, a)
     n, q = g.vertex_count, a.size
     verdicts: dict[frozenset[int], bool] = {}
     if q**n <= state_cap:
@@ -185,7 +187,7 @@ def check_satisfied_closure(inst: Instance, state_cap: int = 10**5, samples: int
             tuple(rng.randrange(q) for _ in range(n)) for _ in range(samples)
         )
     for state in states:
-        sat = satisfied_edges(g, a, state)
+        sat = _satisfied_edges(g, a.act, state)
         verdict = verdicts.get(sat)
         if verdict is None:
             verdict = is_holonomy_closed(g, sat)

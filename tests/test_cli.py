@@ -158,6 +158,17 @@ class TestCountCommand:
             == EXIT_BOUND
         )
 
+    @pytest.mark.parametrize("bound", [[], ["--max-states", "1000"]])
+    def test_elim_bound_exits_3_without_traceback(self, bound, tmp_path, capsys):
+        k12 = {
+            "group": {"kind": "symmetric", "d": 3},
+            "spins": [{"kind": "standard_colors", "k": 1}],
+            "graph": {"vertices": 12, "edges": [[u, v, (u + v) % 6] for u in range(12) for v in range(u + 1, 12)]},
+        }
+        assert main(["count", write(tmp_path, k12), "--method", "elim", *bound]) == EXIT_BOUND
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "elimination limit" in err and "Traceback" not in err
+
     def test_divergence_exit(self, tmp_path, capsys, monkeypatch):
         # a deliberately broken counter must trip the agreement gate
         import gainchroma.counting as counting

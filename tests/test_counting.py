@@ -11,8 +11,11 @@ from gainchroma import (
     count_auto,
     count_brute,
     count_delcon,
+    count_elim,
     count_inclexcl,
     count_mobius,
+    disjoint_union_action,
+    enumerate_closed_sets,
     gain_graph,
     regular_action,
     standard_colors,
@@ -23,6 +26,7 @@ from gainchroma import (
     verify_all,
     zero_free_colors,
 )
+from gainchroma import counting
 from helpers import naive_count, random_graph
 
 Z2 = build_cyclic(2)
@@ -236,7 +240,7 @@ class TestVerifyAll:
         g = gain_graph(Z2, 2, [(0, 1, 1), (1, 1, 0)])
         report = verify_all(g, regular_action(Z2))
         assert not report.errors
-        assert set(report.results) == {"brute", "delcon", "inclexcl", "mobius"}
+        assert set(report.results) == {"brute", "delcon", "inclexcl", "mobius", "elim"}
         assert report.agree and report.value == 0
 
     @given(st.integers(0, 10**6))
@@ -250,6 +254,143 @@ class TestVerifyAll:
         assert count_brute(g, action).value == count_brute(switch(g, eta), action).value
 
 
+def ring_with_chords(rng, group, n, m):
+    """A ring plus chords of span 2 and then 3, taken by span and then by
+    start vertex until there are m edges; gains and orientations random."""
+    pairs = [(v, (v + span) % n) for span in (1, 2, 3) for v in range(n)][:m]
+    return gain_graph(
+        group,
+        n,
+        [(u, v, rng.randrange(group.order)) if rng.random() < 0.5 else (v, u, rng.randrange(group.order))
+         for u, v in pairs],
+    )
+
+
+def relabel_and_switch(rng, g):
+    """A copy of g under a random vertex permutation and switching, which
+    count the same states."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    moved = gain_graph(g.group, g.vertex_count, [(perm[e.u], perm[e.v], e.gain) for e in g.edges])
+    return switch(moved, [rng.randrange(g.group.order) for _ in range(g.vertex_count)])
+
+
+def elim_actions(group):
+    actions = [
+        regular_action(group),
+        standard_colors(group, 1),
+        trivial_action(group, 2),
+        disjoint_union_action([regular_action(group), trivial_action(group, 2)], [1, 1]),
+    ]
+    if group is S3:
+        actions.append(subset_action(3))
+    return actions
+
+
+class TestElimination:
+    def test_matches_brute_on_seeded_graphs(self):
+        rng = random.Random(41)
+        for _ in range(120):
+            group = rng.choice([Z2, Z3, Z4, S3])
+            g = random_graph(rng, group, max_vertices=6, max_edges=9)
+            for action in elim_actions(group):
+                assert count_elim(g, action).value == count_brute(g, action).value
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute(self, seed):
+        rng = random.Random(seed)
+        group = rng.choice([Z2, Z3, Z4, S3])
+        g = random_graph(rng, group, max_vertices=5, max_edges=8)
+        action = rng.choice(elim_actions(group))
+        assert count_elim(g, action).value == count_brute(g, action).value
+
+    @pytest.mark.parametrize(
+        "n,triples",
+        [
+            (0, []),  # no vertices
+            (3, []),  # no edges
+            (2, [(0, 1, 1), (1, 1, 0)]),  # identity loop
+            (3, [(0, 1, 2), (1, 1, 3), (2, 2, 4), (2, 2, 5)]),  # nonidentity loops
+            (2, [(0, 1, 3), (0, 1, 3), (0, 1, 3)]),  # exact parallel duplicates
+            (2, [(0, 1, 3), (1, 0, 3), (0, 1, 4)]),  # parallel, reversed and distinct gains
+            (5, [(0, 1, 1), (1, 2, 2), (2, 0, 3), (2, 3, 4), (3, 4, 5)]),  # pendant path on a triangle
+            (6, [(0, 1, 1), (1, 2, 2), (4, 5, 3)]),  # disconnected, one isolated vertex
+        ],
+    )
+    def test_special_shapes(self, n, triples):
+        g = gain_graph(S3, n, triples)
+        for action in elim_actions(S3):
+            assert count_elim(g, action).value == count_brute(g, action).value
+        if any(u == v and gain == 0 for u, v, gain in triples):
+            assert count_elim(g, regular_action(S3)).value == 0
+
+    def test_pendant_star_and_isolated_vertices_factor(self):
+        g = gain_graph(Z3, 7, [(0, v, v % 3) for v in range(1, 5)])
+        action = standard_colors(Z3, 1)
+        q = action.size
+        assert count_elim(g, action).value == q * (q - 1) ** 4 * q**2
+
+    @pytest.mark.parametrize(
+        "group,action,n,m",
+        [
+            (Z3, standard_colors(Z3, 1), 13, 26),
+            (Z4, regular_action(Z4), 13, 26),
+            (S3, regular_action(S3), 9, 24),
+        ],
+    )
+    def test_rings_with_chords_match_brute(self, group, action, n, m):
+        rng = random.Random(n * m + group.order)
+        g = ring_with_chords(rng, group, n, m)
+        assert count_elim(g, action).value == count_brute(g, action).value
+
+    def test_invariant_under_relabelling_and_switching(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            group = rng.choice([Z3, Z4, S3])
+            g = random_graph(rng, group, max_vertices=6, max_edges=9)
+            action = rng.choice(elim_actions(group))
+            assert count_elim(relabel_and_switch(rng, g), action).value == count_elim(g, action).value
+        ring = ring_with_chords(rng, S3, 12, 23)
+        action = regular_action(S3)
+        assert count_elim(relabel_and_switch(rng, ring), action).value == count_elim(ring, action).value
+
+    def test_stats(self):
+        g = gain_graph(Z3, 4, [(0, 1, 1), (1, 2, 2), (2, 3, 0)])
+        result = count_elim(g, regular_action(Z3))
+        assert result.value == 3 * 2**3
+        assert result.stats["width"] == 1
+        assert 1 <= result.stats["peak_states"] <= 3
+        assert result.stats["transitions"] > 0
+
+    def test_bound_is_checked_before_any_table(self):
+        class Untouchable:
+            def __getitem__(self, index):
+                raise AssertionError("a spin was looked up before the bound was checked")
+
+        k12 = gain_graph(S3, 12, [(u, v, (u + v) % 6) for u in range(12) for v in range(u + 1, 12)])
+        action = standard_colors(S3, 1)
+        assert action.size == 7
+        with pytest.raises(BoundExceeded):
+            count_elim(k12, action)
+        fake = type("Spins", (), {"group": S3, "size": 7, "act": Untouchable()})()
+        with pytest.raises(BoundExceeded):
+            count_elim(k12, fake, max_states=7**10)
+
+    @pytest.mark.parametrize("shape", ["cycle", "star"])
+    def test_vertex_limit_sized_sparse_graphs(self, shape):
+        n = 4096
+        if shape == "cycle":
+            g = gain_graph(Z3, n, [(v, (v + 1) % n, 0) for v in range(n)])
+            expected = 2**n + 2  # the chromatic polynomial of C_n at 3
+        else:
+            g = gain_graph(Z3, n, [(0, v, v % 3) for v in range(1, n)])
+            expected = 3 * 2 ** (n - 1)
+        result = count_elim(g, regular_action(Z3))
+        assert result.value == expected
+        assert result.stats["width"] <= 2
+
+
 class TestCountAuto:
     def test_matches_methods(self):
         rng = random.Random(19)
@@ -258,3 +399,71 @@ class TestCountAuto:
             g = random_graph(rng, group, max_vertices=4, max_edges=6)
             action = standard_colors(group, 1)
             assert count_auto(g, action) == count_brute(g, action).value
+
+    @staticmethod
+    def record_choices(monkeypatch):
+        chosen = []
+        for name, run in list(counting.COUNTERS.items()):
+            def recorded(g, a, _name=name, _run=run, **bounds):
+                chosen.append(_name)
+                return _run(g, a, **bounds)
+
+            monkeypatch.setitem(counting.COUNTERS, name, recorded)
+        return chosen
+
+    @pytest.mark.parametrize(
+        "g,action,expected",
+        [
+            # |Q|**|V| = 9 states against 2**4 subsets and 3 + 3**2 elim transitions
+            (gain_graph(Z3, 2, [(0, 1, 1), (0, 1, 2), (1, 0, 1), (0, 0, 1)]), regular_action(Z3), "brute"),
+            # 2**2 subsets against 4**10 states and 8*4 + 2*4**2 elim transitions
+            (gain_graph(Z3, 10, [(0, 1, 1), (2, 3, 2)]), standard_colors(Z3, 1), "inclexcl"),
+            # a path: 4 + 7*4**2 elim transitions against 4**8 states; 2**28 subsets are over the bound
+            (gain_graph(Z3, 8, [(v, v + 1, v % 3) for v in range(7)] * 4), standard_colors(Z3, 1), "elim"),
+        ],
+    )
+    def test_picks_the_cheapest_counter(self, g, action, expected, monkeypatch):
+        chosen = self.record_choices(monkeypatch)
+        assert count_auto(g, action) == count_brute(g, action).value
+        assert chosen == [expected]
+
+    def test_falls_back_to_a_counter_within_its_bound(self, monkeypatch):
+        chosen = self.record_choices(monkeypatch)
+        rng = random.Random(7)
+        g = ring_with_chords(rng, Z3, 8, 16)
+        action = standard_colors(Z3, 1)
+        expected = count_brute(g, action).value
+        assert count_auto(g, action, max_states=10**4, max_subsets=2**10) == expected
+        assert chosen == ["elim"]
+
+    def test_raises_only_when_every_counter_is_over_its_bound(self):
+        k12 = gain_graph(S3, 12, [(u, v, (u + v) % 6) for u in range(12) for v in range(u + 1, 12)])
+        with pytest.raises(BoundExceeded):
+            count_auto(k12, standard_colors(S3, 1))
+        small = gain_graph(Z3, 6, [(v, (v + 1) % 6, 1) for v in range(6)])
+        action = standard_colors(Z3, 1)
+        with pytest.raises(BoundExceeded):
+            count_auto(small, action, max_states=1, max_subsets=1)
+        assert count_auto(small, action, max_states=4**2, max_subsets=1) == count_brute(small, action).value
+
+    def test_uses_mobius_with_a_lattice(self, monkeypatch):
+        chosen = self.record_choices(monkeypatch)
+        called = []
+        original = counting.count_mobius
+        monkeypatch.setattr(counting, "count_mobius", lambda *args, **kw: called.append(1) or original(*args, **kw))
+        g = gain_graph(Z3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, 0)])
+        action = standard_colors(Z3, 1)
+        assert count_auto(g, action, lattice=enumerate_closed_sets(g)) == count_brute(g, action).value
+        assert called == [1] and chosen == []
+
+    def test_counts_the_twenty_vertex_ring(self):
+        # 4**20 states and 2**26 subsets are both over the default bounds
+        rng = random.Random(20)
+        ring = ring_with_chords(rng, Z3, 20, 26)
+        action = standard_colors(Z3, 1)
+        assert action.size == 4
+        result = count_elim(ring, action)
+        assert count_auto(ring, action) == result.value > 0
+        assert result.stats["width"] == 3
+        assert result.stats["peak_states"] <= 4**3
+        assert count_auto(relabel_and_switch(rng, ring), action) == result.value

@@ -1,8 +1,13 @@
 import random
 
+import pytest
+
+from gainchroma import build_cyclic, gain_graph, regular_action
 from gainchroma.harness import (
     CHECKS,
     GROUP_BUILDERS,
+    Instance,
+    check_satisfied_closure,
     random_instance,
     run_suite,
 )
@@ -47,3 +52,11 @@ class TestSuiteRunner:
         report = run_suite(1, 0)
         assert report.ok
         assert all(count == 0 for count in report.passed.values())
+
+
+class TestSatisfiedClosure:
+    def test_rejects_an_action_of_another_group(self):
+        g = gain_graph(build_cyclic(3), 2, [(0, 1, 1)])
+        inst = Instance(g, regular_action(build_cyclic(2)), "Z3", "regular", False)
+        with pytest.raises(ValueError):
+            check_satisfied_closure(inst)
