@@ -11,8 +11,8 @@ The counters are deliberately independent routes to the same number:
 * elim: a transfer matrix along a vertex order, keyed by the spins of the
   placed vertices that still have unplaced neighbours.
 
-``count_auto`` runs the cheapest of brute, inclexcl and elim by an estimate
-of their work.  All arithmetic is exact integer arithmetic.
+``count_auto`` runs elim when it is within its bounds, and brute or
+inclexcl otherwise.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -275,6 +275,12 @@ def _elim_order(g: GainGraph) -> tuple[list[tuple[int, set[int]]], list[int]]:
     return steps, sizes
 
 
+# The most keys an elimination table may hold.  An entry takes about 160-260
+# bytes (a tuple key and an int count), and two tables are alive at once, so
+# this keeps count_elim's tables near 130 MB whatever ``max_states`` says.
+ELIM_TABLE_LIMIT = 2**18
+
+
 def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountResult:
     """Count by a transfer matrix along ``_elim_order``'s vertex order.
 
@@ -282,19 +288,23 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
     unplaced neighbour) to the number of frustrated partial states that
     extend them.  Each placed vertex takes the spins its loops leave it,
     except those its edges to placed vertices would satisfy.  A table holds
-    at most |Q|**width keys, where width is the largest frontier; that bound
-    is checked against ``max_states`` before any table is built.  The work is
-    about the sum over steps of |Q|**(frontier + 1).
+    at most |Q|**width keys, where width is the largest frontier, and the
+    work is at most the sum over steps of |Q|**(frontier + 1).  Before any
+    table is built, the first is checked against ``ELIM_TABLE_LIMIT`` and
+    the second against ``max_states``, the same budget as brute's |Q|**|V|.
     """
     _check_compat(g, a)
     n = g.vertex_count
     q = a.size
-    act = a.act
-    inv = g.group.inv
     steps, sizes = _elim_order(g)
     width = max(sizes, default=0)
-    if q**width > max_states:
-        raise BoundExceeded(f"{q}**{width} frontier states exceed the elimination limit {max_states}")
+    if q**width > ELIM_TABLE_LIMIT:
+        raise BoundExceeded(f"{q}**{width} frontier states exceed the elimination table limit {ELIM_TABLE_LIMIT}")
+    work = sum(q ** (f + 1) for f in sizes)
+    if work > max_states:
+        raise BoundExceeded(f"{work} elimination transitions exceed the limit {max_states}")
+    act = a.act
+    inv = g.group.inv
     loop_gains: list[set[int]] = [set() for _ in range(n)]
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (other end, gain oriented towards v)
     for e in g.edges:
@@ -345,32 +355,28 @@ def count_auto(
     lattice: ClosedSetLattice | None = None,
     cache: HolonomyCache | None = None,
 ) -> int:
-    """Run the cheapest counter within its bound and return the bare value.
+    """Count with elim, or with brute or inclexcl when elim is over its
+    bounds, and return the bare value.
 
     With a precomputed lattice the Möbius counter is used directly, which is
-    the fast path for evaluating one graph against many spin sets.
-    Otherwise the estimated work is |Q|**|V| for brute, 2**|E| for inclexcl
-    and the sum over steps of |Q|**(frontier + 1) for elim; ties go to the
-    earlier of these.  ``cache`` is accepted for compatibility and unused.
+    the fast path for evaluating one graph against many spin sets.  Elim
+    comes first: its table after each step holds the distinct frontier
+    spins of the partial states that brute, placing vertices in the same
+    order, would hold at that depth, so it never visits more.
     """
     if lattice is not None:
-        return count_mobius(g, a, lattice=lattice).value
-    q, n, m = a.size, g.vertex_count, len(g.edges)
-    sizes = _elim_order(g)[1]
-    width = max(sizes, default=0)
-    costs = {}
-    if q**n <= max_states:
-        costs["brute"] = q**n
-    if 2**m <= max_subsets:
-        costs["inclexcl"] = 2**m
-    if q**width <= max_states:
-        costs["elim"] = sum(q ** (f + 1) for f in sizes)
-    if not costs:
-        raise BoundExceeded(
-            f"{q}**{n} states, 2**{m} subsets and {q}**{width} frontier states all exceed their limits"
-        )
-    name = min(costs, key=costs.get)
-    return COUNTERS[name](g, a, max_states=max_states, max_subsets=max_subsets).value
+        return count_mobius(g, a, lattice=lattice, cache=cache).value
+    try:
+        return count_elim(g, a, max_states=max_states).value
+    except BoundExceeded:
+        pass
+    brute_cost = a.size ** g.vertex_count
+    subset_cost = 2 ** len(g.edges)
+    if brute_cost <= min(subset_cost, max_states):
+        return count_brute(g, a, max_states=max_states).value
+    if subset_cost <= max_subsets:
+        return count_inclexcl(g, a, max_subsets=max_subsets, cache=cache).value
+    return count_brute(g, a, max_states=max_states).value
 
 
 def theta(g: GainGraph, a: SpinAction) -> Fraction:

@@ -167,7 +167,40 @@ class TestCountCommand:
         }
         assert main(["count", write(tmp_path, k12), "--method", "elim", *bound]) == EXIT_BOUND
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "elimination limit" in err and "Traceback" not in err
+        assert err.startswith("error:") and "elimination" in err and "Traceback" not in err
+
+    def test_wide_instance_exits_3_before_elim_builds_a_table(self, tmp_path, capsys, monkeypatch):
+        # K10 over S3 with 7 spins: elim's frontier reaches 9 vertices, whose
+        # 7**9 keys are within max_states = 10**8 but far over the table
+        # limit; brute's 7**10 states and the 45 edges are over the other
+        # bounds.  delcon's bound counts calls, which take seconds to run
+        # out here, so it is made to refuse at once.
+        import gainchroma.counting as counting
+        from gainchroma import BoundExceeded
+
+        class Untouchable:
+            def __getitem__(self, index):
+                raise AssertionError("elim looked up a spin, so it started a table")
+
+        def refuse(*args, **kw):
+            raise BoundExceeded("deletion-contraction exceeded its calls")
+
+        real = counting.count_elim
+
+        def guarded(g, a, **bounds):
+            spins = type("Spins", (), {"group": a.group, "size": a.size, "act": Untouchable()})()
+            return real(g, spins, **bounds)
+
+        monkeypatch.setattr(counting, "count_delcon", refuse)
+        monkeypatch.setattr(counting, "count_elim", guarded)
+        k10 = {
+            "group": {"kind": "symmetric", "d": 3},
+            "spins": [{"kind": "standard_colors", "k": 1}],
+            "graph": {"vertices": 10, "edges": [[u, v, (u + v) % 6] for u in range(10) for v in range(u + 1, 10)]},
+        }
+        assert main(["count", write(tmp_path, k10)]) == EXIT_BOUND
+        out = capsys.readouterr().out
+        assert "elim: bound exceeded (7**9 frontier states" in out
 
     def test_divergence_exit(self, tmp_path, capsys, monkeypatch):
         # a deliberately broken counter must trip the agreement gate

@@ -377,6 +377,26 @@ class TestElimination:
         with pytest.raises(BoundExceeded):
             count_elim(k12, fake, max_states=7**10)
 
+    def test_table_limit_holds_whatever_max_states_says(self):
+        k10 = gain_graph(Z3, 10, [(u, v, 0) for u in range(10) for v in range(u + 1, 10)])
+        action = trivial_action(Z3, 5)
+        assert 5**9 > counting.ELIM_TABLE_LIMIT
+        with pytest.raises(BoundExceeded, match="table limit"):
+            count_elim(k10, action, max_states=10**30)
+
+    def test_work_is_checked_against_max_states_before_any_table(self):
+        class Untouchable:
+            def __getitem__(self, index):
+                raise AssertionError("a spin was looked up before the bound was checked")
+
+        n = 4096
+        cycle = gain_graph(Z3, n, [(v, (v + 1) % n, 0) for v in range(n)])
+        fake = type("Spins", (), {"group": Z3, "size": 3, "act": Untouchable()})()
+        # every frontier is at most 2 wide, so the table limit passes, and the
+        # work, more than 3 transitions per vertex, does not
+        with pytest.raises(BoundExceeded, match="transitions"):
+            count_elim(cycle, fake, max_states=3 * n)
+
     @pytest.mark.parametrize("shape", ["cycle", "star"])
     def test_vertex_limit_sized_sparse_graphs(self, shape):
         n = 4096
@@ -403,38 +423,43 @@ class TestCountAuto:
     @staticmethod
     def record_choices(monkeypatch):
         chosen = []
-        for name, run in list(counting.COUNTERS.items()):
-            def recorded(g, a, _name=name, _run=run, **bounds):
-                chosen.append(_name)
-                return _run(g, a, **bounds)
+        for name in ("brute", "inclexcl", "mobius", "elim"):
+            original = getattr(counting, f"count_{name}")
 
-            monkeypatch.setitem(counting.COUNTERS, name, recorded)
+            def recorded(*args, _name=name, _original=original, **kw):
+                chosen.append(_name)
+                return _original(*args, **kw)
+
+            monkeypatch.setattr(counting, f"count_{name}", recorded)
         return chosen
 
     @pytest.mark.parametrize(
-        "g,action,expected",
+        "g,action",
         [
-            # |Q|**|V| = 9 states against 2**4 subsets and 3 + 3**2 elim transitions
-            (gain_graph(Z3, 2, [(0, 1, 1), (0, 1, 2), (1, 0, 1), (0, 0, 1)]), regular_action(Z3), "brute"),
-            # 2**2 subsets against 4**10 states and 8*4 + 2*4**2 elim transitions
-            (gain_graph(Z3, 10, [(0, 1, 1), (2, 3, 2)]), standard_colors(Z3, 1), "inclexcl"),
-            # a path: 4 + 7*4**2 elim transitions against 4**8 states; 2**28 subsets are over the bound
-            (gain_graph(Z3, 8, [(v, v + 1, v % 3) for v in range(7)] * 4), standard_colors(Z3, 1), "elim"),
+            (gain_graph(Z3, 2, [(0, 1, 1), (0, 1, 2), (1, 0, 1), (0, 0, 1)]), regular_action(Z3)),
+            (gain_graph(Z3, 10, [(0, 1, 1), (2, 3, 2)]), standard_colors(Z3, 1)),
+            (gain_graph(Z3, 8, [(v, v + 1, v % 3) for v in range(7)] * 4), standard_colors(Z3, 1)),
         ],
     )
-    def test_picks_the_cheapest_counter(self, g, action, expected, monkeypatch):
+    def test_runs_elim_within_its_bounds(self, g, action, monkeypatch):
         chosen = self.record_choices(monkeypatch)
         assert count_auto(g, action) == count_brute(g, action).value
-        assert chosen == [expected]
-
-    def test_falls_back_to_a_counter_within_its_bound(self, monkeypatch):
-        chosen = self.record_choices(monkeypatch)
-        rng = random.Random(7)
-        g = ring_with_chords(rng, Z3, 8, 16)
-        action = standard_colors(Z3, 1)
-        expected = count_brute(g, action).value
-        assert count_auto(g, action, max_states=10**4, max_subsets=2**10) == expected
         assert chosen == ["elim"]
+
+    def test_falls_back_when_elim_is_over_its_bounds(self, monkeypatch):
+        chosen = self.record_choices(monkeypatch)
+        # K10 with 5 colours: 5**9 frontier states pass the table limit,
+        # while brute's 5**10 states are within max_states
+        k10 = gain_graph(Z3, 10, [(u, v, 0) for u in range(10) for v in range(u + 1, 10)])
+        assert count_auto(k10, trivial_action(Z3, 5)) == 0
+        assert chosen == ["elim", "brute"]
+        chosen.clear()
+        # ten vertices and two edges: elim's work passes max_states = 10,
+        # brute's 4**10 states too, and inclexcl's 4 subsets do not
+        sparse = gain_graph(Z3, 10, [(0, 1, 1), (2, 3, 2)])
+        action = standard_colors(Z3, 1)
+        assert count_auto(sparse, action, max_states=10) == count_brute(sparse, action).value
+        assert chosen == ["elim", "inclexcl"]
 
     def test_raises_only_when_every_counter_is_over_its_bound(self):
         k12 = gain_graph(S3, 12, [(u, v, (u + v) % 6) for u in range(12) for v in range(u + 1, 12)])
@@ -442,19 +467,18 @@ class TestCountAuto:
             count_auto(k12, standard_colors(S3, 1))
         small = gain_graph(Z3, 6, [(v, (v + 1) % 6, 1) for v in range(6)])
         action = standard_colors(Z3, 1)
+        expected = count_brute(small, action).value
         with pytest.raises(BoundExceeded):
             count_auto(small, action, max_states=1, max_subsets=1)
-        assert count_auto(small, action, max_states=4**2, max_subsets=1) == count_brute(small, action).value
+        assert count_auto(small, action, max_states=1, max_subsets=2**6) == expected
+        assert count_auto(small, action, max_states=4**6, max_subsets=1) == expected
 
     def test_uses_mobius_with_a_lattice(self, monkeypatch):
         chosen = self.record_choices(monkeypatch)
-        called = []
-        original = counting.count_mobius
-        monkeypatch.setattr(counting, "count_mobius", lambda *args, **kw: called.append(1) or original(*args, **kw))
         g = gain_graph(Z3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, 0)])
         action = standard_colors(Z3, 1)
         assert count_auto(g, action, lattice=enumerate_closed_sets(g)) == count_brute(g, action).value
-        assert called == [1] and chosen == []
+        assert chosen == ["mobius"]
 
     def test_counts_the_twenty_vertex_ring(self):
         # 4**20 states and 2**26 subsets are both over the default bounds
