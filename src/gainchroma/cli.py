@@ -104,6 +104,14 @@ def _get_int(obj: dict, where: str, key: str, minimum: int = 0) -> int:
     return value
 
 
+def _int_table(value, where: str) -> list[list[int]]:
+    """A table given as a list of lists of integers; JSON booleans are not
+    integers here, although Python counts them as such."""
+    _expect(isinstance(value, list) and all(isinstance(row, list) for row in value), where, "must be a list of lists")
+    _expect(all(_is_int(x) for row in value for x in row), where, "entries must be integers")
+    return value
+
+
 def _parse_group(spec, where: str = "group") -> FiniteGroup:
     _expect(isinstance(spec, dict), where, "must be an object")
     kind = spec.get("kind")
@@ -113,8 +121,9 @@ def _parse_group(spec, where: str = "group") -> FiniteGroup:
         return build_symmetric(_get_int(spec, where, "d", minimum=1))
     if kind == "table":
         _expect("mul" in spec, where, "missing field 'mul'")
-        _expect(verify_group(spec["mul"]), f"{where}.mul", "is not a valid group table with identity at index 0")
-        return FiniteGroup(spec["mul"], name="table")
+        mul = _int_table(spec["mul"], f"{where}.mul")
+        _expect(verify_group(mul), f"{where}.mul", "is not a valid group table with identity at index 0")
+        return FiniteGroup(mul, name="table")
     raise InstanceError(f"{where}.kind: unknown group kind {kind!r}")
 
 
@@ -139,8 +148,9 @@ def _parse_spin(spec, group: FiniteGroup, group_kind: str, where: str) -> SpinAc
         return subset_action(d)
     if kind == "table":
         _expect("act" in spec, where, "missing field 'act'")
+        act = _int_table(spec["act"], f"{where}.act")
         try:
-            action = SpinAction(group, spec["act"], name="table")
+            action = SpinAction(group, act, name="table")
         except (ValueError, TypeError) as exc:
             raise InstanceError(f"{where}.act: {exc}") from exc
         _expect(verify_action(action), f"{where}.act", "is not a right action")
@@ -193,8 +203,10 @@ def _parse_signed(spec, where: str = "signed_graph") -> SignedGraph:
 def parse_instance(text: str) -> ParsedInstance:
     try:
         spec = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise InstanceError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError("not valid JSON: nested too deeply") from exc
     _expect(isinstance(spec, dict), "instance", "must be a JSON object")
     _expect("group" in spec, "instance", "missing 'group'")
     group = _parse_group(spec["group"])

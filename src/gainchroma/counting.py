@@ -17,6 +17,7 @@ inclexcl otherwise.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,13 +90,24 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
     return CountResult(total, "brute", {"states_visited": visited})
 
 
+# The most links count_delcon takes on.  Its recursion goes one call deeper
+# per link along the deletion branch, so this keeps it well under Python's
+# default recursion limit of 1000, whatever the caller's own depth.
+DELCON_LINK_LIMIT = 400
+
+
 def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountResult:
     """Count by the deletion-contraction recursion on the lowest-id link.
 
     A loops-only graph is evaluated directly as the product, over vertices,
-    of the number of spins not fixed by any incident loop gain.
+    of the number of spins not fixed by any incident loop gain.  The
+    recursion is as deep as the graph has links, so more than
+    ``DELCON_LINK_LIMIT`` are refused before the first call.
     """
     _check_compat(g, a)
+    links = sum(not e.is_loop for e in g.edges)
+    if links > DELCON_LINK_LIMIT:
+        raise BoundExceeded(f"{links} links exceed the deletion-contraction depth limit {DELCON_LINK_LIMIT}")
     m = a.size
     fixed_of: dict[int, frozenset[int]] = {}
 
@@ -144,23 +156,22 @@ def lattice_sum(
     ``factor(H)`` per component, where H is the component's holonomy
     subgroup.
 
-    ``factor`` is called once per distinct subgroup.  The values may be ints
-    or ``MultiPoly``; ``zero`` is the empty sum.
+    The summand depends only on the isolated count and the multiset of
+    subgroups, so the sum runs over ``lattice.terms``, one product per group
+    of closed sets.  ``factor`` is called once per distinct subgroup, and
+    each power of a factor or of ``isolated`` is computed once.  The values
+    may be ints or ``MultiPoly``; ``zero`` is the empty sum.
     """
-    factors: dict[frozenset[int], Any] = {}
+    factor = functools.cache(factor)
+    factor_power = functools.cache(lambda subgroup, times: factor(subgroup) ** times)
+    isolated_power = functools.cache(lambda lone: isolated**lone)
     total = zero
-    for subset, lone, subgroups in zip(lattice.sets, lattice.isolated, lattice.subgroups, strict=True):
-        weight = lattice.mobius_from_bottom[subset]
-        if weight == 0:
-            continue
-        term = weight * isolated**lone
-        for subgroup in subgroups:
+    for weight, lone, parts in lattice.terms:
+        term = weight * isolated_power(lone)
+        for subgroup, times in parts:
             if term == 0:
                 break
-            f = factors.get(subgroup)
-            if f is None:
-                f = factors[subgroup] = factor(subgroup)
-            term = term * f
+            term = term * factor_power(subgroup, times)
         total = total + term
     return total
 

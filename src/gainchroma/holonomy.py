@@ -12,7 +12,9 @@ smallest vertex, purely for reproducibility.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, generate_subgroup
@@ -318,7 +320,8 @@ class ClosedSetLattice:
     ``isolated[j]`` counts the vertices ``sets[j]`` leaves isolated and
     ``subgroups[j]`` holds the holonomy subgroup of each of its components,
     each taken at some base vertex of the component (so known up to
-    conjugacy).
+    conjugacy).  ``terms`` groups the closed sets by those two, for folds
+    whose summand depends on nothing else.
     """
 
     sets: tuple[frozenset[int], ...]
@@ -326,6 +329,28 @@ class ClosedSetLattice:
     bottomless: bool
     isolated: tuple[int, ...] = ()
     subgroups: tuple[tuple[frozenset[int], ...], ...] = ()
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, tuple[tuple[frozenset[int], int], ...]], ...]:
+        """One ``(mu, isolated, ((H, times), ...))`` per group of closed
+        sets that leave the same number of vertices isolated and have the
+        same multiset of component subgroups, H occurring ``times`` times;
+        mu is the sum of the group's Möbius values, and groups whose sum is
+        0 are left out.  Groups come in the order of their first set in
+        ``sets``.  Empty for a bottomless lattice.
+
+        A set's subgroups are put in a canonical order by sorting them by
+        hash.  Two distinct subgroups of one set with equal hashes could
+        split a multiset over two groups, which changes no fold."""
+        if self.bottomless:
+            return ()
+        sums: dict[tuple[int, tuple[frozenset[int], ...]], int] = {}
+        for subset, lone, subgroups in zip(self.sets, self.isolated, self.subgroups, strict=True):
+            key = (lone, tuple(sorted(subgroups, key=hash)))
+            sums[key] = sums.get(key, 0) + self.mobius_from_bottom[subset]
+        return tuple(
+            (mu, lone, tuple(Counter(subgroups).items())) for (lone, subgroups), mu in sums.items() if mu
+        )
 
 
 def enumerate_closed_sets(graph: GainGraph, max_edges: int = 18) -> ClosedSetLattice:

@@ -16,6 +16,7 @@ coefficients is asserted.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .groups import (
@@ -100,13 +101,23 @@ class MultiPoly:
             total += term
         return total
 
+    @classmethod
+    def _unchecked(cls, arity: int, terms: dict[tuple[int, ...], int]) -> "MultiPoly":
+        """The polynomial with the nonzero ``terms``, whose keys must already
+        be exponent tuples of length ``arity`` and whose values ints; for
+        results of arithmetic on valid polynomials."""
+        poly = object.__new__(cls)
+        poly.arity = arity
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
     def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
             terms[expo] = terms.get(expo, 0) + sign * coeff
-        return MultiPoly(self.arity, terms)
+        return MultiPoly._unchecked(self.arity, terms)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         return self._combine(other, 1)
@@ -115,11 +126,11 @@ class MultiPoly:
         return self._combine(other, -1)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._unchecked(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly._unchecked(self.arity, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if self.arity != other.arity:
@@ -127,9 +138,9 @@ class MultiPoly:
         terms: dict[tuple[int, ...], int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
+                expo = tuple(map(add, ea, eb))
                 terms[expo] = terms.get(expo, 0) + ca * cb
-        return MultiPoly(self.arity, terms)
+        return MultiPoly._unchecked(self.arity, terms)
 
     __rmul__ = __mul__
 
@@ -396,20 +407,22 @@ def regular_plus_zeroes(
 
 
 def _interpolate(points: Sequence[tuple[Fraction, int]]) -> UniPoly:
-    """Lagrange interpolation through exact rational points."""
-    total = UniPoly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = UniPoly.constant(1)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * UniPoly((-xj, 1))
-            denom *= xi - xj
-        total = total + basis * (Fraction(yi) / denom)
-    return total
+    """Newton interpolation through exact rational points: divided
+    differences, then the Newton form expanded by Horner's rule, in O(n^2)
+    rational operations."""
+    xs = [Fraction(x) for x, _ in points]
+    diffs = [Fraction(y) for _, y in points]
+    n = len(points)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    coeffs: list[Fraction] = []
+    for xi, d in zip(reversed(xs), reversed(diffs)):
+        # coeffs * (x - xi) + d
+        coeffs = [d] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= xi * coeffs[k + 1]
+    return UniPoly(coeffs)
 
 
 def chromatic_polynomial(

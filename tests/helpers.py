@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from gainchroma import (
     GainGraph,
     HolonomyContext,
     SpinAction,
+    UniPoly,
     component_subgroup,
     components,
     fixed_set,
@@ -132,3 +134,42 @@ def oracle_closed_sets(graph: GainGraph):
         for a in closed:
             mobius[a] = 1 if not a else -sum(mu for b, mu in mobius.items() if b < a)
     return tuple(closed), mobius, bottomless
+
+
+def oracle_lattice_sum(lattice, factor, isolated, zero=0):
+    """``counting.lattice_sum`` folded over the closed sets one by one, each
+    with its own Möbius value: the path the grouped terms replaced."""
+    factors = {}
+    total = zero
+    for subset, lone, subgroups in zip(lattice.sets, lattice.isolated, lattice.subgroups, strict=True):
+        weight = lattice.mobius_from_bottom[subset]
+        if weight == 0:
+            continue
+        term = weight * isolated**lone
+        for subgroup in subgroups:
+            if term == 0:
+                break
+            f = factors.get(subgroup)
+            if f is None:
+                f = factors[subgroup] = factor(subgroup)
+            term = term * f
+        total = total + term
+    return total
+
+
+def oracle_interpolate(points) -> UniPoly:
+    """Lagrange interpolation through exact rational points: the path
+    Newton's divided differences replaced."""
+    total = UniPoly.zero()
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        basis = UniPoly.constant(1)
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            basis = basis * UniPoly((-xj, 1))
+            denom *= xi - xj
+        total = total + basis * (Fraction(yi) / denom)
+    return total

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gainchroma import CountResult
+from gainchroma import BoundExceeded, CountResult
 from gainchroma import cli
 from gainchroma.counting import COUNTERS
 from gainchroma.cli import (
@@ -107,6 +109,28 @@ class TestParsing:
         with pytest.raises(InstanceError, match="group"):
             parse_instance(json.dumps(bad))
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"group": ' + "1" * 5000 + "}"])
+    def test_unreadable_json_is_a_parse_error(self, text, tmp_path, capsys):
+        # nesting past the recursion limit, and an integer too long to convert
+        with pytest.raises(InstanceError, match="not valid JSON"):
+            parse_instance(text)
+        path = tmp_path / "unreadable.json"
+        path.write_text(text)
+        assert main(["count", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: not valid JSON")
+
+    @pytest.mark.parametrize(
+        "where, change",
+        [
+            ("group.mul", {"group": {"kind": "table", "mul": [[0, 1], [1, False]]}}),
+            ("spins[0].act", {"spins": [{"kind": "table", "act": [[0, 1], [True, False], [2, 2]]}]}),
+        ],
+    )
+    def test_booleans_are_not_table_entries(self, where, change):
+        # read as 0 and 1, both tables would be valid
+        with pytest.raises(InstanceError, match=rf"{re.escape(where)}: entries must be integers"):
+            parse_instance(json.dumps(dict(TABLE_INSTANCE, **change)))
+
     def test_subsets_needs_symmetric_kind(self):
         bad = {
             "group": {"kind": "cyclic", "n": 2},
@@ -201,6 +225,29 @@ class TestCountCommand:
         assert main(["count", write(tmp_path, k10)]) == EXIT_BOUND
         out = capsys.readouterr().out
         assert "elim: bound exceeded (7**9 frontier states" in out
+
+    def test_long_cycle_counts_by_elim_and_delcon_exits_3(self, tmp_path, capsys):
+        # delcon recurses once per link; over its link bound it refuses
+        # instead of running into the recursion limit
+        n = 1500
+        cycle = {
+            "group": {"kind": "cyclic", "n": 3},
+            "spins": [{"kind": "standard_colors", "k": 1}],
+            "graph": {"vertices": n, "edges": [[v, (v + 1) % n, v % 3] for v in range(n)]},
+        }
+        path = write(tmp_path, cycle)
+        assert main(["count", path, "--method", "elim", "--json"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert main(["count", path, "--json"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["agree"] is True and report["elim"]["value"] == value
+        assert "links exceed" in report["delcon"]["error"]
+        assert "Traceback" not in captured.err
+        assert main(["count", path, "--method", "delcon"]) == EXIT_BOUND
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and f"{n} links" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_divergence_exit(self, tmp_path, capsys, monkeypatch):
         # a deliberately broken counter must trip the agreement gate
@@ -432,3 +479,130 @@ class TestSingleMethod:
         single = json.loads(capsys.readouterr().out)
         assert single["value"] == everything[name]["value"]
         assert single["stats"] == everything[name]["stats"]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import gainchroma
+
+        src = os.path.dirname(os.path.dirname(gainchroma.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "gainchroma", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+
+        done = run("count", write(tmp_path, DIGON), "--json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["agree"] is True
+        done = run("count", str(tmp_path / "missing.json"))
+        assert done.returncode == EXIT_PARSE
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+# Small instance documents for fuzzing: well-formed blocks with small sizes,
+# each value replaced by arbitrary JSON one time in ten.
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(allow_nan=True), st.text(max_size=3)
+)
+_junk = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_junk(valid):
+    return st.integers(0, 9).flatmap(lambda roll: _junk if roll == 9 else valid)
+
+
+# group and action tables: mostly valid ones, sometimes random rows
+_known_tables = st.sampled_from([[[0]], [[0, 1], [1, 0]], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[0, 1], [1, 1]], [[0, 0, 0]]])
+_random_rows = st.lists(st.lists(_or_junk(st.integers(0, 3)), max_size=4), max_size=4)
+_tables = st.integers(0, 3).flatmap(lambda roll: _random_rows if roll == 3 else _known_tables)
+_group = _or_junk(
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.just("cyclic"), "n": _or_junk(st.integers(1, 4))}),
+        st.fixed_dictionaries({"kind": st.just("symmetric"), "d": _or_junk(st.integers(1, 3))}),
+        st.fixed_dictionaries({"kind": st.just("table"), "mul": _or_junk(_tables)}),
+    )
+)
+_spin = _or_junk(
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["regular", "subsets"])}),
+        st.fixed_dictionaries({"kind": st.just("trivial"), "size": _or_junk(st.integers(1, 3))}),
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(["standard_colors", "zero_free"]), "k": _or_junk(st.integers(0, 2))}
+        ),
+        st.fixed_dictionaries({"kind": st.just("table"), "act": _or_junk(_tables)}),
+    )
+)
+
+
+def _block(label):
+    end = _or_junk(st.integers(0, 4))
+    edge = _or_junk(st.tuples(end, end, _or_junk(label)).map(list))
+    return _or_junk(
+        st.fixed_dictionaries(
+            {"vertices": _or_junk(st.integers(0, 5))}, optional={"edges": _or_junk(st.lists(edge, max_size=6))}
+        )
+    )
+
+
+_document = _or_junk(
+    st.fixed_dictionaries(
+        {"group": _group, "graph": _block(st.integers(0, 2)), "spins": _or_junk(st.lists(_spin, min_size=1, max_size=3))},
+        optional={"signed_graph": _block(st.sampled_from(["+", "-", "−", "x"])), "comment": _junk},
+    )
+)
+_TOKENS = ['{', '}', '[', ']', ',', ':', '"group"', '"kind"', '"cyclic"', '"n"', '"graph"', '"vertices"',
+           '"edges"', '"spins"', '"regular"', '1', '-1', '0', 'null', 'true', '1e999', '[' * 40]
+_commands = st.sampled_from(
+    [
+        ["count", "--json"],
+        ["count", "--method", "mobius"],
+        ["count", "--mults", "2,0"],
+        ["poly", "--chromatic", "--zero-free", "--graph-chromatic"],
+        ["poly", "--parts", "1", "--json"],
+        ["holonomy", "--json"],
+        ["holonomy", "--edges", "0,1"],
+        ["potts"],
+    ]
+)
+_fuzz = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestFuzz:
+    @given(_document)
+    @_fuzz
+    def test_parse_instance_refuses_with_a_located_error(self, document):
+        try:
+            parse_instance(json.dumps(document))
+        except (InstanceError, BoundExceeded):
+            pass
+
+    @given(st.one_of(st.text(max_size=30), st.lists(st.sampled_from(_TOKENS), max_size=20).map("".join)))
+    @_fuzz
+    def test_parse_instance_on_arbitrary_text(self, text):
+        try:
+            parse_instance(text)
+        except (InstanceError, BoundExceeded):
+            pass
+
+    @given(_document, _commands)
+    @_fuzz
+    def test_every_document_ends_in_exit_0_2_or_3(self, tmp_path, capsys, document, argv):
+        path = write(tmp_path, document)
+        code = main([argv[0], path, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, EXIT_PARSE, EXIT_BOUND), err
+        assert "Traceback" not in err
+        assert (code == 0) == (err == ""), err

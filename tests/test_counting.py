@@ -116,6 +116,28 @@ class TestDeletionContraction:
         with pytest.raises(BoundExceeded):
             count_delcon(g, regular_action(Z2), max_calls=1)
 
+    def test_link_bound_is_checked_before_the_first_call(self, monkeypatch):
+        def no_minors(*args):
+            raise AssertionError("the recursion started")
+
+        monkeypatch.setattr(counting, "delete_edge", no_minors)
+        monkeypatch.setattr(counting, "DELCON_LINK_LIMIT", 1)
+        # loops do not count against the bound
+        g = gain_graph(Z2, 3, [(0, 1, 0), (1, 2, 1), (2, 2, 1)])
+        with pytest.raises(BoundExceeded, match="2 links"):
+            count_delcon(g, regular_action(Z2))
+
+    def test_long_cycle_is_refused_not_a_recursion_error(self):
+        n = 1500
+        g = gain_graph(Z3, n, [(v, (v + 1) % n, v % 3) for v in range(n)])
+        a = standard_colors(Z3, 1)
+        with pytest.raises(BoundExceeded, match=f"{n} links"):
+            count_delcon(g, a)
+        report = verify_all(g, a)
+        assert "delcon" in report.errors
+        assert set(report.results) == {"elim"}
+        assert report.agree
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute(self, seed):

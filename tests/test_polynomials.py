@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gainchroma import (
     MultiPoly,
@@ -12,7 +12,9 @@ from gainchroma import (
     build_cyclic,
     build_symmetric,
     chromatic_polynomial,
+    count_mobius,
     disjoint_union_action,
+    enumerate_closed_sets,
     gain_graph,
     grand_polynomial,
     graph_chromatic,
@@ -24,7 +26,9 @@ from gainchroma import (
     zero_free_colors,
     zero_free_polynomial,
 )
-from helpers import naive_count, random_graph
+from gainchroma import counting, polynomials
+from gainchroma.polynomials import _interpolate
+from helpers import naive_count, oracle_interpolate, oracle_lattice_sum, random_graph
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -75,6 +79,58 @@ class TestMultiPoly:
         k = MultiPoly.linear(1, [1])
         assert (k**3).terms == {(3,): 1}
         assert (k**0).terms == {(0,): 1}
+
+
+class TestMultiPolyArithmetic:
+    """Arithmetic builds its results without the public constructor's
+    checks; these pin what it must still guarantee."""
+
+    @pytest.mark.parametrize(
+        "terms, error",
+        [
+            ({(1,): 1}, ValueError),
+            ({(1, 0, 0): 1}, ValueError),
+            ({(-1, 0): 1}, ValueError),
+            ({(1, 0): 1.5}, TypeError),
+            ({(1, 0): Fraction(1)}, TypeError),
+        ],
+    )
+    def test_public_constructor_still_checks(self, terms, error):
+        with pytest.raises(error):
+            MultiPoly(2, terms)
+
+    def test_cancelled_terms_are_dropped(self):
+        k1, k2 = MultiPoly.linear(2, [1, 0]), MultiPoly.linear(2, [0, 1])
+        p = k1 * k1 + k2
+        assert (p - p).terms == {}
+        assert (p + (-p)).terms == {}
+        assert (0 * p).terms == {} and (p * 0).terms == {}
+        product = (k1 + k2) * (k1 - k2)
+        assert product.terms == {(2, 0): 1, (0, 2): -1}
+        assert product.render() == "k1^2 - k2^2"
+        assert ((k1 - k2) ** 2 - k1 * k1 - k2 * k2).render() == "-2*k1*k2"
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=5),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=5),
+        st.integers(-2, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_results_are_what_the_public_constructor_builds(self, a, b, c):
+        def poly(triples):
+            terms = {}
+            for x, y, coeff in triples:
+                terms[x, y] = terms.get((x, y), 0) + coeff
+            return MultiPoly(2, terms)
+
+        p, q = poly(a), poly(b)
+        for result in (p + q, p - q, p * q, p**2, -p, p * c, c * q):
+            assert all(result.terms.values())
+            rebuilt = MultiPoly(2, result.terms)
+            assert result == rebuilt and result.render() == rebuilt.render()
+        # the sum and product agree with evaluation, term for term
+        for point in ([0, 1], [2, -1], [3, 5]):
+            assert (p * q - p).evaluate(point) == p.evaluate(point) * (q.evaluate(point) - 1)
 
 
 class TestUniPoly:
@@ -356,3 +412,132 @@ class TestSpecializationIdentities:
                     g, zero_free_colors(group, k)
                 )
                 assert underlying.evaluate(k) == naive_count(g, trivial_action(group, k))
+
+
+def _fold_graphs():
+    """Graphs for comparing the grouped fold with the per-set one: the edge
+    cases, then seeded random Z2/Z4/S3 graphs, which have loops (identity
+    loops among them, so some lattices are bottomless) and parallel edges."""
+    rng = random.Random(2718)
+    graphs = [
+        gain_graph(Z2, 0, []),
+        gain_graph(Z4, 3, []),
+        gain_graph(S3, 2, [(0, 1, 1), (1, 1, 0)]),
+        gain_graph(Z4, 3, [(0, 1, 1), (0, 1, 1), (1, 2, 3), (1, 2, 3), (1, 1, 2), (2, 0, 0)]),
+        gain_graph(S3, 3, [(0, 1, 1), (1, 2, 3), (2, 0, 5), (0, 0, 4), (0, 1, 1)]),
+        # closed sets with three components of one subgroup
+        gain_graph(Z2, 6, [(0, 1, 1), (2, 3, 1), (4, 5, 0), (1, 2, 0)]),
+        gain_graph(Z4, 7, [(0, 1, 1), (2, 3, 2), (4, 5, 3), (5, 6, 0), (6, 4, 1), (1, 1, 2)]),
+    ]
+    for i in range(45):
+        group = (Z2, Z4, S3)[i % 3]
+        graphs.append(random_graph(rng, group, max_vertices=7 if i % 2 else 5, max_edges=8))
+    return graphs
+
+
+FOLD_GRAPHS = _fold_graphs()
+
+
+def _spin_sets(group):
+    return [
+        regular_action(group),
+        trivial_action(group, 2),
+        standard_colors(group, 1),
+        zero_free_colors(group, 2),
+        standard_colors(group, 3),
+    ]
+
+
+class TestGroupedFold:
+    """The grouped fold against the per-closed-set fold it replaced, with the
+    same factors: the package function is run once as it is and once with
+    its ``lattice_sum`` swapped for the oracle."""
+
+    def test_the_graphs_cover_the_edge_cases(self):
+        lattices = [enumerate_closed_sets(g) for g in FOLD_GRAPHS]
+        assert sum(lat.bottomless for lat in lattices) >= 3
+        assert any(g.vertex_count == 0 for g in FOLD_GRAPHS)
+        assert any(not g.edges for g in FOLD_GRAPHS if g.vertex_count)
+        assert any(e.is_loop and e.gain != 0 for g in FOLD_GRAPHS for e in g.edges)
+        assert any(len(g.edges) != len({(e.u, e.v, e.gain) for e in g.edges}) for g in FOLD_GRAPHS)
+        assert sum(len(lat.terms) < len(lat.sets) for lat in lattices) >= 20
+        assert any(times >= 3 for lat in lattices for _, _, parts in lat.terms for _, times in parts)
+
+    @pytest.mark.parametrize("index", range(len(FOLD_GRAPHS)))
+    def test_terms_regroup_the_closed_sets(self, index):
+        lat = enumerate_closed_sets(FOLD_GRAPHS[index])
+        assert lat.terms is lat.terms
+        if lat.bottomless:
+            assert lat.terms == ()
+            return
+        assert sum(mu for mu, _, _ in lat.terms) == sum(lat.mobius_from_bottom.values())
+        keys = [(lone, frozenset(parts)) for _, lone, parts in lat.terms]
+        assert len(set(keys)) == len(keys)
+        for mu, lone, parts in lat.terms:
+            assert mu != 0
+            members = [
+                a for a, n, subgroups in zip(lat.sets, lat.isolated, lat.subgroups)
+                if n == lone and sorted(map(sorted, subgroups)) == sorted(
+                    sorted(h) for h, times in parts for _ in range(times)
+                )
+            ]
+            assert mu == sum(lat.mobius_from_bottom[a] for a in members)
+
+    @pytest.mark.parametrize("index", range(len(FOLD_GRAPHS)))
+    def test_polynomials_match_the_per_set_fold(self, index, monkeypatch):
+        g = FOLD_GRAPHS[index]
+        group = g.group
+        lat = enumerate_closed_sets(g)
+        part_lists = [
+            [regular_action(group)],
+            [regular_action(group), trivial_action(group, 1)],
+            [trivial_action(group, 2), standard_colors(group, 1), regular_action(group)],
+        ]
+        fast = [grand_polynomial(g, parts, lattice=lat) for parts in part_lists]
+        fast_balance = regular_plus_zeroes(g, lattice=lat)
+        with monkeypatch.context() as m:
+            m.setattr(polynomials, "lattice_sum", oracle_lattice_sum)
+            slow = [grand_polynomial(g, parts, lattice=lat) for parts in part_lists]
+            slow_balance = regular_plus_zeroes(g, lattice=lat)
+        assert [p.render() for p in fast] == [p.render() for p in slow]
+        assert fast == slow and fast_balance == slow_balance
+
+    @pytest.mark.parametrize("index", range(len(FOLD_GRAPHS)))
+    def test_mobius_count_matches_the_per_set_fold(self, index, monkeypatch):
+        g = FOLD_GRAPHS[index]
+        lat = enumerate_closed_sets(g)
+        spins = _spin_sets(g.group)
+        fast = [count_mobius(g, a, lattice=lat) for a in spins]
+        with monkeypatch.context() as m:
+            m.setattr(counting, "lattice_sum", oracle_lattice_sum)
+            slow = [count_mobius(g, a, lattice=lat) for a in spins]
+        assert fast == slow
+
+
+_nodes = st.lists(
+    st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=6), st.integers(-10**6, 10**6)),
+    max_size=9,
+    unique_by=lambda point: point[0],
+)
+
+
+class TestNewtonInterpolation:
+    @given(_nodes, st.booleans())
+    @example([(Fraction(3), 7)], False)
+    @example([(Fraction(1, 2), 0), (Fraction(2), 0), (Fraction(-3), 0)], False)
+    @example([], False)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lagrange(self, points, all_zero):
+        if all_zero:
+            points = [(x, 0) for x, _ in points]
+        newton = _interpolate(points)
+        assert newton == oracle_interpolate(points)
+        assert all(newton.evaluate(x) == y for x, y in points)
+
+    def test_interpolation_points_of_the_chromatic_polynomials(self):
+        # integer nodes k*|G| (+ 1) with exact counts, as the package uses them
+        g = gain_graph(S3, 4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4), (0, 2, 5), (1, 1, 3)])
+        lat = enumerate_closed_sets(g)
+        for colors, x in ((standard_colors, lambda k: 6 * k + 1), (zero_free_colors, lambda k: 6 * k)):
+            points = [(Fraction(x(k)), count_mobius(g, colors(S3, k), lattice=lat).value) for k in range(1, 6)]
+            assert _interpolate(points) == oracle_interpolate(points)
