@@ -19,6 +19,7 @@ from .groups import (
     fixed_set,
     generate_subgroup,
     regular_action,
+    stabilizer_classes,
     standard_colors,
     subset_action,
     trivial_action,

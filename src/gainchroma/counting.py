@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .groups import BoundExceeded, SpinAction, fixed_set
+from .groups import BoundExceeded, SpinAction, fixed_set, stabilizer_classes
 from .graphs import GainGraph, balanced_component_count, contract_link, delete_edge
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, HolonomyCache, enumerate_closed_sets, signed_subset_sum
@@ -292,6 +292,37 @@ def _elim_order(g: GainGraph) -> tuple[list[tuple[int, set[int]]], list[int]]:
 ELIM_TABLE_LIMIT = 2**18
 
 
+def _elim_pins(steps: list[tuple[int, set[int]]], sizes: list[int], q: int) -> set[int]:
+    """The vertex ``count_elim`` pins in each connected component: the one
+    that stays on the frontier over the most estimated work, the sum of
+    q**(frontier + 1) over the steps from the one that places it to the one
+    that retires it.
+
+    The steps of a component are consecutive, and each starts with an empty
+    frontier.  A vertex retired at its own step is never pinned: it never
+    enters a table, so pinning it saves nothing, and an isolated vertex has
+    no pin.
+    """
+    done = [0]  # done[t]: the estimated work of steps 0..t-1
+    for f in sizes:
+        done.append(done[-1] + q ** (f + 1))
+    placed_at: dict[int, int] = {}
+    pins: set[int] = set()
+    best, best_work = None, 0
+    for t, (v, gone) in enumerate(steps):
+        if sizes[t] == 0 and best is not None:
+            pins.add(best)
+            best, best_work = None, 0
+        placed_at[v] = t
+        for u in sorted(gone - {v}):
+            work = done[t + 1] - done[placed_at[u]]
+            if work > best_work:
+                best, best_work = u, work
+    if best is not None:
+        pins.add(best)
+    return pins
+
+
 def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountResult:
     """Count by a transfer matrix along ``_elim_order``'s vertex order.
 
@@ -303,6 +334,19 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
     work is at most the sum over steps of |Q|**(frontier + 1).  Before any
     table is built, the first is checked against ``ELIM_TABLE_LIMIT`` and
     the second against ``max_states``, the same budget as brute's |Q|**|V|.
+
+    One vertex per connected component, chosen by ``_elim_pins``, is
+    pinned: it tries only the first spin of each ``stabilizer_classes``
+    class, and the count of each table entry it enters is multiplied by the
+    class size.  This is exact.  A permutation of the spins that commutes
+    with the action maps frustrated states of a component to frustrated
+    states, and for spins x, y with equal stabilizers one maps x to y, so
+    every spin of a class begins as many frustrated states of the component
+    at the pinned vertex.  Loops keep the pinned vertex's domain a union of
+    classes, because gain h fixes x exactly when h is in Stab(x).
+
+    ``stats["transitions"]`` counts table entries times spins tried, summed
+    over the steps, and ``stats["peak_states"]`` the largest table.
     """
     _check_compat(g, a)
     n = g.vertex_count
@@ -314,6 +358,8 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
     work = sum(q ** (f + 1) for f in sizes)
     if work > max_states:
         raise BoundExceeded(f"{work} elimination transitions exceed the limit {max_states}")
+    pins = _elim_pins(steps, sizes, q)
+    class_size = {spins[0]: len(spins) for spins in stabilizer_classes(a)} if pins else {}
     act = a.act
     inv = g.group.inv
     loop_gains: list[set[int]] = [set() for _ in range(n)]
@@ -335,6 +381,9 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
         kept = v not in gone
         frontier = [frontier[i] for i in keep] + [v] * kept
         domain = [s for s in range(q) if all(act[s][h] != s for h in loop_gains[v])]
+        pinned = v in pins
+        if pinned:
+            domain = [s for s in domain if s in class_size]
         allowed = set(domain)
         transitions += len(table) * len(domain)
         new: dict[tuple[int, ...], int] = {}
@@ -350,6 +399,8 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
                 free = len(domain) - len(forbidden & allowed)
                 if free:
                     new[head] = new.get(head, 0) + count * free
+        if pinned:  # a pinned vertex is kept, so its spin ends each key
+            new = {k: count * class_size[k[-1]] for k, count in new.items()}
         table = new
         if not table:
             break

@@ -41,8 +41,6 @@ from .holonomy import is_holonomy_closed
 from .counting import _check_compat, count_inclexcl, verify_all
 from .polynomials import graph_chromatic
 
-import itertools
-
 GROUP_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
     "Z2": lambda: build_cyclic(2),
     "Z3": lambda: build_cyclic(3),
@@ -168,33 +166,76 @@ def check_switching_invariance(inst: Instance, rng: random.Random) -> CheckResul
     return CheckResult("switching_invariance", True)
 
 
+def _satisfied_masks(g: GainGraph, act, q: int, ids: list[int]):
+    """Every state, in ``itertools.product`` order, with the mask of the
+    edges it satisfies (bit i for ``ids[i]``).
+
+    A depth-first search over vertices 0..n-1: an edge's bit joins the mask
+    when its later endpoint is assigned, so each prefix's mask is built
+    once.  The yielded state is one list, changed in place as the walk goes.
+    """
+    n = g.vertex_count
+    closing: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]  # u, gain, v, bit
+    for bit, eid in enumerate(ids):
+        e = g.edge(eid)
+        closing[max(e.u, e.v)].append((e.u, e.gain, e.v, 1 << bit))
+    state = [0] * n
+    if n == 0:
+        yield state, 0
+        return
+    masks = [0] * n  # masks[d]: the edges satisfied by state[:d]
+    d = 0
+    while d >= 0:
+        if state[d] == q:
+            state[d] = 0
+            d -= 1
+            if d >= 0:
+                state[d] += 1
+            continue
+        mask = masks[d]
+        for u, gain, v, bit in closing[d]:
+            if act[state[u]][gain] == state[v]:
+                mask |= bit
+        if d + 1 < n:
+            d += 1
+            masks[d] = mask
+        else:
+            yield state, mask
+            state[d] += 1
+
+
 def check_satisfied_closure(inst: Instance, state_cap: int = 10**5, samples: int = 100,
                             rng: random.Random | None = None) -> CheckResult:
     """Every reachable satisfied-edge set must be holonomy closed.
 
-    All states are enumerated when |Q|**|V| fits under the cap, otherwise a
-    random sample is checked.
+    All states are enumerated when |Q|**|V| fits under the cap, keyed by
+    the bit mask of their satisfied edges; otherwise a random sample is
+    checked, keyed by the satisfied set.  Each key's verdict is computed once.
     """
     g, a = inst.graph, inst.action
     _check_compat(g, a)
     n, q = g.vertex_count, a.size
-    verdicts: dict[frozenset[int], bool] = {}
     if q**n <= state_cap:
-        states = itertools.product(range(q), repeat=n)
+        ids = sorted(g.edge_ids)
+        keyed = _satisfied_masks(g, a.act, q, ids)
+
+        def edge_set(mask: int) -> frozenset[int]:
+            return frozenset(eid for bit, eid in enumerate(ids) if mask >> bit & 1)
     else:
         rng = rng or random.Random(0)
-        states = (
-            tuple(rng.randrange(q) for _ in range(n)) for _ in range(samples)
-        )
-    for state in states:
-        sat = _satisfied_edges(g, a.act, state)
-        verdict = verdicts.get(sat)
+        states = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(samples))
+        keyed = ((state, _satisfied_edges(g, a.act, state)) for state in states)
+
+        def edge_set(sat: frozenset[int]) -> frozenset[int]:
+            return sat
+    verdicts: dict = {}
+    for state, key in keyed:
+        verdict = verdicts.get(key)
         if verdict is None:
-            verdict = is_holonomy_closed(g, sat)
-            verdicts[sat] = verdict
+            verdict = verdicts[key] = is_holonomy_closed(g, edge_set(key))
         if not verdict:
             return CheckResult(
-                "satisfied_closure", False, f"state {state} satisfies non-closed set {sorted(sat)}"
+                "satisfied_closure", False, f"state {tuple(state)} satisfies non-closed set {sorted(edge_set(key))}"
             )
     return CheckResult("satisfied_closure", True)
 

@@ -21,7 +21,9 @@ from gainchroma import (
     fixed_set,
     gain_graph,
     holonomy_group,
+    is_holonomy_closed,
 )
+from gainchroma.counting import _elim_order
 
 
 def naive_count(graph: GainGraph, action: SpinAction) -> int:
@@ -173,3 +175,65 @@ def oracle_interpolate(points) -> UniPoly:
             denom *= xi - xj
         total = total + basis * (Fraction(yi) / denom)
     return total
+
+
+def oracle_elim(graph: GainGraph, action: SpinAction):
+    """``count_elim`` without the pin: every placed vertex tries every spin
+    its loops leave it.  Returns ``(value, stats)``."""
+    steps, sizes = _elim_order(graph)
+    q = action.size
+    act, inv = action.act, graph.group.inv
+    loop_gains = [set() for _ in range(graph.vertex_count)]
+    into = [[] for _ in range(graph.vertex_count)]
+    for e in graph.edges:
+        if e.is_loop:
+            loop_gains[e.u].add(e.gain)
+        else:
+            into[e.v].append((e.u, e.gain))
+            into[e.u].append((e.v, inv[e.gain]))
+    frontier = []
+    table = {(): 1}
+    peak = 1
+    transitions = 0
+    for v, gone in steps:
+        pos = {u: i for i, u in enumerate(frontier)}
+        backs = {(pos[u], h) for u, h in into[v] if u in pos}
+        keep = [i for i, u in enumerate(frontier) if u not in gone]
+        kept = v not in gone
+        frontier = [frontier[i] for i in keep] + [v] * kept
+        domain = [s for s in range(q) if all(act[s][h] != s for h in loop_gains[v])]
+        transitions += len(table) * len(domain)
+        new = {}
+        for spins, count in table.items():
+            forbidden = {act[spins[i]][h] for i, h in backs}
+            head = tuple(spins[i] for i in keep)
+            for s in domain:
+                if s not in forbidden:
+                    k = head + (s,) * kept
+                    new[k] = new.get(k, 0) + count
+        table = new
+        if not table:
+            break
+        peak = max(peak, len(table))
+    return table.get((), 0), {"width": max(sizes, default=0), "peak_states": peak, "transitions": transitions}
+
+
+def oracle_satisfied_closure(inst, state_cap=10**5, samples=100, rng=None, closed=is_holonomy_closed):
+    """``harness.check_satisfied_closure`` as a loop over
+    ``itertools.product`` that builds each state's satisfied set: the path
+    the mask walk replaced.  Returns ``(passed, detail)``."""
+    g, a = inst.graph, inst.action
+    n, q = g.vertex_count, a.size
+    if q**n <= state_cap:
+        states = itertools.product(range(q), repeat=n)
+    else:
+        rng = rng or random.Random(0)
+        states = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(samples))
+    verdicts = {}
+    for state in states:
+        sat = frozenset(e.id for e in g.edges if a.act[state[e.u]][e.gain] == state[e.v])
+        if sat not in verdicts:
+            verdicts[sat] = closed(g, sat)
+        if not verdicts[sat]:
+            return False, f"state {state} satisfies non-closed set {sorted(sat)}"
+    return True, ""

@@ -109,6 +109,34 @@ class TestParsing:
         with pytest.raises(InstanceError, match="group"):
             parse_instance(json.dumps(bad))
 
+    def test_large_table_group_and_action_parse_fast(self):
+        # associativity and the action law are checked over a generating
+        # set, in order**2 steps per generator rather than order**3 in all
+        import time
+
+        n = 200
+        z200 = [[(i + j) % n for j in range(n)] for i in range(n)]
+        text = json.dumps({
+            "group": {"kind": "table", "mul": z200},
+            "spins": [{"kind": "table", "act": z200}],
+            "graph": {"vertices": 2, "edges": [[0, 1, 1]]},
+        })
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            parsed = parse_instance(text)
+            best = min(best, time.perf_counter() - start)
+        assert parsed.group.order == n and parsed.spins[0].size == n
+        assert best < 0.1
+        corrupted = json.loads(text)
+        corrupted["group"]["mul"][3][5] = 9  # identity and inverses survive
+        with pytest.raises(InstanceError, match="group"):
+            parse_instance(json.dumps(corrupted))
+        corrupted = json.loads(text)
+        corrupted["spins"][0]["act"][3][5] = 9
+        with pytest.raises(InstanceError, match=r"spins\[0\].act: is not a right action"):
+            parse_instance(json.dumps(corrupted))
+
     @pytest.mark.parametrize("text", ["[" * 100_000, '{"group": ' + "1" * 5000 + "}"])
     def test_unreadable_json_is_a_parse_error(self, text, tmp_path, capsys):
         # nesting past the recursion limit, and an integer too long to convert

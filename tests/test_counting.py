@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,10 +15,12 @@ from gainchroma import (
     count_elim,
     count_inclexcl,
     count_mobius,
+    SpinAction,
     disjoint_union_action,
     enumerate_closed_sets,
     gain_graph,
     regular_action,
+    stabilizer_classes,
     standard_colors,
     subset_action,
     switch,
@@ -27,7 +30,7 @@ from gainchroma import (
     zero_free_colors,
 )
 from gainchroma import counting
-from helpers import naive_count, random_graph
+from helpers import naive_count, oracle_elim, random_graph
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -309,6 +312,32 @@ def elim_actions(group):
     return actions
 
 
+def z4_on_cosets_of_z2():
+    """Z4 acting on the two cosets of its subgroup {0, 2}."""
+    return SpinAction(Z4, [[(q + g) % 2 for g in range(4)] for q in range(2)], name="Z4/Z2")
+
+
+def s3_on_three_points():
+    """S3 permuting {0, 1, 2}: the three stabilizers are distinct."""
+    return SpinAction(S3, [[p[x] for p in itertools.permutations(range(3))] for x in range(3)], name="points")
+
+
+# actions whose stabilizer classes span several orbits, or are all singletons
+PIN_ACTIONS = [
+    disjoint_union_action([z4_on_cosets_of_z2(), regular_action(Z4)], [1, 1]),
+    disjoint_union_action([z4_on_cosets_of_z2(), regular_action(Z4)], [2, 2]),
+    disjoint_union_action([regular_action(S3), subset_action(3), trivial_action(S3, 1)], [1, 1, 2]),
+    disjoint_union_action([regular_action(Z3), trivial_action(Z3, 1)], [3, 2]),
+    subset_action(3),
+    s3_on_three_points(),
+]
+
+
+def pins_of(g, action):
+    steps, sizes = counting._elim_order(g)
+    return counting._elim_pins(steps, sizes, action.size)
+
+
 class TestElimination:
     def test_matches_brute_on_seeded_graphs(self):
         rng = random.Random(41)
@@ -431,6 +460,109 @@ class TestElimination:
         result = count_elim(g, regular_action(Z3))
         assert result.value == expected
         assert result.stats["width"] <= 2
+
+    def test_pin_matches_the_unpinned_oracle(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            group = rng.choice([Z2, Z3, Z4, S3])
+            g = random_graph(rng, group, max_vertices=7, max_edges=10)
+            for action in elim_actions(group) + [a for a in PIN_ACTIONS if a.group is group]:
+                result = count_elim(g, action)
+                value, stats = oracle_elim(g, action)
+                assert result.value == value
+                assert result.stats["width"] == stats["width"]
+                assert result.stats["peak_states"] <= stats["peak_states"]
+                assert result.stats["transitions"] <= stats["transitions"]
+
+    @pytest.mark.parametrize("action", PIN_ACTIONS + elim_actions(S3) + elim_actions(Z4), ids=lambda a: a.name)
+    def test_each_class_pair_has_an_automorphism(self, action):
+        act, order = action.act, action.group.order
+        classes = stabilizer_classes(action)
+        assert sorted(q for spins in classes for q in spins) == list(range(action.size))
+        assert [spins[0] for spins in classes] == sorted(spins[0] for spins in classes)
+        for spins in classes:
+            for x, y in itertools.product(spins, repeat=2):
+                # x*g -> y*g on the orbit of x, y*g -> x*g on the orbit of y
+                sigma = list(range(action.size))
+                for g in range(order):
+                    sigma[act[y][g]] = act[x][g]
+                for g in range(order):
+                    sigma[act[x][g]] = act[y][g]
+                assert sorted(sigma) == list(range(action.size))
+                assert all(sigma[act[z][g]] == act[sigma[z]][g] for z in range(action.size) for g in range(order))
+        other = [(x, y) for x in range(action.size) for y in range(action.size)
+                 if not any(x in spins and y in spins for spins in classes)]
+        for x, y in other:
+            assert {g for g in range(order) if act[x][g] == x} != {g for g in range(order) if act[y][g] == y}
+
+    def test_classes_of_stock_actions(self):
+        assert stabilizer_classes(regular_action(S3)) == (tuple(range(6)),)
+        assert stabilizer_classes(standard_colors(Z3, 2)) == ((0, 1, 2, 3, 4, 5), (6,))
+        assert len(stabilizer_classes(subset_action(3))) == 4  # each subset pairs with its complement
+        assert len(stabilizer_classes(s3_on_three_points())) == 3
+
+    def test_pin_matches_brute_where_classes_span_orbits(self):
+        rng = random.Random(44)
+        for _ in range(80):
+            for action in PIN_ACTIONS:
+                g = random_graph(rng, action.group, max_vertices=5, max_edges=8)
+                assert count_elim(g, action).value == count_brute(g, action).value
+
+    def test_all_singleton_classes_try_every_spin(self):
+        rng = random.Random(45)
+        action = s3_on_three_points()
+        g = ring_with_chords(rng, S3, 8, 16)
+        result = count_elim(g, action)
+        value, stats = oracle_elim(g, action)
+        assert result.value == value == count_brute(g, action).value
+        assert result.stats == stats
+
+    @pytest.mark.parametrize("action", [regular_action(S3), standard_colors(S3, 1), subset_action(3)], ids=lambda a: a.name)
+    def test_pinned_vertex_carrying_loops(self, action):
+        rng = random.Random(46)
+        ring = ring_with_chords(rng, S3, 7, 14)
+        (pin,) = pins_of(ring, action)
+        for gains in ([1], [3, 4], [1, 2, 5]):
+            g = gain_graph(S3, 7, [(e.u, e.v, e.gain) for e in ring.edges] + [(pin, pin, h) for h in gains])
+            assert pins_of(g, action) == {pin}
+            assert count_elim(g, action).value == oracle_elim(g, action)[0] == count_brute(g, action).value
+
+    def test_ring_plus_a_pendant_vertex(self):
+        rng = random.Random(47)
+        ring = ring_with_chords(rng, S3, 7, 14)
+        g = gain_graph(S3, 8, [(e.u, e.v, e.gain) for e in ring.edges] + [(7, 3, 2)])
+        action = regular_action(S3)
+        steps, _ = counting._elim_order(g)
+        assert steps[0][0] == 7 and 7 in steps[1][1]  # the pendant starts and retires at once
+        assert pins_of(g, action) != {7}
+        result = count_elim(g, action)
+        value, stats = oracle_elim(g, action)
+        assert result.value == value == count_brute(g, action).value
+        assert result.stats["transitions"] * 4 < stats["transitions"]
+
+    def test_one_pin_per_component(self):
+        rng = random.Random(48)
+        a = ring_with_chords(rng, Z4, 5, 8)
+        b = ring_with_chords(rng, Z4, 4, 6)
+        triples = [(e.u, e.v, e.gain) for e in a.edges] + [(e.u + 5, e.v + 5, e.gain) for e in b.edges]
+        g = gain_graph(Z4, 10, triples + [(9, 9, 1)])  # vertex 9 is isolated but for a loop
+        for action in elim_actions(Z4) + PIN_ACTIONS[:2]:
+            pins = pins_of(g, action)
+            assert len(pins & set(range(5))) == 1 and len(pins & set(range(5, 9))) == 1 and len(pins) == 2
+            lone = count_elim(gain_graph(Z4, 1, [(0, 0, 1)]), action).value
+            value = count_elim(g, action).value
+            assert value == oracle_elim(g, action)[0]
+            assert value == count_elim(a, action).value * count_elim(b, action).value * lone
+
+    def test_pin_saves_work_on_the_s3_ring(self):
+        # a deterministic guard: a lost pin shows here without any timing
+        g = ring_with_chords(random.Random(222), S3, 9, 24)
+        action = regular_action(S3)
+        result = count_elim(g, action)
+        value, stats = oracle_elim(g, action)
+        assert result.value == value
+        assert result.stats["transitions"] * 5 <= stats["transitions"]
+        assert result.stats["peak_states"] <= stats["peak_states"]
 
 
 class TestCountAuto:

@@ -135,6 +135,58 @@ class TestVerifyGroup:
                 disagreements += 1
         assert disagreements > 0  # the sample really contains invalid tables
 
+    @staticmethod
+    def has_inverses(mul) -> bool:
+        n = len(mul)
+        return all(any(mul[g][h] == 0 and mul[h][g] == 0 for h in range(n)) for g in range(n))
+
+    def test_corrupted_entries_match_exhaustive_triple_check(self):
+        rng = random.Random(7)
+        rejected = 0
+        for group in (build_cyclic(6), build_symmetric(3), build_cyclic(8), build_cyclic(2)):
+            n = group.order
+            for _ in range(60):
+                mul = [list(row) for row in group.mul]
+                for _ in range(rng.randint(1, 2)):
+                    mul[rng.randrange(1, n)][rng.randrange(1, n)] = rng.randrange(n)
+                expected = self.has_inverses(mul) and naive_associative(mul)
+                assert verify_group(mul) == expected
+                rejected += not expected
+        assert rejected > 100
+
+    def test_rejects_a_corrupted_cyclic_table(self):
+        mul = [list(row) for row in build_cyclic(6).mul]
+        mul[1][3] = 5  # was 4; identity and inverses survive
+        assert self.has_inverses(mul)
+        assert verify_group(mul) is False
+
+    @pytest.mark.parametrize(
+        "mul",
+        [
+            # the smallest loop that is not a group: a Latin square of order
+            # 5 with identity 0 in which every element is its own inverse
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+            # Z8 with the intercalate at rows 2, 6 and columns 3, 7 swapped:
+            # still a Latin square with identity, inverses and x*1 = x+1, so
+            # 1 alone reaches every element and only associativity fails
+            [
+                [(x + y) % 8 if (x % 4, y % 4) != (2, 3) else (x + y + 4) % 8 for y in range(8)]
+                for x in range(8)
+            ],
+        ],
+    )
+    def test_rejects_loops_that_are_not_groups(self, mul):
+        assert all(sorted(row) == list(range(len(mul))) for row in mul)
+        assert all(sorted(col) == list(range(len(mul))) for col in zip(*mul))
+        assert self.has_inverses(mul)
+        assert not naive_associative(mul)
+        assert verify_group(mul) is False
+
+    @pytest.mark.parametrize("group", [build_cyclic(1), build_cyclic(12), build_symmetric(4)])
+    def test_accepts_stock_groups_and_their_tables(self, group):
+        assert verify_group(group) is True
+        assert verify_group([list(row) for row in group.mul]) is True
+
 
 class TestActions:
     def test_regular_translation(self):
@@ -246,6 +298,35 @@ class TestVerifyAction:
         s3 = build_symmetric(3)
         left = SpinAction(s3, [[s3.mul[g][q] for g in range(6)] for q in range(6)])
         assert not verify_action(left)
+
+    @staticmethod
+    def naive_right_action(action) -> bool:
+        act, mul = action.act, action.group.mul
+        rng = range(action.group.order)
+        return all(act[act[q][g]][h] == act[q][mul[g][h]] for q in range(action.size) for g in rng for h in rng)
+
+    def test_corrupted_entries_match_exhaustive_check(self):
+        rng = random.Random(8)
+        rejected = 0
+        s3, z4 = build_symmetric(3), build_cyclic(4)
+        for action in (regular_action(s3), standard_colors(z4, 1), subset_action(3), trivial_action(z4, 2)):
+            for _ in range(40):
+                act = [list(row) for row in action.act]
+                act[rng.randrange(action.size)][rng.randrange(1, action.group.order)] = rng.randrange(action.size)
+                corrupted = SpinAction(action.group, act)
+                expected = self.naive_right_action(corrupted)
+                assert verify_action(corrupted) == expected
+                rejected += not expected
+        assert rejected > 100
+
+    def test_checks_every_element_over_a_table_that_is_no_group(self):
+        # the trivial action obeys the law over any table; a translation by a
+        # non-associative loop does not, and is caught though 1 alone reaches
+        # every element of the loop
+        mul = [[(x + y) % 8 if (x % 4, y % 4) != (2, 3) else (x + y + 4) % 8 for y in range(8)] for x in range(8)]
+        loop = FiniteGroup(mul, name="loop")
+        assert verify_action(trivial_action(loop, 2))
+        assert not verify_action(SpinAction(loop, mul))
 
 
 class TestDisjointUnion:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gainchroma import build_cyclic, gain_graph, regular_action
+from gainchroma import build_cyclic, build_symmetric, gain_graph, harness, regular_action, trivial_action
 from gainchroma.harness import (
     CHECKS,
     GROUP_BUILDERS,
@@ -11,6 +11,7 @@ from gainchroma.harness import (
     random_instance,
     run_suite,
 )
+from helpers import oracle_satisfied_closure
 
 
 class TestGeneratedInstances:
@@ -60,3 +61,57 @@ class TestSatisfiedClosure:
         inst = Instance(g, regular_action(build_cyclic(2)), "Z3", "regular", False)
         with pytest.raises(ValueError):
             check_satisfied_closure(inst)
+
+    @staticmethod
+    def instances(seed, count):
+        rng = random.Random(seed)
+        return [random_instance(rng) for _ in range(count)]
+
+    def test_matches_the_product_loop(self):
+        for inst in self.instances(11, 150):
+            result = check_satisfied_closure(inst)
+            assert (result.passed, result.detail) == oracle_satisfied_closure(inst)
+
+    def test_first_failure_matches_the_product_loop(self, monkeypatch):
+        # closedness made to fail on sets of two or more edges, so that the
+        # first failing state and its set show whether the walk keeps the
+        # product order
+        def fake_closed(graph, subset):
+            return len(subset) < 2
+
+        monkeypatch.setattr(harness, "is_holonomy_closed", fake_closed)
+        failed = 0
+        for inst in self.instances(12, 150):
+            result = check_satisfied_closure(inst)
+            expected = oracle_satisfied_closure(inst, closed=fake_closed)
+            assert (result.passed, result.detail) == expected
+            failed += not result.passed
+        assert failed > 20
+
+    def test_sampled_branch_matches_the_product_loop(self, monkeypatch):
+        def fake_closed(graph, subset):
+            return len(subset) < 2
+
+        monkeypatch.setattr(harness, "is_holonomy_closed", fake_closed)
+        for inst in self.instances(13, 60):
+            for cap in (0, 10**5):
+                result = check_satisfied_closure(inst, state_cap=cap, rng=random.Random(7))
+                expected = oracle_satisfied_closure(inst, state_cap=cap, rng=random.Random(7), closed=fake_closed)
+                assert (result.passed, result.detail) == expected
+
+    @pytest.mark.parametrize(
+        "n,triples,action",
+        [
+            (0, [], regular_action(build_cyclic(3))),  # one empty state
+            (3, [], regular_action(build_cyclic(3))),  # no edges
+            (2, [(0, 1, 1)], trivial_action(build_cyclic(3), 1)),  # one spin
+            (3, [(2, 2, 1), (2, 0, 4), (1, 0, 3), (0, 1, 3)], regular_action(build_symmetric(3))),
+        ],
+    )
+    def test_edge_cases_match_the_product_loop(self, n, triples, action, monkeypatch):
+        g = gain_graph(action.group, n, triples)
+        inst = Instance(g, action, action.group.name, "regular", False)
+        assert check_satisfied_closure(inst).passed
+        monkeypatch.setattr(harness, "is_holonomy_closed", lambda graph, subset: False)
+        result = check_satisfied_closure(inst)
+        assert (result.passed, result.detail) == oracle_satisfied_closure(inst, closed=lambda graph, subset: False)
