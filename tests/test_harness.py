@@ -14,6 +14,12 @@ from gainchroma.harness import (
 from helpers import oracle_satisfied_closure
 
 
+def closed_below_two_edges(graph, subset):
+    """A stand-in for closedness that fails on every set of two or more
+    edges, so that the first failing state shows the enumeration order."""
+    return len(subset) < 2
+
+
 class TestGeneratedInstances:
     def test_respects_caps_and_pools(self):
         rng = random.Random(2)
@@ -73,30 +79,21 @@ class TestSatisfiedClosure:
             assert (result.passed, result.detail) == oracle_satisfied_closure(inst)
 
     def test_first_failure_matches_the_product_loop(self, monkeypatch):
-        # closedness made to fail on sets of two or more edges, so that the
-        # first failing state and its set show whether the walk keeps the
-        # product order
-        def fake_closed(graph, subset):
-            return len(subset) < 2
-
-        monkeypatch.setattr(harness, "is_holonomy_closed", fake_closed)
+        monkeypatch.setattr(harness, "is_holonomy_closed", closed_below_two_edges)
         failed = 0
         for inst in self.instances(12, 150):
             result = check_satisfied_closure(inst)
-            expected = oracle_satisfied_closure(inst, closed=fake_closed)
+            expected = oracle_satisfied_closure(inst, closed=closed_below_two_edges)
             assert (result.passed, result.detail) == expected
             failed += not result.passed
         assert failed > 20
 
     def test_sampled_branch_matches_the_product_loop(self, monkeypatch):
-        def fake_closed(graph, subset):
-            return len(subset) < 2
-
-        monkeypatch.setattr(harness, "is_holonomy_closed", fake_closed)
+        monkeypatch.setattr(harness, "is_holonomy_closed", closed_below_two_edges)
         for inst in self.instances(13, 60):
             for cap in (0, 10**5):
                 result = check_satisfied_closure(inst, state_cap=cap, rng=random.Random(7))
-                expected = oracle_satisfied_closure(inst, state_cap=cap, rng=random.Random(7), closed=fake_closed)
+                expected = oracle_satisfied_closure(inst, state_cap=cap, rng=random.Random(7), closed=closed_below_two_edges)
                 assert (result.passed, result.detail) == expected
 
     @pytest.mark.parametrize(
