@@ -4,8 +4,8 @@ A gain graph is a multigraph whose oriented edges carry elements of a finite
 group; a state assigns each vertex a spin from a set the group acts on, and
 an edge is frustrated when its equation s_v * gain != s_w holds.  This
 package counts states in which every edge is frustrated, by five mutually
-cross-checking methods, and assembles the counts into exact multivariate and
-univariate polynomials.
+cross-checking methods, and reads exact multivariate and univariate
+polynomials of the counts off the lattice of holonomy-closed edge sets.
 """
 
 from .groups import (

@@ -55,6 +55,7 @@ from .holonomy import (
 )
 from .counting import COUNTERS, count_brute, verify_all
 from .polynomials import (
+    _check_parts,
     chromatic_polynomial,
     grand_polynomial,
     graph_chromatic,
@@ -122,8 +123,12 @@ def _parse_group(spec, where: str = "group") -> FiniteGroup:
     if kind == "table":
         _expect("mul" in spec, where, "missing field 'mul'")
         mul = _int_table(spec["mul"], f"{where}.mul")
-        _expect(verify_group(mul), f"{where}.mul", "is not a valid group table with identity at index 0")
-        return FiniteGroup(mul, name="table")
+        try:
+            group = FiniteGroup(mul, name="table")
+        except ValueError:
+            group = None
+        _expect(group is not None and verify_group(group), f"{where}.mul", "is not a valid group table with identity at index 0")
+        return group
     raise InstanceError(f"{where}.kind: unknown group kind {kind!r}")
 
 
@@ -308,6 +313,7 @@ def cmd_poly(args) -> int:
             if not 0 <= i < len(parts):
                 raise InstanceError(f"--parts index {i} out of range")
         parts = [parts[i] for i in indices]
+    _check_parts(inst.graph, parts)
     lattice = enumerate_closed_sets(inst.graph)
     poly = grand_polynomial(inst.graph, parts, lattice=lattice)
     report: dict = {"command": "poly", "grand": poly.render()}

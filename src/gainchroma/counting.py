@@ -12,7 +12,9 @@ The counters are deliberately independent routes to the same number:
   placed vertices that still have unplaced neighbours.
 
 ``count_auto`` runs elim when it is within its bounds, and brute or
-inclexcl otherwise.  All arithmetic is exact integer arithmetic.
+inclexcl otherwise.  ``lattice_sum`` is mobius's fold over the closed-set
+lattice, which the polynomials in ``polynomials`` share with polynomial
+factors.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Any, Callable
 from .groups import BoundExceeded, SpinAction, fixed_set, stabilizer_classes
 from .graphs import GainGraph, balanced_component_count, contract_link, delete_edge
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
-from .holonomy import ClosedSetLattice, HolonomyCache, enumerate_closed_sets, signed_subset_sum
+from .holonomy import ClosedSetLattice, enumerate_closed_sets, signed_subset_sum
 
 
 @dataclass(frozen=True)
@@ -180,14 +182,10 @@ def count_inclexcl(
     g: GainGraph,
     a: SpinAction,
     max_subsets: int = 2**22,
-    cache: HolonomyCache | None = None,
 ) -> CountResult:
     """Count by inclusion-exclusion over all edge subsets: each subset
     contributes (-1)**|A| times the product of holonomy fixed counts over its
     components, times |Q| per vertex it leaves isolated.
-
-    ``cache`` is accepted for compatibility and unused: the subset walk
-    carries each component's subgroup along.
     """
     _check_compat(g, a)
     m = len(g.edges)
@@ -201,15 +199,12 @@ def count_mobius(
     g: GainGraph,
     a: SpinAction,
     lattice: ClosedSetLattice | None = None,
-    cache: HolonomyCache | None = None,
     max_edges: int = 18,
 ) -> CountResult:
     """Count by Möbius inversion over the holonomy-closed edge sets.
 
     A bottomless lattice (the graph has an identity loop, which every state
-    satisfies) gives zero immediately.  ``cache`` is accepted for
-    compatibility and unused: the lattice records each closed set's
-    subgroups.
+    satisfies) gives zero immediately.
     """
     _check_compat(g, a)
     if lattice is None:
@@ -414,20 +409,14 @@ def count_auto(
     a: SpinAction,
     max_states: int = 10**8,
     max_subsets: int = 2**22,
-    lattice: ClosedSetLattice | None = None,
-    cache: HolonomyCache | None = None,
 ) -> int:
     """Count with elim, or with brute or inclexcl when elim is over its
     bounds, and return the bare value.
 
-    With a precomputed lattice the Möbius counter is used directly, which is
-    the fast path for evaluating one graph against many spin sets.  Elim
-    comes first: its table after each step holds the distinct frontier
+    Elim comes first: its table after each step holds the distinct frontier
     spins of the partial states that brute, placing vertices in the same
     order, would hold at that depth, so it never visits more.
     """
-    if lattice is not None:
-        return count_mobius(g, a, lattice=lattice, cache=cache).value
     try:
         return count_elim(g, a, max_states=max_states).value
     except BoundExceeded:
@@ -437,7 +426,7 @@ def count_auto(
     if brute_cost <= min(subset_cost, max_states):
         return count_brute(g, a, max_states=max_states).value
     if subset_cost <= max_subsets:
-        return count_inclexcl(g, a, max_subsets=max_subsets, cache=cache).value
+        return count_inclexcl(g, a, max_subsets=max_subsets).value
     return count_brute(g, a, max_states=max_states).value
 
 

@@ -126,32 +126,21 @@ def verify_group(group_or_table) -> bool:
     """Check the group axioms on a multiplication table.
 
     Accepts a :class:`FiniteGroup` or a raw square table, and returns False
-    instead of raising, so untrusted tables can be vetted.  Associativity is
-    checked over a generating set, in order**2 * log2(order) steps at most.
+    instead of raising, so untrusted tables can be vetted.  A raw table is
+    first built into a :class:`FiniteGroup`, whose constructor checks its
+    shape, entries, identity and inverses; a table over
+    ``GROUP_ORDER_LIMIT`` raises :class:`BoundExceeded` from there.  A
+    group's table has passed those checks already, so only associativity is
+    left, checked over a generating set in order**2 * log2(order) steps at
+    most.
     """
-    if isinstance(group_or_table, FiniteGroup):
-        mul = group_or_table.mul
-    else:
+    group = group_or_table
+    if not isinstance(group, FiniteGroup):
         try:
-            mul = tuple(tuple(row) for row in group_or_table)
-        except TypeError:
+            group = FiniteGroup(group_or_table)
+        except (ValueError, TypeError):
             return False
-    n = len(mul)
-    if n == 0:
-        return False
-    for row in mul:
-        if len(row) != n:
-            return False
-        for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
-                return False
-    for j in range(n):
-        if mul[0][j] != j or mul[j][0] != j:
-            return False
-    for g in range(n):
-        if not any(mul[g][h] == 0 and mul[h][g] == 0 for h in range(n)):
-            return False
-    return _generators(mul) is not None
+    return _generators(group.mul) is not None
 
 
 def build_cyclic(n: int) -> FiniteGroup:

@@ -8,30 +8,33 @@ part.  Specializing the parts recovers the univariate chromatic polynomial
 (one regular part), and the chromatic polynomial of the underlying graph
 (one trivial part).
 
-Univariate polynomials are recovered by exact rational interpolation from
-counts, keeping one counting code path; integrality of the resulting
-coefficients is asserted.
+All of them are one fold over the closed-set lattice (``lattice_sum``):
+each closed set contributes its Möbius value times a factor per isolated
+vertex and per component, and the factors are polynomials.  For the
+univariate polynomials that is Zaslavsky's balanced expansion restricted to
+closed sets.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .groups import (
-    BoundExceeded,
-    SpinAction,
-    fixed_set,
-    standard_colors,
-    zero_free_colors,
-)
+from .groups import BoundExceeded, SpinAction, fixed_set
 from .graphs import GainGraph, SimpleGraph
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
-from .holonomy import ClosedSetLattice, HolonomyCache, enumerate_closed_sets
-from .counting import count_auto, lattice_sum
+from .holonomy import ClosedSetLattice, enumerate_closed_sets
+from .counting import count_auto  # noqa: F401  perfbench's tracer rebinds it in this namespace
+from .counting import lattice_sum
 
 PART_LIMIT = 8
+# The most monomials a polynomial in the part multiplicities may have room
+# for: C(|V| + p, p) with p parts, the count of exponent vectors of total
+# degree at most |V|.  The fold's products grow to about that many terms, so
+# the bound keeps ``grand_polynomial`` and ``leading_form`` near a second.
+TERM_LIMIT = 10**5
 
 
 class MultiPoly:
@@ -325,6 +328,11 @@ def _check_parts(g: GainGraph, parts: Sequence[SpinAction], max_parts: int = PAR
     for part in parts:
         if part.group != g.group:
             raise ValueError("every spin part must use the graph's group")
+    room = math.comb(g.vertex_count + len(parts), len(parts))
+    if room > TERM_LIMIT:
+        raise BoundExceeded(
+            f"{g.vertex_count} vertices and {len(parts)} spin parts allow {room} terms, over the limit {TERM_LIMIT}"
+        )
 
 
 def grand_polynomial(
@@ -332,7 +340,6 @@ def grand_polynomial(
     parts: Sequence[SpinAction],
     max_edges: int = 18,
     lattice: ClosedSetLattice | None = None,
-    cache: HolonomyCache | None = None,
 ) -> MultiPoly:
     """The multivariate count polynomial in the part multiplicities.
 
@@ -340,7 +347,6 @@ def grand_polynomial(
     factor per component (sum over parts of ki times the part's fixed count
     under the component's holonomy group) and a factor sum ki*|Qi| per
     isolated vertex.  A bottomless lattice gives the zero polynomial.
-    ``cache`` is accepted for compatibility and unused.
     """
     _check_parts(g, parts)
     p = len(parts)
@@ -406,22 +412,23 @@ def regular_plus_zeroes(
     )
 
 
-def _interpolate(points: Sequence[tuple[Fraction, int]]) -> UniPoly:
-    """Newton interpolation through exact rational points: divided
-    differences, then the Newton form expanded by Horner's rule, in O(n^2)
-    rational operations."""
-    xs = [Fraction(x) for x, _ in points]
-    diffs = [Fraction(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
-    coeffs: list[Fraction] = []
-    for xi, d in zip(reversed(xs), reversed(diffs)):
-        # coeffs * (x - xi) + d
-        coeffs = [d] + coeffs
-        for k in range(len(coeffs) - 1):
-            coeffs[k] -= xi * coeffs[k + 1]
+def _univariate(
+    g: GainGraph, max_vertices: int, lattice: ClosedSetLattice | None, unbalanced: int
+) -> UniPoly:
+    """The fold ``lattice_sum`` in one variable λ over the graph's lattice,
+    built after the vertex bound when not given: each isolated vertex and
+    each component with trivial holonomy contributes a factor λ, and each
+    other component the constant ``unbalanced``."""
+    if g.vertex_count > max_vertices:
+        raise BoundExceeded(f"{g.vertex_count} vertices exceed the polynomial vertex limit {max_vertices}")
+    if lattice is None:
+        lattice = enumerate_closed_sets(g)
+    lam = MultiPoly.linear(1, [1])
+    other = MultiPoly.constant(1, unbalanced)
+    total = lattice_sum(lattice, lambda h: lam if len(h) == 1 else other, lam, zero=MultiPoly.zero(1))
+    coeffs = [0] * (total.total_degree() + 1)
+    for (power,), coeff in total.terms.items():
+        coeffs[power] = coeff
     return UniPoly(coeffs)
 
 
@@ -429,26 +436,19 @@ def chromatic_polynomial(
     g: GainGraph, max_vertices: int = 16, lattice: ClosedSetLattice | None = None
 ) -> UniPoly:
     """The count polynomial over spin sets made of k regular copies of the
-    group plus one fixed spin, as a polynomial in the spin count k*|G| + 1.
+    group plus one fixed spin, as a polynomial in the spin count
+    λ = k*|G| + 1.
 
-    Recovered by interpolating exact counts at k = 0..|V|; the coefficients
-    must come out integral, anything else signals a bug.  ``lattice``, when
-    given, must be the graph's closed-set lattice.
+    A subgroup H fixes k*|G| + 1 = λ of those spins when it is trivial and
+    only the fixed spin otherwise, so the Möbius sum over the closed sets
+    gives each closed set mu * λ**b, where b counts its isolated vertices
+    and its components with trivial holonomy (Zaslavsky's balanced
+    expansion restricted to closed sets).  ``lattice``, when given, must be
+    the graph's closed-set lattice; otherwise it is built, which refuses
+    graphs over ``enumerate_closed_sets``' edge limit.  ``max_vertices``
+    bounds the vertex count, which each leaf of the lattice walk visits.
     """
-    n = g.vertex_count
-    if n > max_vertices:
-        raise BoundExceeded(f"{n} vertices exceed the interpolation limit {max_vertices}")
-    order = g.group.order
-    if lattice is None and len(g.edges) <= 18:
-        lattice = enumerate_closed_sets(g)
-    points = []
-    for k in range(n + 1):
-        colors = standard_colors(g.group, k)
-        value = count_auto(g, colors, lattice=lattice)
-        points.append((Fraction(k * order + 1), value))
-    poly = _interpolate(points)
-    poly.integer_coefficients()
-    return poly
+    return _univariate(g, max_vertices, lattice, 1)
 
 
 def _without_nonidentity_loops(g: GainGraph) -> GainGraph:
@@ -460,27 +460,16 @@ def zero_free_polynomial(
     g: GainGraph, max_vertices: int = 16, lattice: ClosedSetLattice | None = None
 ) -> UniPoly:
     """The count polynomial over spin sets made of k regular copies of the
-    group, as a polynomial in the spin count k*|G|.
+    group, as a polynomial in the spin count λ = k*|G|.
 
-    Interpolated at k = 1..|V|+1 (k = 0 is the empty spin set, which is not
-    an evaluation point of this polynomial).  Deleting nonidentity loops must
-    not change it; that is verified before returning, with the stripped
-    graph's own lattice.  ``lattice``, when given, must be the graph's
-    closed-set lattice.
+    As ``chromatic_polynomial``, except that a nontrivial subgroup fixes no
+    regular spin, so closed sets with a component of nontrivial holonomy
+    drop out.  Deleting nonidentity loops must not change the polynomial;
+    that is verified before returning, with the stripped graph's own
+    lattice.  ``lattice``, when given, must be the graph's closed-set
+    lattice.
     """
-    n = g.vertex_count
-    if n > max_vertices:
-        raise BoundExceeded(f"{n} vertices exceed the interpolation limit {max_vertices}")
-    order = g.group.order
-    if lattice is None and len(g.edges) <= 18:
-        lattice = enumerate_closed_sets(g)
-    points = []
-    for k in range(1, n + 2):
-        colors = zero_free_colors(g.group, k)
-        value = count_auto(g, colors, lattice=lattice)
-        points.append((Fraction(k * order), value))
-    poly = _interpolate(points)
-    poly.integer_coefficients()
+    poly = _univariate(g, max_vertices, lattice, 0)
     stripped = _without_nonidentity_loops(g)
     if len(stripped.edges) != len(g.edges):
         if zero_free_polynomial(stripped, max_vertices=max_vertices) != poly:

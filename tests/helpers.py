@@ -18,10 +18,13 @@ from gainchroma import (
     UniPoly,
     component_subgroup,
     components,
+    count_inclexcl,
     fixed_set,
     gain_graph,
     holonomy_group,
     is_holonomy_closed,
+    standard_colors,
+    zero_free_colors,
 )
 from gainchroma.counting import _elim_order
 
@@ -175,6 +178,28 @@ def oracle_interpolate(points) -> UniPoly:
             denom *= xi - xj
         total = total + basis * (Fraction(yi) / denom)
     return total
+
+
+def oracle_chromatic(graph: GainGraph) -> UniPoly:
+    """``chromatic_polynomial`` interpolated through ``count_inclexcl``
+    counts over ``standard_colors`` at k = 0..|V|, where λ = k*|G| + 1: the
+    path the lattice fold replaced."""
+    order = graph.group.order
+    return oracle_interpolate([
+        (Fraction(k * order + 1), count_inclexcl(graph, standard_colors(graph.group, k)).value)
+        for k in range(graph.vertex_count + 1)
+    ])
+
+
+def oracle_zero_free(graph: GainGraph) -> UniPoly:
+    """``zero_free_polynomial`` interpolated through ``count_inclexcl``
+    counts over ``zero_free_colors`` at k = 1..|V|+1, where λ = k*|G|: the
+    path the lattice fold replaced."""
+    order = graph.group.order
+    return oracle_interpolate([
+        (Fraction(k * order), count_inclexcl(graph, zero_free_colors(graph.group, k)).value)
+        for k in range(1, graph.vertex_count + 2)
+    ])
 
 
 def oracle_elim(graph: GainGraph, action: SpinAction):

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from gainchroma import (
-    HolonomyCache,
     HolonomyContext,
     SignedGraph,
     SimpleGraph,
@@ -177,7 +176,6 @@ def test_criterion_3_evaluation_theorem(suite):
     for inst in suite:
         g = inst.graph
         group = g.group
-        cache = HolonomyCache(g)
         chrom = chromatic_polynomial(g)
         zf = zero_free_polynomial(g)
         underlying = graph_chromatic(
@@ -185,14 +183,14 @@ def test_criterion_3_evaluation_theorem(suite):
         )
         for k in range(5):
             lam = k * group.order + 1
-            count = count_inclexcl(g, standard_colors(group, k), cache=cache).value
+            count = count_inclexcl(g, standard_colors(group, k)).value
             if chrom.evaluate(lam) != count:
                 failures.append((inst.describe(), "standard", k, count, chrom.render()))
-            zf_count = count_inclexcl(g, zero_free_colors(group, k), cache=cache).value
+            zf_count = count_inclexcl(g, zero_free_colors(group, k)).value
             if zf.evaluate(k * group.order) != zf_count:
                 failures.append((inst.describe(), "zero-free", k, zf_count, zf.render()))
             if k >= 1:
-                triv_count = count_inclexcl(g, trivial_action(group, k), cache=cache).value
+                triv_count = count_inclexcl(g, trivial_action(group, k)).value
                 if underlying.evaluate(k) != triv_count:
                     failures.append((inst.describe(), "trivial", k, triv_count))
         # spot brute-force confirmation where the state space is tiny

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gainchroma import BoundExceeded, CountResult
-from gainchroma import cli
+from gainchroma import cli, polynomials
 from gainchroma.counting import COUNTERS
 from gainchroma.cli import (
     EXIT_BOUND,
@@ -343,6 +343,24 @@ class TestPolyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "graph_chromatic: λ^2 - λ" in out
+
+    def test_many_vertices_exit_3_before_the_lattice(self, tmp_path, capsys, monkeypatch):
+        # C(403, 3) exponent vectors fit under degree 400 in three variables;
+        # the fold would print tens of MB after a minute or more
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice or its fold was started")
+
+        monkeypatch.setattr(cli, "enumerate_closed_sets", refuse)
+        monkeypatch.setattr(polynomials, "lattice_sum", refuse)
+        payload = {
+            "group": {"kind": "symmetric", "d": 3},
+            "spins": [{"kind": "regular"}, {"kind": "trivial", "size": 1}, {"kind": "trivial", "size": 2}],
+            "graph": {"vertices": 400, "edges": [[0, 1, 1]]},
+        }
+        assert main(["poly", write(tmp_path, payload), "--chromatic", "--json"]) == EXIT_BOUND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(polynomials.TERM_LIMIT) in captured.err
 
 
 class TestHolonomyCommand:

@@ -17,7 +17,6 @@ from gainchroma import (
     count_mobius,
     SpinAction,
     disjoint_union_action,
-    enumerate_closed_sets,
     gain_graph,
     regular_action,
     stabilizer_classes,
@@ -626,13 +625,6 @@ class TestCountAuto:
             count_auto(small, action, max_states=1, max_subsets=1)
         assert count_auto(small, action, max_states=1, max_subsets=2**6) == expected
         assert count_auto(small, action, max_states=4**6, max_subsets=1) == expected
-
-    def test_uses_mobius_with_a_lattice(self, monkeypatch):
-        chosen = self.record_choices(monkeypatch)
-        g = gain_graph(Z3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, 0)])
-        action = standard_colors(Z3, 1)
-        assert count_auto(g, action, lattice=enumerate_closed_sets(g)) == count_brute(g, action).value
-        assert chosen == ["mobius"]
 
     def test_counts_the_twenty_vertex_ring(self):
         # 4**20 states and 2**26 subsets are both over the default bounds

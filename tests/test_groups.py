@@ -22,6 +22,7 @@ from gainchroma import (
     verify_group,
     zero_free_colors,
 )
+from gainchroma import groups
 
 
 def assert_right_action(action: SpinAction):
@@ -181,6 +182,19 @@ class TestVerifyGroup:
         assert self.has_inverses(mul)
         assert not naive_associative(mul)
         assert verify_group(mul) is False
+
+    def test_raw_table_over_the_order_limit_raises(self, monkeypatch):
+        # only invalid tables give False; the order bound is not a verdict
+        table = [list(row) for row in build_cyclic(4).mul]
+        monkeypatch.setattr(groups, "GROUP_ORDER_LIMIT", 3)
+        with pytest.raises(BoundExceeded):
+            verify_group(table)
+        assert verify_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]]) is True
+
+    def test_rejects_tables_that_are_not_lists_of_rows(self):
+        assert verify_group(5) is False
+        assert verify_group([5, 6]) is False
+        assert verify_group([["a", "b"], ["b", "a"]]) is False
 
     @pytest.mark.parametrize("group", [build_cyclic(1), build_cyclic(12), build_symmetric(4)])
     def test_accepts_stock_groups_and_their_tables(self, group):

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gainchroma import (
+    BoundExceeded,
     MultiPoly,
     SimpleGraph,
     UniPoly,
@@ -27,8 +28,7 @@ from gainchroma import (
     zero_free_polynomial,
 )
 from gainchroma import counting, polynomials
-from gainchroma.polynomials import _interpolate
-from helpers import naive_count, oracle_interpolate, oracle_lattice_sum, random_graph
+from helpers import naive_count, oracle_chromatic, oracle_lattice_sum, oracle_zero_free, random_graph
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -514,30 +514,51 @@ class TestGroupedFold:
         assert fast == slow
 
 
-_nodes = st.lists(
-    st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=6), st.integers(-10**6, 10**6)),
-    max_size=9,
-    unique_by=lambda point: point[0],
-)
+def _six_vertex_s3_graphs():
+    """Connected S3 graphs with 6 vertices and 10 edges, the size of the
+    poly_lattice benchmark, nonidentity loops among the extra edges."""
+    rng = random.Random(1995)
+    graphs = []
+    for _ in range(4):
+        tree = [(rng.randrange(v), v, rng.randrange(6)) for v in range(1, 6)]
+        extra = [(rng.randrange(6), rng.randrange(6), rng.randrange(1, 6)) for _ in range(5)]
+        graphs.append(gain_graph(S3, 6, tree + extra))
+    return graphs
 
 
-class TestNewtonInterpolation:
-    @given(_nodes, st.booleans())
-    @example([(Fraction(3), 7)], False)
-    @example([(Fraction(1, 2), 0), (Fraction(2), 0), (Fraction(-3), 0)], False)
-    @example([], False)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_lagrange(self, points, all_zero):
-        if all_zero:
-            points = [(x, 0) for x, _ in points]
-        newton = _interpolate(points)
-        assert newton == oracle_interpolate(points)
-        assert all(newton.evaluate(x) == y for x, y in points)
+UNIVARIATE_GRAPHS = FOLD_GRAPHS + _six_vertex_s3_graphs()
+
+
+class TestUnivariateFold:
+    """The chromatic and zero-free polynomials, one fold over the closed-set
+    lattice each, against the route they replaced: interpolation through
+    counts at |V| + 1 spin sets."""
+
+    def test_the_graphs_cover_the_edge_cases(self):
+        # FOLD_GRAPHS has the rest; see TestGroupedFold
+        assert any(
+            v not in {w for e in g.edges for w in (e.u, e.v)}
+            for g in UNIVARIATE_GRAPHS
+            if g.edges
+            for v in range(g.vertex_count)
+        )
+        assert sum(g.group == S3 and g.vertex_count == 6 and len(g.edges) == 10 for g in UNIVARIATE_GRAPHS) == 4
 
     def test_interpolation_points_of_the_chromatic_polynomials(self):
-        # integer nodes k*|G| (+ 1) with exact counts, as the package uses them
-        g = gain_graph(S3, 4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4), (0, 2, 5), (1, 1, 3)])
-        lat = enumerate_closed_sets(g)
-        for colors, x in ((standard_colors, lambda k: 6 * k + 1), (zero_free_colors, lambda k: 6 * k)):
-            points = [(Fraction(x(k)), count_mobius(g, colors(S3, k), lattice=lat).value) for k in range(1, 6)]
-            assert _interpolate(points) == oracle_interpolate(points)
+        for g in UNIVARIATE_GRAPHS:
+            lat = enumerate_closed_sets(g)
+            assert chromatic_polynomial(g) == chromatic_polynomial(g, lattice=lat) == oracle_chromatic(g)
+            assert zero_free_polynomial(g) == zero_free_polynomial(g, lattice=lat) == oracle_zero_free(g)
+
+    def test_refuses_nineteen_edges_before_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a counter was called")
+
+        for name in ("brute", "delcon", "inclexcl", "mobius", "elim", "auto"):
+            monkeypatch.setattr(counting, f"count_{name}", refuse)
+        monkeypatch.setattr(polynomials, "count_auto", refuse)
+        g = gain_graph(S3, 12, [(v, (v + 1) % 12, v % 6) for v in range(12)] + [(v, v + 2, 1) for v in range(7)])
+        assert len(g.edges) == 19
+        for poly in (chromatic_polynomial, zero_free_polynomial):
+            with pytest.raises(BoundExceeded, match="19 edges"):
+                poly(g)
