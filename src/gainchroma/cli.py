@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .groups import (
@@ -251,6 +252,22 @@ def _combined_action(inst: ParsedInstance, mults: list[int] | None) -> SpinActio
     return disjoint_union_action(list(inst.spins), mults)
 
 
+@contextmanager
+def _any_length_ints():
+    """Let ints of any length convert to decimal text inside the block.
+
+    Python refuses to convert an int of over 4,300 digits (its default
+    limit), and exact counts can be longer.  ``parse_instance`` relies on
+    the limit to reject over-long JSON literals, so commands lift it only
+    once their input is parsed, and the old limit comes back on exit."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _emit(report: dict, as_json: bool, lines: list[str]):
     if as_json:
         print(json.dumps(report, indent=2))
@@ -271,35 +288,36 @@ def _int_list(text: str) -> list[int]:
 def cmd_count(args) -> int:
     inst = load_instance(args.file)
     action = _combined_action(inst, _int_list(args.mults) if args.mults else None)
-    report: dict = {"command": "count", "method": args.method, "spins": action.size}
-    lines = []
-    bounds = {"max_states": args.max_states, "max_subsets": args.max_subsets}
-    started = time.perf_counter()
-    if args.method == "all":
-        outcome = verify_all(inst.graph, action, **bounds)
-        for name, result in outcome.results.items():
-            report[name] = {"value": result.value, "stats": result.stats}
-            lines.append(f"{name}: {result.value}")
-        for name, error in outcome.errors.items():
-            report[name] = {"error": error}
-            lines.append(f"{name}: bound exceeded ({error})")
-        report["agree"] = outcome.agree
-        lines.append(f"agree: {'yes' if outcome.agree else 'NO'}")
-        if not outcome.results:
-            exit_code = EXIT_BOUND
+    with _any_length_ints():
+        report: dict = {"command": "count", "method": args.method, "spins": action.size}
+        lines = []
+        bounds = {"max_states": args.max_states, "max_subsets": args.max_subsets}
+        started = time.perf_counter()
+        if args.method == "all":
+            outcome = verify_all(inst.graph, action, **bounds)
+            for name, result in outcome.results.items():
+                report[name] = {"value": result.value, "stats": result.stats}
+                lines.append(f"{name}: {result.value}")
+            for name, error in outcome.errors.items():
+                report[name] = {"error": error}
+                lines.append(f"{name}: bound exceeded ({error})")
+            report["agree"] = outcome.agree
+            lines.append(f"agree: {'yes' if outcome.agree else 'NO'}")
+            if not outcome.results:
+                exit_code = EXIT_BOUND
+            else:
+                exit_code = EXIT_OK if outcome.agree else EXIT_DIVERGE
         else:
-            exit_code = EXIT_OK if outcome.agree else EXIT_DIVERGE
-    else:
-        result = COUNTERS[args.method](inst.graph, action, **bounds)
-        report["value"] = result.value
-        report["stats"] = result.stats
-        lines.append(f"{args.method}: {result.value}")
-        exit_code = EXIT_OK
-    if args.timings:
-        report["seconds"] = time.perf_counter() - started
-        lines.append(f"seconds: {report['seconds']:.3f}")
-    _emit(report, args.json, lines)
-    return exit_code
+            result = COUNTERS[args.method](inst.graph, action, **bounds)
+            report["value"] = result.value
+            report["stats"] = result.stats
+            lines.append(f"{args.method}: {result.value}")
+            exit_code = EXIT_OK
+        if args.timings:
+            report["seconds"] = time.perf_counter() - started
+            lines.append(f"seconds: {report['seconds']:.3f}")
+        _emit(report, args.json, lines)
+        return exit_code
 
 
 def cmd_poly(args) -> int:
@@ -315,25 +333,17 @@ def cmd_poly(args) -> int:
         parts = [parts[i] for i in indices]
     _check_parts(inst.graph, parts)
     lattice = enumerate_closed_sets(inst.graph)
-    poly = grand_polynomial(inst.graph, parts, lattice=lattice)
-    report: dict = {"command": "poly", "grand": poly.render()}
-    lines = [f"grand: {poly.render()}"]
+    polys = {"grand": grand_polynomial(inst.graph, parts, lattice=lattice)}
     if args.chromatic:
-        cp = chromatic_polynomial(inst.graph, lattice=lattice)
-        report["chromatic"] = cp.render()
-        lines.append(f"chromatic: {cp.render()}")
+        polys["chromatic"] = chromatic_polynomial(inst.graph, lattice=lattice)
     if args.zero_free:
-        zf = zero_free_polynomial(inst.graph, lattice=lattice)
-        report["zero_free"] = zf.render()
-        lines.append(f"zero_free: {zf.render()}")
+        polys["zero_free"] = zero_free_polynomial(inst.graph, lattice=lattice)
     if args.graph_chromatic:
-        template = SimpleGraph(
-            inst.graph.vertex_count, tuple((e.u, e.v) for e in inst.graph.edges)
-        )
-        gc = graph_chromatic(template)
-        report["graph_chromatic"] = gc.render()
-        lines.append(f"graph_chromatic: {gc.render()}")
-    _emit(report, args.json, lines)
+        template = SimpleGraph(inst.graph.vertex_count, tuple((e.u, e.v) for e in inst.graph.edges))
+        polys["graph_chromatic"] = graph_chromatic(template)
+    with _any_length_ints():
+        texts = {name: poly.render() for name, poly in polys.items()}
+        _emit({"command": "poly", **texts}, args.json, [f"{name}: {text}" for name, text in texts.items()])
     return EXIT_OK
 
 

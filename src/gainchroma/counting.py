@@ -153,10 +153,10 @@ def lattice_sum(
     isolated: Any,
     zero: Any = 0,
 ):
-    """The sum, over the closed sets of a lattice with a bottom, of the
-    set's Möbius value times ``isolated`` per vertex it leaves isolated times
+    """The sum, over the closed sets of a lattice, of the set's Möbius
+    value times ``isolated`` per vertex it leaves isolated times
     ``factor(H)`` per component, where H is the component's holonomy
-    subgroup.
+    subgroup; ``zero`` for a bottomless lattice, which has no terms.
 
     The summand depends only on the isolated count and the multiset of
     subgroups, so the sum runs over ``lattice.terms``, one product per group
@@ -195,25 +195,17 @@ def count_inclexcl(
     return CountResult(total, "inclexcl", {"subsets": 1 << m})
 
 
-def count_mobius(
-    g: GainGraph,
-    a: SpinAction,
-    lattice: ClosedSetLattice | None = None,
-    max_edges: int = 18,
-) -> CountResult:
+def count_mobius(g: GainGraph, a: SpinAction, lattice: ClosedSetLattice | None = None) -> CountResult:
     """Count by Möbius inversion over the holonomy-closed edge sets.
 
     A bottomless lattice (the graph has an identity loop, which every state
-    satisfies) gives zero immediately.
+    satisfies) has no terms, so it gives zero.
     """
     _check_compat(g, a)
     if lattice is None:
-        lattice = enumerate_closed_sets(g, max_edges=max_edges)
-    stats = {"closed_sets": len(lattice.sets)}
-    if lattice.bottomless:
-        return CountResult(0, "mobius", stats)
+        lattice = enumerate_closed_sets(g)
     total = lattice_sum(lattice, lambda h: len(fixed_set(a, h)), a.size)
-    return CountResult(total, "mobius", stats)
+    return CountResult(total, "mobius", {"closed_sets": len(lattice.sets)})
 
 
 def _elim_order(g: GainGraph) -> tuple[list[tuple[int, set[int]]], list[int]]:
@@ -459,39 +451,25 @@ class MethodReport:
 
 
 # Counter name -> runner, in report order.  A runner takes the graph, the
-# action and verify_all's bound keywords.  The runners are lambdas so that each
+# action and verify_all's budget keywords.  The runners are lambdas so that each
 # call looks count_* up in this module's globals, where perfbench's tracer
 # rebinds them.
 COUNTERS = {
     "brute": lambda g, a, max_states=10**8, **_: count_brute(g, a, max_states=max_states),
-    "delcon": lambda g, a, max_calls=10**6, **_: count_delcon(g, a, max_calls=max_calls),
+    "delcon": lambda g, a, **_: count_delcon(g, a),
     "inclexcl": lambda g, a, max_subsets=2**22, **_: count_inclexcl(g, a, max_subsets=max_subsets),
-    "mobius": lambda g, a, max_lattice_edges=18, **_: count_mobius(g, a, max_edges=max_lattice_edges),
+    "mobius": lambda g, a, **_: count_mobius(g, a),
     "elim": lambda g, a, max_states=10**8, **_: count_elim(g, a, max_states=max_states),
 }
 
 
-def verify_all(
-    g: GainGraph,
-    a: SpinAction,
-    max_states: int = 10**8,
-    max_calls: int = 10**6,
-    max_subsets: int = 2**22,
-    max_lattice_edges: int = 18,
-) -> MethodReport:
+def verify_all(g: GainGraph, a: SpinAction, max_states: int = 10**8, max_subsets: int = 2**22) -> MethodReport:
     """Run every counter in ``COUNTERS`` and report agreement; counters
     that overrun their bounds are recorded instead of raising."""
     report = MethodReport()
     for name, run in COUNTERS.items():
         try:
-            report.results[name] = run(
-                g,
-                a,
-                max_states=max_states,
-                max_calls=max_calls,
-                max_subsets=max_subsets,
-                max_lattice_edges=max_lattice_edges,
-            )
+            report.results[name] = run(g, a, max_states=max_states, max_subsets=max_subsets)
         except BoundExceeded as exc:
             report.errors[name] = str(exc)
     return report

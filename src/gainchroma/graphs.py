@@ -399,13 +399,14 @@ def graphic_closure(g: GainGraph, subset: Iterable[int] | None = None) -> frozen
     return frozenset(out)
 
 
-def group_expansion(
-    template: SimpleGraph, group: FiniteGroup, max_edges: int = 4096
-) -> GainGraph:
+EXPANSION_EDGE_LIMIT = 4096
+
+
+def group_expansion(template: SimpleGraph, group: FiniteGroup) -> GainGraph:
     """Replace each template edge by one parallel edge per group element."""
     total = len(template.edges) * group.order
-    if total > max_edges:
-        raise BoundExceeded(f"expansion would have {total} edges, limit {max_edges}")
+    if total > EXPANSION_EDGE_LIMIT:
+        raise BoundExceeded(f"expansion would have {total} edges, limit {EXPANSION_EDGE_LIMIT}")
     triples = [
         (u, v, x) for (u, v) in template.edges for x in range(group.order)
     ]

@@ -153,7 +153,7 @@ def build_cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(mul, name=f"Z{n}")
 
 
-def build_symmetric(d: int, max_order: int = GROUP_ORDER_LIMIT) -> FiniteGroup:
+def build_symmetric(d: int) -> FiniteGroup:
     """The symmetric group on d points, order d!.
 
     Elements are enumerated in lexicographic one-line order, so the identity
@@ -163,8 +163,8 @@ def build_symmetric(d: int, max_order: int = GROUP_ORDER_LIMIT) -> FiniteGroup:
     if d < 1:
         raise ValueError("symmetric group needs at least 1 point")
     order = math.factorial(d)
-    if order > max_order:
-        raise BoundExceeded(f"symmetric group order {order} exceeds limit {max_order}")
+    if order > GROUP_ORDER_LIMIT:
+        raise BoundExceeded(f"symmetric group order {order} exceeds limit {GROUP_ORDER_LIMIT}")
     perms = tuple(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
     mul = [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]
@@ -253,11 +253,7 @@ def trivial_action(group: FiniteGroup, size: int) -> SpinAction:
     return SpinAction(group, rows, name=f"trivial({size})")
 
 
-def disjoint_union_action(
-    parts: Sequence[SpinAction],
-    mults: Sequence[int],
-    max_spins: int = SPIN_COUNT_LIMIT,
-) -> SpinAction:
+def disjoint_union_action(parts: Sequence[SpinAction], mults: Sequence[int]) -> SpinAction:
     """Disjoint union of mults[i] copies of each part's spin set.
 
     The group acts on the part coordinate only.  Spins are ordered part-major
@@ -276,8 +272,8 @@ def disjoint_union_action(
         if not isinstance(k, int) or k < 0:
             raise ValueError("multiplicities must be nonnegative integers")
     total = sum(k * part.size for part, k in zip(parts, mults))
-    if total > max_spins:
-        raise BoundExceeded(f"spin count {total} exceeds limit {max_spins}")
+    if total > SPIN_COUNT_LIMIT:
+        raise BoundExceeded(f"spin count {total} exceeds limit {SPIN_COUNT_LIMIT}")
     rows = []
     offset = 0
     for part, k in zip(parts, mults):
@@ -304,15 +300,15 @@ def zero_free_colors(group: FiniteGroup, k: int) -> SpinAction:
     return disjoint_union_action([regular_action(group)], [k])
 
 
-def subset_action(d: int, max_spins: int = SPIN_COUNT_LIMIT) -> SpinAction:
+def subset_action(d: int) -> SpinAction:
     """The symmetric group on d points permuting all 2**d subsets elementwise.
 
     Subsets are encoded as bitmasks and ordered by mask value.
     """
     group = build_symmetric(d)
     m = 1 << d
-    if m > max_spins:
-        raise BoundExceeded(f"spin count {m} exceeds limit {max_spins}")
+    if m > SPIN_COUNT_LIMIT:
+        raise BoundExceeded(f"spin count {m} exceeds limit {SPIN_COUNT_LIMIT}")
     perms = tuple(itertools.permutations(range(d)))
     rows = []
     for mask in range(m):

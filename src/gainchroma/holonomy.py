@@ -192,7 +192,9 @@ class _EdgeWalk:
     to v, and ``sub[r]`` is the id of the holonomy subgroup of root r's
     component, taken at r.  Every vertex starts as a root with the trivial
     group, so a vertex the subset leaves isolated is a component with
-    trivial holonomy.
+    trivial holonomy.  The state covers only the vertices some edge touches,
+    relabelled 0, 1, ... in increasing order; every other vertex is isolated
+    in every subset.
 
     Subgroups get ids as the walk meets them: ``subgroups[h]`` holds the
     elements of subgroup h.  Joining a subgroup with one element is memoized;
@@ -200,10 +202,12 @@ class _EdgeWalk:
     """
 
     def __init__(self, graph: GainGraph):
-        n = graph.vertex_count
         self.graph = graph
         self.ids = tuple(sorted(graph.edge_ids))
-        self.edges = tuple((e.u, e.v, e.gain) for e in map(graph.edge, self.ids))
+        edges = tuple(map(graph.edge, self.ids))
+        label = {v: i for i, v in enumerate(sorted({w for e in edges for w in (e.u, e.v)}))}
+        self.edges = tuple((label[e.u], label[e.v], e.gain) for e in edges)
+        n = len(label)
         self.parent = list(range(n))
         self.up = [0] * n
         self.size = [1] * n
@@ -286,10 +290,13 @@ def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int])
     holonomy subgroup; a vertex the subset leaves isolated is a component
     with H trivial.  H is taken at some base vertex of its component, so
     ``factor`` must not change under conjugation.  It is called once per
-    distinct subgroup."""
+    distinct subgroup.
+
+    The leaves visit only the vertices some edge touches; the others are
+    isolated in every subset, so their factors multiply the total once."""
     walk = _EdgeWalk(graph)
     parent, sub, members = walk.parent, walk.sub, walk.subgroups
-    vertices = range(graph.vertex_count)
+    vertices = range(len(parent))
     factors: list[int] = []
     total = 0
 
@@ -304,7 +311,7 @@ def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int])
         total += term
 
     walk.run(leaf)
-    return total
+    return total * factors[0] ** (graph.vertex_count - len(parent))
 
 
 @dataclass(frozen=True)
@@ -353,22 +360,28 @@ class ClosedSetLattice:
         )
 
 
-def enumerate_closed_sets(graph: GainGraph, max_edges: int = 18) -> ClosedSetLattice:
+# The most edges a graph may have for ``enumerate_closed_sets``, whose walk
+# visits all 2**m edge subsets; every lattice consumer is bounded by it.
+LATTICE_EDGE_LIMIT = 18
+
+
+def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
     """Find the holonomy-closed sets in one walk over all edge subsets B,
     computing the closure of each, and read off the Möbius values by Rota's
     crosscut identity mu(empty, A) = sum of (-1)**|B| over B with closure A.
 
     An edge outside B lies in its closure when both ends are in one component
     of B and its holonomy lies in that component's group; for a loop at a
-    vertex B does not cover, the group is trivial.
+    vertex B does not cover, the group is trivial.  Graphs with more than
+    ``LATTICE_EDGE_LIMIT`` edges are refused before the walk.
     """
     m = len(graph.edges)
-    if m > max_edges:
-        raise BoundExceeded(f"{m} edges exceed the closed-set enumeration limit {max_edges}")
+    if m > LATTICE_EDGE_LIMIT:
+        raise BoundExceeded(f"{m} edges exceed the closed-set enumeration limit {LATTICE_EDGE_LIMIT}")
     walk = _EdgeWalk(graph)
     mul, inv = graph.group.mul, graph.group.inv
     sub, members = walk.sub, walk.subgroups
-    vertices = range(graph.vertex_count)
+    vertices = range(len(walk.parent))
     table = [(1 << i, u, v, gain) for i, (u, v, gain) in enumerate(walk.edges)]
     mu_by_mask: dict[int, int] = {}
     closed: list[tuple[int, int, tuple[frozenset[int], ...]]] = []
@@ -388,7 +401,7 @@ def enumerate_closed_sets(graph: GainGraph, max_edges: int = 18) -> ClosedSetLat
                 if mask & bit:
                     covered |= 1 << u | 1 << v
             comps = tuple(members[sub[r]] for r in vertices if found[r][0] == r and covered >> r & 1)
-            closed.append((mask, len(vertices) - covered.bit_count(), comps))
+            closed.append((mask, graph.vertex_count - covered.bit_count(), comps))
 
     walk.run(leaf)
     ids = walk.ids

@@ -113,13 +113,16 @@ def set_coloring_direct(template: SimpleGraph, k: int) -> int:
     return total
 
 
-def set_coloring_count(template: SimpleGraph, k: int, max_k: int = 4) -> int:
+SET_COLORING_K_LIMIT = 4
+
+
+def set_coloring_count(template: SimpleGraph, k: int) -> int:
     """Count proper set colorations through the symmetric-group expansion and
     verify against the direct enumerator."""
     if k < 1:
         raise ValueError("set coloring needs k >= 1")
-    if k > max_k:
-        raise BoundExceeded(f"set coloring limited to k <= {max_k}")
+    if k > SET_COLORING_K_LIMIT:
+        raise BoundExceeded(f"set coloring limited to k <= {SET_COLORING_K_LIMIT}")
     expansion = group_expansion(template, build_symmetric(k))
     value = count_brute(expansion, subset_action(k)).value
     direct = set_coloring_direct(template, k)

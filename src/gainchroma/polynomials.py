@@ -320,11 +320,11 @@ class UniPoly:
         return f"UniPoly({self.render()})"
 
 
-def _check_parts(g: GainGraph, parts: Sequence[SpinAction], max_parts: int = PART_LIMIT):
+def _check_parts(g: GainGraph, parts: Sequence[SpinAction]):
     if not parts:
         raise ValueError("need at least one spin part")
-    if len(parts) > max_parts:
-        raise BoundExceeded(f"{len(parts)} spin parts exceed the limit {max_parts}")
+    if len(parts) > PART_LIMIT:
+        raise BoundExceeded(f"{len(parts)} spin parts exceed the limit {PART_LIMIT}")
     for part in parts:
         if part.group != g.group:
             raise ValueError("every spin part must use the graph's group")
@@ -336,10 +336,7 @@ def _check_parts(g: GainGraph, parts: Sequence[SpinAction], max_parts: int = PAR
 
 
 def grand_polynomial(
-    g: GainGraph,
-    parts: Sequence[SpinAction],
-    max_edges: int = 18,
-    lattice: ClosedSetLattice | None = None,
+    g: GainGraph, parts: Sequence[SpinAction], lattice: ClosedSetLattice | None = None
 ) -> MultiPoly:
     """The multivariate count polynomial in the part multiplicities.
 
@@ -351,9 +348,7 @@ def grand_polynomial(
     _check_parts(g, parts)
     p = len(parts)
     if lattice is None:
-        lattice = enumerate_closed_sets(g, max_edges=max_edges)
-    if lattice.bottomless:
-        return MultiPoly.zero(p)
+        lattice = enumerate_closed_sets(g)
     return lattice_sum(
         lattice,
         lambda h: MultiPoly.linear(p, [len(fixed_set(part, h)) for part in parts]),
@@ -383,11 +378,7 @@ def leading_form(g: GainGraph, parts: Sequence[SpinAction]) -> MultiPoly:
     return total
 
 
-def regular_plus_zeroes(
-    g: GainGraph,
-    max_edges: int = 18,
-    lattice: ClosedSetLattice | None = None,
-) -> MultiPoly:
+def regular_plus_zeroes(g: GainGraph, lattice: ClosedSetLattice | None = None) -> MultiPoly:
     """Two-variable specialization from balance statistics alone.
 
     With one regular part and one fixed spin, a component's factor is
@@ -398,9 +389,7 @@ def regular_plus_zeroes(
     """
     order = g.group.order
     if lattice is None:
-        lattice = enumerate_closed_sets(g, max_edges=max_edges)
-    if lattice.bottomless:
-        return MultiPoly.zero(2)
+        lattice = enumerate_closed_sets(g)
     balanced_factor = MultiPoly.linear(2, [order, 1])
     k2 = MultiPoly.linear(2, [0, 1])
     # a component is balanced exactly when its holonomy group is trivial
@@ -412,15 +401,11 @@ def regular_plus_zeroes(
     )
 
 
-def _univariate(
-    g: GainGraph, max_vertices: int, lattice: ClosedSetLattice | None, unbalanced: int
-) -> UniPoly:
+def _univariate(g: GainGraph, lattice: ClosedSetLattice | None, unbalanced: int) -> UniPoly:
     """The fold ``lattice_sum`` in one variable λ over the graph's lattice,
-    built after the vertex bound when not given: each isolated vertex and
-    each component with trivial holonomy contributes a factor λ, and each
-    other component the constant ``unbalanced``."""
-    if g.vertex_count > max_vertices:
-        raise BoundExceeded(f"{g.vertex_count} vertices exceed the polynomial vertex limit {max_vertices}")
+    built when not given: each isolated vertex and each component with
+    trivial holonomy contributes a factor λ, and each other component the
+    constant ``unbalanced``."""
     if lattice is None:
         lattice = enumerate_closed_sets(g)
     lam = MultiPoly.linear(1, [1])
@@ -432,9 +417,7 @@ def _univariate(
     return UniPoly(coeffs)
 
 
-def chromatic_polynomial(
-    g: GainGraph, max_vertices: int = 16, lattice: ClosedSetLattice | None = None
-) -> UniPoly:
+def chromatic_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> UniPoly:
     """The count polynomial over spin sets made of k regular copies of the
     group plus one fixed spin, as a polynomial in the spin count
     λ = k*|G| + 1.
@@ -445,10 +428,9 @@ def chromatic_polynomial(
     and its components with trivial holonomy (Zaslavsky's balanced
     expansion restricted to closed sets).  ``lattice``, when given, must be
     the graph's closed-set lattice; otherwise it is built, which refuses
-    graphs over ``enumerate_closed_sets``' edge limit.  ``max_vertices``
-    bounds the vertex count, which each leaf of the lattice walk visits.
+    graphs over ``enumerate_closed_sets``' edge limit.
     """
-    return _univariate(g, max_vertices, lattice, 1)
+    return _univariate(g, lattice, 1)
 
 
 def _without_nonidentity_loops(g: GainGraph) -> GainGraph:
@@ -456,9 +438,7 @@ def _without_nonidentity_loops(g: GainGraph) -> GainGraph:
     return GainGraph(g.group, g.vertex_count, keep)
 
 
-def zero_free_polynomial(
-    g: GainGraph, max_vertices: int = 16, lattice: ClosedSetLattice | None = None
-) -> UniPoly:
+def zero_free_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> UniPoly:
     """The count polynomial over spin sets made of k regular copies of the
     group, as a polynomial in the spin count λ = k*|G|.
 
@@ -469,23 +449,22 @@ def zero_free_polynomial(
     lattice.  ``lattice``, when given, must be the graph's closed-set
     lattice.
     """
-    poly = _univariate(g, max_vertices, lattice, 0)
+    poly = _univariate(g, lattice, 0)
     stripped = _without_nonidentity_loops(g)
     if len(stripped.edges) != len(g.edges):
-        if zero_free_polynomial(stripped, max_vertices=max_vertices) != poly:
+        if zero_free_polynomial(stripped) != poly:
             raise ArithmeticError("zero-free polynomial changed under nonidentity loop deletion")
     return poly
 
 
 def graph_chromatic(template: SimpleGraph) -> UniPoly:
     """Ordinary chromatic polynomial of a graph, by deletion-contraction."""
-    lam = UniPoly.x()
 
     def recurse(n: int, edges: tuple[tuple[int, int], ...]) -> UniPoly:
         if any(u == v for u, v in edges):
             return UniPoly.zero()
         if not edges:
-            return lam**n
+            return UniPoly((0,) * n + (1,))
         u, v = edges[0]
         rest = edges[1:]
 

@@ -143,11 +143,12 @@ def oracle_closed_sets(graph: GainGraph):
 
 def oracle_lattice_sum(lattice, factor, isolated, zero=0):
     """``counting.lattice_sum`` folded over the closed sets one by one, each
-    with its own Möbius value: the path the grouped terms replaced."""
+    with its own Möbius value: the path the grouped terms replaced.  A
+    bottomless lattice has no Möbius values, so its sum is ``zero``."""
     factors = {}
     total = zero
     for subset, lone, subgroups in zip(lattice.sets, lattice.isolated, lattice.subgroups, strict=True):
-        weight = lattice.mobius_from_bottom[subset]
+        weight = lattice.mobius_from_bottom.get(subset, 0)
         if weight == 0:
             continue
         term = weight * isolated**lone

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,6 +19,7 @@ from gainchroma.cli import (
     parse_instance,
     render_instance,
 )
+from helpers import oracle_chromatic, oracle_zero_free
 
 DIGON = {
     "comment": "two parallel edges over Z2, one twisted",
@@ -361,6 +364,47 @@ class TestPolyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(polynomials.TERM_LIMIT) in captured.err
+
+    def test_seventeen_vertices_print_both_polynomials(self, tmp_path, capsys):
+        # nine edges over S3 with an isolated vertex and a nonidentity loop
+        edges = [[v, v + 1, v % 6] for v in range(6)] + [[0, 3, 4], [8, 12, 2], [15, 15, 1]]
+        payload = {
+            "group": {"kind": "symmetric", "d": 3},
+            "spins": [{"kind": "regular"}],
+            "graph": {"vertices": 17, "edges": edges},
+        }
+        assert main(["poly", write(tmp_path, payload), "--chromatic", "--zero-free"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        g = parse_instance(json.dumps(payload)).graph
+        assert lines[1:] == [f"chromatic: {oracle_chromatic(g)}", f"zero_free: {oracle_zero_free(g)}"]
+
+
+class TestLongAnswers:
+    def test_print_in_full_while_inputs_stay_under_the_limit(self, tmp_path, capsys):
+        # 4,000 lone vertices over 13 spins: 13**4000 has 4,456 digits, over
+        # Python's default int-to-text limit of 4,300
+        payload = {
+            "group": {"kind": "symmetric", "d": 3},
+            "spins": [{"kind": "standard_colors", "k": 2}],
+            "graph": {"vertices": 4000, "edges": []},
+        }
+        digits = str(Decimal(13**4000))
+        limit = sys.get_int_max_str_digits()
+        path = write(tmp_path, payload)
+        for argv, expected in [
+            (["count", path, "--method", "elim"], f"elim: {digits}\n"),
+            (["count", path, "--method", "elim", "--json"], f'"value": {digits},'),
+            (["poly", path], f"grand: {digits}*k1^4000\n"),
+            (["poly", path, "--json"], f'"grand": "{digits}*k1^4000"'),
+        ]:
+            assert main(argv) == 0
+            assert expected in capsys.readouterr().out
+            assert sys.get_int_max_str_digits() == limit
+        # the limit still rejects over-long integers on the way in
+        assert main(["count", path, "--method", "elim", "--mults", "1" * 5000]) == EXIT_PARSE
+        assert main(["poly", path, "--parts", "0" * 5000]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestHolonomyCommand:

@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from gainchroma import (
     HolonomyContext,
+    UniPoly,
     build_cyclic,
     build_symmetric,
+    chromatic_polynomial,
     component_subgroup,
     components,
     conjugate_subgroup,
+    count_elim,
     count_inclexcl,
+    count_mobius,
     enumerate_closed_sets,
     gain_graph,
     generate_subgroup,
@@ -29,7 +33,10 @@ from gainchroma import (
     switch,
     trivial_action,
     walk_gain,
+    zero_free_polynomial,
 )
+from gainchroma import holonomy
+from gainchroma.cli import VERTEX_LIMIT
 from helpers import dfs_forest, oracle_closed_sets, oracle_inclexcl, powerset, random_graph
 
 Z2 = build_cyclic(2)
@@ -280,6 +287,50 @@ class TestSubsetWalk:
                     assert sums[a] == 0
                 else:
                     assert sums[a] == lat.mobius_from_bottom[a]
+
+
+class TestUntouchedVertices:
+    """A vertex no edge touches is isolated in every edge subset, so the
+    walk's leaves never visit it."""
+
+    @staticmethod
+    def _graph():
+        # 12 edges among the first 8 of cli.VERTEX_LIMIT vertices, no identity loop
+        rng = random.Random(53)
+        triples = [(v, v + 1, rng.randrange(3)) for v in range(7)] + [(0, 7, 1), (2, 2, 1)]
+        triples += [(rng.randrange(8), rng.randrange(8), rng.randrange(1, 3)) for _ in range(3)]
+        return gain_graph(Z3, VERTEX_LIMIT, triples)
+
+    def test_counts_and_polynomials_on_the_largest_file(self):
+        g = self._graph()
+        assert len(g.edges) == 12
+        core = gain_graph(Z3, 8, [(e.u, e.v, e.gain) for e in g.edges])
+        spare = UniPoly((0,) * (VERTEX_LIMIT - 8) + (1,))
+        for action in (standard_colors(Z3, 1), regular_action(Z3)):
+            value = count_elim(g, action).value
+            assert value > 0
+            assert count_inclexcl(g, action).value == count_mobius(g, action).value == value
+        assert chromatic_polynomial(g) == chromatic_polynomial(core) * spare
+        assert zero_free_polynomial(g) == zero_free_polynomial(core) * spare
+        assert chromatic_polynomial(g).evaluate(4) == count_elim(g, standard_colors(Z3, 1)).value
+
+    def test_the_leaves_look_up_touched_vertices_only(self, monkeypatch):
+        g = self._graph()
+        m = len(g.edges)
+        calls = 0
+        find = holonomy._EdgeWalk.find
+
+        def counted(self, v):
+            nonlocal calls
+            calls += 1
+            if calls > 2**m * 2 * m:
+                raise AssertionError("the walk looks up untouched vertices")
+            return find(self, v)
+
+        monkeypatch.setattr(holonomy._EdgeWalk, "find", counted)
+        lattice = enumerate_closed_sets(g)
+        assert calls <= 2**m * 2 * m
+        assert set(lattice.isolated) <= set(range(VERTEX_LIMIT - 8, VERTEX_LIMIT + 1))
 
 
 class TestChoiceIndependence:

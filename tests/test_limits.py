@@ -1,0 +1,51 @@
+"""Every size limit lives in one module constant.  The only ``max_*``
+keywords a caller may set are the counters' work budgets and the sizes of
+the harness's random instances."""
+
+import inspect
+
+from gainchroma import cli, counting, graphs, groups, harness, holonomy, models, polynomials
+
+BUDGETS = {"max_states", "max_calls", "max_subsets"}
+GENERATOR_SIZES = {"max_vertices", "max_edges"}
+BUDGETED = {"count_auto", "verify_all", "potts_satisfiable_count"}
+
+
+def _callables():
+    """Every function and method the package defines, private ones included,
+    with a qualified name."""
+    for module in (groups, graphs, holonomy, counting, polynomials, models, harness, cli):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", name, obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", attr, member
+    for method, run in counting.COUNTERS.items():
+        yield f"COUNTERS[{method!r}]", "count_" + method, run
+
+
+def _allowed(module_name: str, name: str) -> set[str]:
+    if name.startswith("count_") or name in BUDGETED:
+        return BUDGETS
+    if module_name.startswith("gainchroma.harness."):
+        return GENERATOR_SIZES
+    return set()
+
+
+def test_only_budgets_and_generator_sizes_are_keywords():
+    seen = {qualified: func for qualified, _, func in _callables()}
+    # the walk reaches private helpers, methods and the counter runners
+    assert {"gainchroma.polynomials._check_parts", "gainchroma.polynomials.MultiPoly.__mul__"} <= set(seen)
+    assert "max_subsets" in inspect.signature(seen["COUNTERS['inclexcl']"]).parameters
+    found = {}
+    for qualified, name, func in _callables():
+        limits = {p for p in inspect.signature(func).parameters if p.startswith("max_")}
+        extra = limits - _allowed(qualified, name)
+        if extra:
+            found[qualified] = sorted(extra)
+    assert found == {}

@@ -24,10 +24,11 @@ from gainchroma import (
     regular_plus_zeroes,
     standard_colors,
     trivial_action,
+    verify_all,
     zero_free_colors,
     zero_free_polynomial,
 )
-from gainchroma import counting, polynomials
+from gainchroma import counting, holonomy, polynomials
 from helpers import naive_count, oracle_chromatic, oracle_lattice_sum, oracle_zero_free, random_graph
 
 Z2 = build_cyclic(2)
@@ -376,6 +377,24 @@ class TestGraphChromatic:
     def test_loop_kills(self):
         assert graph_chromatic(SimpleGraph(1, ((0, 0),))).is_zero
 
+    def test_forest_is_read_off_without_building_powers(self, monkeypatch):
+        # a 6-edge path and a 3-edge star among 60 vertices: λ**(n-m) * (λ-1)**m
+        template = SimpleGraph(60, tuple((v, v + 1) for v in range(6)) + ((10, 11), (10, 12), (10, 13)))
+        lam = UniPoly.x()
+        expected = lam**51 * (lam - UniPoly.constant(1))**9
+        calls = 0
+        multiply = UniPoly.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return multiply(self, other)
+
+        monkeypatch.setattr(UniPoly, "__mul__", counted)
+        assert graph_chromatic(template) == expected
+        # each of the 2**9 leaves used to build λ**n by n multiplications
+        assert calls < template.vertex_count
+
     def test_matches_trivial_action_counts(self):
         rng = random.Random(61)
         for _ in range(10):
@@ -554,11 +573,34 @@ class TestUnivariateFold:
         def refuse(*args, **kwargs):
             raise AssertionError("a counter was called")
 
-        for name in ("brute", "delcon", "inclexcl", "mobius", "elim", "auto"):
-            monkeypatch.setattr(counting, f"count_{name}", refuse)
-        monkeypatch.setattr(polynomials, "count_auto", refuse)
+        # every lattice consumer, called the way a caller without a lattice does
+        consumers = (
+            chromatic_polynomial,
+            zero_free_polynomial,
+            lambda g: count_mobius(g, regular_action(g.group)),
+            lambda g: grand_polynomial(g, [regular_action(g.group)]),
+            regular_plus_zeroes,
+            enumerate_closed_sets,
+        )
         g = gain_graph(S3, 12, [(v, (v + 1) % 12, v % 6) for v in range(12)] + [(v, v + 2, 1) for v in range(7)])
         assert len(g.edges) == 19
-        for poly in (chromatic_polynomial, zero_free_polynomial):
-            with pytest.raises(BoundExceeded, match="19 edges"):
-                poly(g)
+        with monkeypatch.context() as m:
+            for name in ("brute", "delcon", "inclexcl", "mobius", "elim", "auto"):
+                m.setattr(counting, f"count_{name}", refuse)
+            m.setattr(polynomials, "count_auto", refuse)
+            for consume in consumers:
+                with pytest.raises(BoundExceeded, match="19 edges"):
+                    consume(g)
+
+        # the limit has one home, and every consumer reads it there
+        monkeypatch.setattr(holonomy, "LATTICE_EDGE_LIMIT", 3)
+        small = gain_graph(S3, 3, [(0, 1, 1), (1, 2, 3), (2, 0, 2)])
+        for consume in consumers:
+            consume(small)
+        g = gain_graph(S3, 3, [(0, 1, 1), (1, 2, 3), (2, 0, 2), (0, 1, 4)])
+        for consume in consumers:
+            with pytest.raises(BoundExceeded, match="4 edges exceed the closed-set enumeration limit 3"):
+                consume(g)
+        report = verify_all(g, regular_action(S3))
+        assert list(report.errors) == ["mobius"] and "limit 3" in report.errors["mobius"]
+        assert report.agree and "mobius" not in report.results
