@@ -74,7 +74,6 @@ from .counting import (
 )
 from .polynomials import (
     MultiPoly,
-    UniPoly,
     chromatic_polynomial,
     grand_polynomial,
     graph_chromatic,

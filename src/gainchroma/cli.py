@@ -342,7 +342,7 @@ def cmd_poly(args) -> int:
         template = SimpleGraph(inst.graph.vertex_count, tuple((e.u, e.v) for e in inst.graph.edges))
         polys["graph_chromatic"] = graph_chromatic(template)
     with _any_length_ints():
-        texts = {name: poly.render() for name, poly in polys.items()}
+        texts = {name: poly.render(None if name == "grand" else ["λ"]) for name, poly in polys.items()}
         _emit({"command": "poly", **texts}, args.json, [f"{name}: {text}" for name, text in texts.items()])
     return EXIT_OK
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, stabilizer_classes
-from .graphs import GainGraph, balanced_component_count, contract_link, delete_edge
+from .graphs import Edge, GainGraph, balanced_component_count, contract_link, delete_edge
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, enumerate_closed_sets, signed_subset_sum
 
@@ -104,7 +104,10 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     A loops-only graph is evaluated directly as the product, over vertices,
     of the number of spins not fixed by any incident loop gain.  The
     recursion is as deep as the graph has links, so more than
-    ``DELCON_LINK_LIMIT`` are refused before the first call.
+    ``DELCON_LINK_LIMIT`` are refused before the first call.  It runs on
+    the vertices some edge touches, relabelled 0, 1, ... in increasing
+    order with the edge ids kept; each other vertex takes any of the |Q|
+    spins, a factor the result is multiplied by.
     """
     _check_compat(g, a)
     links = sum(not e.is_loop for e in g.edges)
@@ -143,7 +146,9 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
             return loops_only_value(graph)
         return recurse(delete_edge(graph, link.id)) - recurse(contract_link(graph, link.id))
 
-    value = recurse(g)
+    label = {v: i for i, v in enumerate(sorted({w for e in g.edges for w in (e.u, e.v)}))}
+    core = GainGraph(g.group, len(label), [Edge(e.id, label[e.u], label[e.v], e.gain) for e in g.edges])
+    value = recurse(core) * m ** (g.vertex_count - len(label))
     return CountResult(value, "delcon", {"calls": calls})
 
 

@@ -92,14 +92,6 @@ class GainGraph:
         """Ids of edges touching v, ascending; loops appear once."""
         return self._incident[v]
 
-    def loops_at(self, v: int) -> tuple[Edge, ...]:
-        return tuple(
-            self._by_id[eid] for eid in self._incident[v] if self._by_id[eid].is_loop
-        )
-
-    def links(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if not e.is_loop)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GainGraph)

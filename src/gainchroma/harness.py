@@ -264,7 +264,7 @@ def check_balanced_evaluation(inst: Instance) -> CheckResult:
     if not is_balanced(g):
         return CheckResult("balanced_evaluation", True, "not balanced, vacuous")
     template = SimpleGraph(g.vertex_count, tuple((e.u, e.v) for e in g.edges))
-    expected = graph_chromatic(template).evaluate(a.size)
+    expected = graph_chromatic(template).evaluate([a.size])
     actual = count_inclexcl(g, a).value
     if expected != actual:
         return CheckResult(

@@ -13,14 +13,17 @@ each closed set contributes its Möbius value times a factor per isolated
 vertex and per component, and the factors are polynomials.  For the
 univariate polynomials that is Zaslavsky's balanced expansion restricted to
 closed sets.
+
+Every polynomial here is a ``MultiPoly``; the univariate ones have arity 1,
+so they are evaluated as ``p.evaluate([x])`` and print in the spin count λ
+with ``p.render(["λ"])``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .groups import BoundExceeded, SpinAction, fixed_set
 from .graphs import GainGraph, SimpleGraph
@@ -200,126 +203,6 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
-class UniPoly:
-    """Dense univariate polynomial with exact rational coefficients, lowest
-    degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, value) -> "UniPoly":
-        return cls((value,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            - (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(c * other for c in self.coeffs)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> "UniPoly":
-        if power < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = UniPoly.constant(1)
-        for _ in range(power):
-            out = out * self
-        return out
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def integer_coefficients(self) -> tuple[int, ...]:
-        """Coefficients as plain ints; raises if any is not integral."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ArithmeticError(f"coefficient {c} is not an integer")
-            out.append(c.numerator)
-        return tuple(out)
-
-    def render(self, var: str = "λ") -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
-                continue
-            if power == 0:
-                body = str(abs(c))
-            else:
-                head = var if power == 1 else f"{var}^{power}"
-                body = head if abs(c) == 1 else f"{abs(c)}*{head}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = f"-{body}" if sign == "-" else body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.render()})"
-
-
 def _check_parts(g: GainGraph, parts: Sequence[SpinAction]):
     if not parts:
         raise ValueError("need at least one spin part")
@@ -401,26 +284,22 @@ def regular_plus_zeroes(g: GainGraph, lattice: ClosedSetLattice | None = None) -
     )
 
 
-def _univariate(g: GainGraph, lattice: ClosedSetLattice | None, unbalanced: int) -> UniPoly:
+def _univariate(g: GainGraph, lattice: ClosedSetLattice | None, unbalanced: int) -> MultiPoly:
     """The fold ``lattice_sum`` in one variable λ over the graph's lattice,
-    built when not given: each isolated vertex and each component with
-    trivial holonomy contributes a factor λ, and each other component the
-    constant ``unbalanced``."""
+    built when not given, as a ``MultiPoly`` of arity 1: each isolated
+    vertex and each component with trivial holonomy contributes a factor λ,
+    and each other component the constant ``unbalanced``."""
     if lattice is None:
         lattice = enumerate_closed_sets(g)
     lam = MultiPoly.linear(1, [1])
     other = MultiPoly.constant(1, unbalanced)
-    total = lattice_sum(lattice, lambda h: lam if len(h) == 1 else other, lam, zero=MultiPoly.zero(1))
-    coeffs = [0] * (total.total_degree() + 1)
-    for (power,), coeff in total.terms.items():
-        coeffs[power] = coeff
-    return UniPoly(coeffs)
+    return lattice_sum(lattice, lambda h: lam if len(h) == 1 else other, lam, zero=MultiPoly.zero(1))
 
 
-def chromatic_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> UniPoly:
+def chromatic_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> MultiPoly:
     """The count polynomial over spin sets made of k regular copies of the
-    group plus one fixed spin, as a polynomial in the spin count
-    λ = k*|G| + 1.
+    group plus one fixed spin, as a one-variable ``MultiPoly`` in the spin
+    count λ = k*|G| + 1.
 
     A subgroup H fixes k*|G| + 1 = λ of those spins when it is trivial and
     only the fixed spin otherwise, so the Möbius sum over the closed sets
@@ -438,9 +317,9 @@ def _without_nonidentity_loops(g: GainGraph) -> GainGraph:
     return GainGraph(g.group, g.vertex_count, keep)
 
 
-def zero_free_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> UniPoly:
+def zero_free_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> MultiPoly:
     """The count polynomial over spin sets made of k regular copies of the
-    group, as a polynomial in the spin count λ = k*|G|.
+    group, as a one-variable ``MultiPoly`` in the spin count λ = k*|G|.
 
     As ``chromatic_polynomial``, except that a nontrivial subgroup fixes no
     regular spin, so closed sets with a component of nontrivial holonomy
@@ -457,14 +336,15 @@ def zero_free_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) 
     return poly
 
 
-def graph_chromatic(template: SimpleGraph) -> UniPoly:
-    """Ordinary chromatic polynomial of a graph, by deletion-contraction."""
+def graph_chromatic(template: SimpleGraph) -> MultiPoly:
+    """Ordinary chromatic polynomial of a graph, by deletion-contraction, as
+    a one-variable ``MultiPoly``."""
 
-    def recurse(n: int, edges: tuple[tuple[int, int], ...]) -> UniPoly:
+    def recurse(n: int, edges: tuple[tuple[int, int], ...]) -> MultiPoly:
         if any(u == v for u, v in edges):
-            return UniPoly.zero()
+            return MultiPoly.zero(1)
         if not edges:
-            return UniPoly((0,) * n + (1,))
+            return MultiPoly(1, {(n,): 1})
         u, v = edges[0]
         rest = edges[1:]
 

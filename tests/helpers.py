@@ -14,8 +14,8 @@ from fractions import Fraction
 from gainchroma import (
     GainGraph,
     HolonomyContext,
+    MultiPoly,
     SpinAction,
-    UniPoly,
     component_subgroup,
     components,
     count_inclexcl,
@@ -163,25 +163,37 @@ def oracle_lattice_sum(lattice, factor, isolated, zero=0):
     return total
 
 
-def oracle_interpolate(points) -> UniPoly:
-    """Lagrange interpolation through exact rational points: the path
-    Newton's divided differences replaced."""
-    total = UniPoly.zero()
+def univariate(*coeffs: int) -> MultiPoly:
+    """The one-variable polynomial with these coefficients, lowest degree
+    first."""
+    return MultiPoly(1, {(power,): c for power, c in enumerate(coeffs)})
+
+
+def oracle_interpolate(points) -> MultiPoly:
+    """Lagrange interpolation through exact rational points, over coefficient
+    lists lowest degree first: the path Newton's divided differences
+    replaced.  Raises if a coefficient is not an integer."""
+    total = [Fraction(0)] * len(points)
     for i, (xi, yi) in enumerate(points):
         if yi == 0:
             continue
-        basis = UniPoly.constant(1)
+        basis = [Fraction(1)]
         denom = Fraction(1)
         for j, (xj, _) in enumerate(points):
             if j == i:
                 continue
-            basis = basis * UniPoly((-xj, 1))
+            # basis * (x - xj)
+            basis = [a - xj * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
             denom *= xi - xj
-        total = total + basis * (Fraction(yi) / denom)
-    return total
+        for power, c in enumerate(basis):
+            total[power] += c * yi / denom
+    for c in total:
+        if c.denominator != 1:
+            raise ArithmeticError(f"coefficient {c} is not an integer")
+    return univariate(*(int(c) for c in total))
 
 
-def oracle_chromatic(graph: GainGraph) -> UniPoly:
+def oracle_chromatic(graph: GainGraph) -> MultiPoly:
     """``chromatic_polynomial`` interpolated through ``count_inclexcl``
     counts over ``standard_colors`` at k = 0..|V|, where λ = k*|G| + 1: the
     path the lattice fold replaced."""
@@ -192,7 +204,7 @@ def oracle_chromatic(graph: GainGraph) -> UniPoly:
     ])
 
 
-def oracle_zero_free(graph: GainGraph) -> UniPoly:
+def oracle_zero_free(graph: GainGraph) -> MultiPoly:
     """``zero_free_polynomial`` interpolated through ``count_inclexcl``
     counts over ``zero_free_colors`` at k = 1..|V|+1, where λ = k*|G|: the
     path the lattice fold replaced."""

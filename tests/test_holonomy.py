@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from gainchroma import (
     HolonomyContext,
-    UniPoly,
+    MultiPoly,
     build_cyclic,
     build_symmetric,
     chromatic_polynomial,
     component_subgroup,
     components,
     conjugate_subgroup,
+    count_delcon,
     count_elim,
     count_inclexcl,
     count_mobius,
@@ -35,7 +36,7 @@ from gainchroma import (
     walk_gain,
     zero_free_polynomial,
 )
-from gainchroma import holonomy
+from gainchroma import counting, holonomy
 from gainchroma.cli import VERTEX_LIMIT
 from helpers import dfs_forest, oracle_closed_sets, oracle_inclexcl, powerset, random_graph
 
@@ -305,14 +306,14 @@ class TestUntouchedVertices:
         g = self._graph()
         assert len(g.edges) == 12
         core = gain_graph(Z3, 8, [(e.u, e.v, e.gain) for e in g.edges])
-        spare = UniPoly((0,) * (VERTEX_LIMIT - 8) + (1,))
+        spare = MultiPoly(1, {(VERTEX_LIMIT - 8,): 1})
         for action in (standard_colors(Z3, 1), regular_action(Z3)):
             value = count_elim(g, action).value
             assert value > 0
             assert count_inclexcl(g, action).value == count_mobius(g, action).value == value
         assert chromatic_polynomial(g) == chromatic_polynomial(core) * spare
         assert zero_free_polynomial(g) == zero_free_polynomial(core) * spare
-        assert chromatic_polynomial(g).evaluate(4) == count_elim(g, standard_colors(Z3, 1)).value
+        assert chromatic_polynomial(g).evaluate([4]) == count_elim(g, standard_colors(Z3, 1)).value
 
     def test_the_leaves_look_up_touched_vertices_only(self, monkeypatch):
         g = self._graph()
@@ -331,6 +332,29 @@ class TestUntouchedVertices:
         lattice = enumerate_closed_sets(g)
         assert calls <= 2**m * 2 * m
         assert set(lattice.isolated) <= set(range(VERTEX_LIMIT - 8, VERTEX_LIMIT + 1))
+
+    def test_delcon_recurses_on_touched_vertices_only(self, monkeypatch):
+        g = self._graph()
+        action = standard_colors(Z3, 1)
+        largest = 0
+
+        def watch(minor):
+            def watched(graph, eid):
+                nonlocal largest
+                largest = max(largest, graph.vertex_count)
+                if graph.vertex_count > 8:
+                    raise AssertionError(f"the recursion sees {graph.vertex_count} vertices")
+                return minor(graph, eid)
+
+            return watched
+
+        monkeypatch.setattr(counting, "delete_edge", watch(counting.delete_edge))
+        monkeypatch.setattr(counting, "contract_link", watch(counting.contract_link))
+        result = count_delcon(g, action)
+        assert largest == 8
+        assert result.value == count_elim(g, action).value
+        # the recursion is the one on the whole graph: same links, same ids
+        assert result.stats["calls"] == 2615
 
 
 class TestChoiceIndependence:

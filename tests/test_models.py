@@ -88,7 +88,7 @@ class TestPottsCounts:
             group = rng.choice([Z2, Z3])
             phi = potts_gain_graph(signed, group)
             value = potts_satisfiable_count(signed, group)
-            assert zero_free_polynomial(phi).evaluate(group.order) == value
+            assert zero_free_polynomial(phi).evaluate([group.order]) == value
 
 
 class TestSetColoring:

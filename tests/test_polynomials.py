@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gainchroma
 from gainchroma import (
     BoundExceeded,
     MultiPoly,
     SimpleGraph,
-    UniPoly,
     build_cyclic,
     build_symmetric,
     chromatic_polynomial,
@@ -29,7 +29,15 @@ from gainchroma import (
     zero_free_polynomial,
 )
 from gainchroma import counting, holonomy, polynomials
-from helpers import naive_count, oracle_chromatic, oracle_lattice_sum, oracle_zero_free, random_graph
+from helpers import (
+    naive_count,
+    oracle_chromatic,
+    oracle_interpolate,
+    oracle_lattice_sum,
+    oracle_zero_free,
+    random_graph,
+    univariate,
+)
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -134,24 +142,45 @@ class TestMultiPolyArithmetic:
             assert (p * q - p).evaluate(point) == p.evaluate(point) * (q.evaluate(point) - 1)
 
 
-class TestUniPoly:
+class TestUnivariate:
+    """The univariate polynomials are ``MultiPoly`` of arity 1, printed in λ."""
+
     def test_rendering(self):
-        assert UniPoly((0, -1, 1)).render() == "λ^2 - λ"
-        assert UniPoly((-1, 1)).render() == "λ - 1"
-        assert UniPoly.zero().render() == "0"
-        assert UniPoly((3,)).render() == "3"
+        assert univariate(0, -1, 1).render(["λ"]) == "λ^2 - λ"
+        assert univariate(-1, 1).render(["λ"]) == "λ - 1"
+        assert MultiPoly.zero(1).render(["λ"]) == "0"
+        assert univariate(3).render(["λ"]) == "3"
+        assert univariate(1, 0, -4).render(["λ"]) == "-4*λ^2 + 1"
 
     def test_arithmetic_and_eval(self):
-        lam = UniPoly.x()
-        p = lam * (lam - UniPoly.constant(1))
-        assert p.evaluate(5) == 20
-        assert p.degree() == 2
+        lam = MultiPoly.linear(1, [1])
+        p = lam * (lam - MultiPoly.constant(1, 1))
+        assert p.evaluate([5]) == 20
+        assert p.total_degree() == 2
         assert (p - p).is_zero
 
     def test_integer_coefficients(self):
-        assert UniPoly((Fraction(2), Fraction(1))).integer_coefficients() == (2, 1)
+        # the interpolation oracle reads off exact integers and refuses the rest
+        assert oracle_interpolate([(Fraction(0), 1), (Fraction(1), 3)]) == univariate(1, 2)
         with pytest.raises(ArithmeticError):
-            UniPoly((Fraction(1, 2),)).integer_coefficients()
+            oracle_interpolate([(Fraction(0), 0), (Fraction(2), 1)])
+
+    def test_every_polynomial_is_a_multipoly(self):
+        g = gain_graph(Z2, 2, [(0, 1, 1)])
+        parts = [regular_action(Z2), trivial_action(Z2, 1)]
+        template = SimpleGraph(2, ((0, 1),))
+        polys = [
+            grand_polynomial(g, parts),
+            leading_form(g, parts),
+            regular_plus_zeroes(g),
+            chromatic_polynomial(g),
+            zero_free_polynomial(g),
+            graph_chromatic(template),
+        ]
+        assert all(type(p) is MultiPoly for p in polys)
+        assert [p.arity for p in polys] == [2, 2, 2, 1, 1, 1]
+        assert not hasattr(gainchroma, "UniPoly")
+        assert not hasattr(polynomials, "UniPoly")
 
 
 class TestGrandPolynomial:
@@ -265,12 +294,12 @@ class TestRegularPlusZeroes:
 class TestChromaticPolynomial:
     def test_k2(self):
         g = gain_graph(Z2, 2, [(0, 1, 1)])
-        assert chromatic_polynomial(g) == UniPoly((0, -1, 1))
+        assert chromatic_polynomial(g) == univariate(0, -1, 1)
 
     def test_nonidentity_loop(self):
         for group, gain in [(Z2, 1), (Z3, 2), (S3, 5)]:
             g = gain_graph(group, 1, [(0, 0, gain)])
-            assert chromatic_polynomial(g) == UniPoly((-1, 1))
+            assert chromatic_polynomial(g) == univariate(-1, 1)
 
     def test_identity_loop(self):
         g = gain_graph(Z3, 1, [(0, 0, 0)])
@@ -279,7 +308,7 @@ class TestChromaticPolynomial:
     def test_unbalanced_digon(self):
         # counts are (|Q| - 1)^2 at every standard spin set, so the
         # polynomial must be (lambda - 1)^2
-        assert chromatic_polynomial(digon()) == UniPoly((1, -2, 1))
+        assert chromatic_polynomial(digon()) == univariate(1, -2, 1)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -291,7 +320,7 @@ class TestChromaticPolynomial:
         for k in range(4):
             action = standard_colors(group, k)
             lam = k * group.order + 1
-            assert poly.evaluate(lam) == naive_count(g, action)
+            assert poly.evaluate([lam]) == naive_count(g, action)
 
     def test_deletion_contraction_identity(self):
         from gainchroma import contract_link, delete_edge
@@ -312,7 +341,7 @@ class TestChromaticPolynomial:
 class TestZeroFreePolynomial:
     def test_k2(self):
         g = gain_graph(Z2, 2, [(0, 1, 1)])
-        assert zero_free_polynomial(g) == UniPoly((0, -1, 1))
+        assert zero_free_polynomial(g) == univariate(0, -1, 1)
 
     def test_nonidentity_loop_is_discardable(self):
         # a nonidentity loop is never satisfied under regular colors, so the
@@ -321,7 +350,7 @@ class TestZeroFreePolynomial:
         g = gain_graph(Z2, 1, [(0, 0, 1)])
         assert naive_count(g, zero_free_colors(Z2, 1)) == 2
         assert naive_count(g, zero_free_colors(Z2, 2)) == 4
-        assert zero_free_polynomial(g) == UniPoly((0, 1))
+        assert zero_free_polynomial(g) == univariate(0, 1)
 
     def test_identity_loop(self):
         g = gain_graph(Z2, 1, [(0, 0, 0)])
@@ -347,7 +376,7 @@ class TestZeroFreePolynomial:
         poly = zero_free_polynomial(g)
         for k in range(1, 4):
             action = zero_free_colors(group, k)
-            assert poly.evaluate(k * group.order) == naive_count(g, action)
+            assert poly.evaluate([k * group.order]) == naive_count(g, action)
 
     def test_deletion_contraction_for_links(self):
         from gainchroma import contract_link, delete_edge
@@ -366,12 +395,12 @@ class TestZeroFreePolynomial:
 
 class TestGraphChromatic:
     def test_k2(self):
-        assert graph_chromatic(SimpleGraph(2, ((0, 1),))) == UniPoly((0, -1, 1))
+        assert graph_chromatic(SimpleGraph(2, ((0, 1),))) == univariate(0, -1, 1)
 
     def test_triangle(self):
-        lam = UniPoly.x()
-        one = UniPoly.constant(1)
-        expected = lam * (lam - one) * (lam - UniPoly.constant(2))
+        lam = MultiPoly.linear(1, [1])
+        one = MultiPoly.constant(1, 1)
+        expected = lam * (lam - one) * (lam - MultiPoly.constant(1, 2))
         assert graph_chromatic(SimpleGraph(3, ((0, 1), (1, 2), (0, 2)))) == expected
 
     def test_loop_kills(self):
@@ -380,17 +409,17 @@ class TestGraphChromatic:
     def test_forest_is_read_off_without_building_powers(self, monkeypatch):
         # a 6-edge path and a 3-edge star among 60 vertices: λ**(n-m) * (λ-1)**m
         template = SimpleGraph(60, tuple((v, v + 1) for v in range(6)) + ((10, 11), (10, 12), (10, 13)))
-        lam = UniPoly.x()
-        expected = lam**51 * (lam - UniPoly.constant(1))**9
+        lam = MultiPoly.linear(1, [1])
+        expected = lam**51 * (lam - MultiPoly.constant(1, 1))**9
         calls = 0
-        multiply = UniPoly.__mul__
+        multiply = MultiPoly.__mul__
 
         def counted(self, other):
             nonlocal calls
             calls += 1
             return multiply(self, other)
 
-        monkeypatch.setattr(UniPoly, "__mul__", counted)
+        monkeypatch.setattr(MultiPoly, "__mul__", counted)
         assert graph_chromatic(template) == expected
         # each of the 2**9 leaves used to build λ**n by n multiplications
         assert calls < template.vertex_count
@@ -407,7 +436,7 @@ class TestGraphChromatic:
             poly = graph_chromatic(template)
             for m in range(1, 4):
                 action = trivial_action(Z3, m)
-                assert poly.evaluate(m) == naive_count(g, action)
+                assert poly.evaluate([m]) == naive_count(g, action)
 
 
 class TestSpecializationIdentities:
@@ -423,14 +452,14 @@ class TestSpecializationIdentities:
             SimpleGraph(g.vertex_count, tuple((e.u, e.v) for e in g.edges))
         )
         for k in range(0, 3):
-            assert chrom.evaluate(k * group.order + 1) == naive_count(
+            assert chrom.evaluate([k * group.order + 1]) == naive_count(
                 g, standard_colors(group, k)
             )
             if k >= 1:
-                assert zf.evaluate(k * group.order) == naive_count(
+                assert zf.evaluate([k * group.order]) == naive_count(
                     g, zero_free_colors(group, k)
                 )
-                assert underlying.evaluate(k) == naive_count(g, trivial_action(group, k))
+                assert underlying.evaluate([k]) == naive_count(g, trivial_action(group, k))
 
 
 def _fold_graphs():
