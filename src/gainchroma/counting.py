@@ -167,17 +167,18 @@ def lattice_sum(
     subgroups, so the sum runs over ``lattice.terms``, one product per group
     of closed sets.  ``factor`` is called once per distinct subgroup, and
     each power of a factor or of ``isolated`` is computed once.  The values
-    may be ints or ``MultiPoly``; ``zero`` is the empty sum.
+    may be ints or ``MultiPoly``; ``zero`` is the empty sum, and a product
+    with a factor equal to it is skipped without multiplying.
     """
     factor = functools.cache(factor)
     factor_power = functools.cache(lambda subgroup, times: factor(subgroup) ** times)
     isolated_power = functools.cache(lambda lone: isolated**lone)
     total = zero
     for weight, lone, parts in lattice.terms:
+        if lone and isolated == zero or any(factor(subgroup) == zero for subgroup, _ in parts):
+            continue
         term = weight * isolated_power(lone)
         for subgroup, times in parts:
-            if term == 0:
-                break
             term = term * factor_power(subgroup, times)
         total = total + term
     return total

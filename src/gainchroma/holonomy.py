@@ -12,9 +12,11 @@ smallest vertex, purely for reproducibility.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, generate_subgroup
@@ -197,8 +199,9 @@ class _EdgeWalk:
     in every subset.
 
     Subgroups get ids as the walk meets them: ``subgroups[h]`` holds the
-    elements of subgroup h.  Joining a subgroup with one element is memoized;
-    no subgroup table is built up front.
+    elements of subgroup h and ``orders[h]`` their number.  Joining a
+    subgroup with one element is memoized; no subgroup table is built up
+    front.
     """
 
     def __init__(self, graph: GainGraph):
@@ -213,6 +216,7 @@ class _EdgeWalk:
         self.size = [1] * n
         self.sub = [0] * n
         self.subgroups: list[frozenset[int]] = [frozenset({0})]
+        self.orders = [1]
         self._gens: list[tuple[int, ...]] = [()]
         self._ids = {self.subgroups[0]: 0}
         self._joins: dict[int, int] = {}
@@ -231,6 +235,7 @@ class _EdgeWalk:
                 if got is None:
                     got = self._ids[elems] = len(self.subgroups)
                     self.subgroups.append(elems)
+                    self.orders.append(len(elems))
                     self._gens.append(gens)
             self._joins[key] = got
         return got
@@ -244,19 +249,34 @@ class _EdgeWalk:
             v = parent[v]
         return v, h
 
-    def run(self, leaf: Callable[[int, int], None]):
-        """Call ``leaf(mask, sign)`` once per edge subset, with the state
-        describing that subset and sign = (-1)**|mask|."""
+    def run(self, leaf: Callable[[int, int, int], None]):
+        """Call ``leaf(mask, sign, level)`` once per edge subset B, with the
+        state describing B, sign = (-1)**|B| and level = f(B).
+
+        Each edge is included before it is excluded, so every superset of a
+        mask, ``mask | bit`` in particular, is a leaf before the mask.
+
+        The level is f(B) = (t - c) * (|G| + 1) + the sum of |H| over the
+        components of B, where t counts the touched vertices, c the
+        components (a touched vertex B leaves isolated is one) and H is a
+        component's holonomy subgroup.  |H| does not change under
+        conjugation, so f depends on B alone.  Take an edge e outside B.  If
+        e lies in the holonomy closure of B, including it changes no
+        component and no subgroup, so f(B | e) = f(B).  Otherwise f rises:
+        a subgroup that grows strictly grows by at least 1, and a merge adds
+        |G| + 1 for the lost component and loses at most |H| <= |G| of the
+        component that goes under.  So e lies in the closure of B exactly
+        when f(B | e) = f(B).  The walk updates f at each include step."""
         edges, m = self.edges, len(self.edges)
-        parent, up, size, sub = self.parent, self.up, self.size, self.sub
+        parent, up, size, sub, orders = self.parent, self.up, self.size, self.sub, self.orders
         mul, inv = self.graph.group.mul, self.graph.group.inv
         join, gens, find = self.join, self._gens, self.find
+        merge = self.graph.group.order + 1
 
-        def descend(i: int, mask: int, sign: int):
-            if i == m:
-                leaf(mask, sign)
-                return
-            descend(i + 1, mask, sign)
+        # the last edge calls the leaves itself, which saves a call per leaf
+        last = m - 1
+
+        def descend(i: int, mask: int, sign: int, level: int):
             u, v, gain = edges[i]
             ru, hu = find(u)
             rv, hv = find(v)
@@ -265,23 +285,35 @@ class _EdgeWalk:
             if ru == rv:
                 before = sub[ru]
                 sub[ru] = join(before, t)
-                descend(i + 1, mask | 1 << i, -sign)
-                sub[ru] = before
-                return
-            if size[ru] < size[rv]:
-                ru, rv, t = rv, ru, inv[t]
-            # rv goes under ru, so its group is seen from ru through t
-            before = h = sub[ru]
-            t_inv = inv[t]
-            for y in gens[sub[rv]]:
-                h = join(h, mul[mul[t][y]][t_inv])
-            parent[rv], up[rv], sub[ru] = ru, t, h
-            size[ru] += size[rv]
-            descend(i + 1, mask | 1 << i, -sign)
-            size[ru] -= size[rv]
-            parent[rv], up[rv], sub[ru] = rv, 0, before
+                rise = orders[sub[ru]] - orders[before]
+            else:
+                if size[ru] < size[rv]:
+                    ru, rv, t = rv, ru, inv[t]
+                # rv goes under ru, so its group is seen from ru through t
+                before = h = sub[ru]
+                t_inv = inv[t]
+                for y in gens[sub[rv]]:
+                    h = join(h, mul[mul[t][y]][t_inv])
+                parent[rv], up[rv], sub[ru] = ru, t, h
+                size[ru] += size[rv]
+                rise = merge + orders[h] - orders[before] - orders[sub[rv]]
+            if i < last:
+                descend(i + 1, mask | 1 << i, -sign, level + rise)
+            else:
+                leaf(mask | 1 << i, -sign, level + rise)
+            if ru != rv:
+                size[ru] -= size[rv]
+                parent[rv], up[rv] = rv, 0
+            sub[ru] = before
+            if i < last:
+                descend(i + 1, mask, sign, level)
+            else:
+                leaf(mask, sign, level)
 
-        descend(0, 0, 1)
+        if m:
+            descend(0, 0, 1, len(parent))
+        else:
+            leaf(0, 1, len(parent))
 
 
 def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int]) -> int:
@@ -300,7 +332,7 @@ def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int])
     factors: list[int] = []
     total = 0
 
-    def leaf(mask: int, sign: int):
+    def leaf(mask: int, sign: int, _level: int):
         nonlocal total
         while len(factors) < len(members):
             factors.append(factor(members[len(factors)]))
@@ -367,51 +399,62 @@ LATTICE_EDGE_LIMIT = 18
 
 def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
     """Find the holonomy-closed sets in one walk over all edge subsets B,
-    computing the closure of each, and read off the Möbius values by Rota's
-    crosscut identity mu(empty, A) = sum of (-1)**|B| over B with closure A.
+    reading the closure of each off the walk's level, and read off the
+    Möbius values by Rota's crosscut identity mu(empty, A) = sum of
+    (-1)**|B| over B with closure A.
 
-    An edge outside B lies in its closure when both ends are in one component
-    of B and its holonomy lies in that component's group; for a loop at a
-    vertex B does not cover, the group is trivial.  Graphs with more than
-    ``LATTICE_EDGE_LIMIT`` edges are refused before the walk.
+    The walk reaches every B | e before B, and e outside B lies in the
+    closure of B exactly when the level of B | e equals that of B (see
+    ``_EdgeWalk.run``).  For the first such e, B <= B | e <= cl(B) gives
+    cl(B) = cl(B | e), which is already known; with no such e, B is closed.
+    So a leaf compares stored levels and never looks up a vertex.  Graphs
+    with more than ``LATTICE_EDGE_LIMIT`` edges are refused before the walk.
     """
     m = len(graph.edges)
     if m > LATTICE_EDGE_LIMIT:
         raise BoundExceeded(f"{m} edges exceed the closed-set enumeration limit {LATTICE_EDGE_LIMIT}")
     walk = _EdgeWalk(graph)
-    mul, inv = graph.group.mul, graph.group.inv
-    sub, members = walk.sub, walk.subgroups
-    vertices = range(len(walk.parent))
-    table = [(1 << i, u, v, gain) for i, (u, v, gain) in enumerate(walk.edges)]
-    mu_by_mask: dict[int, int] = {}
+    parent, sub, members = walk.parent, walk.sub, walk.subgroups
+    vertices = range(len(parent))
+    bits = [1 << i for i in range(m)]
+    # the touched vertices a mask covers, as the union of two table entries:
+    # one for its low ``cut`` bits and one for the rest
+    ends = [1 << u | 1 << v for u, v, _ in walk.edges]
+    cut = m // 2
+    low_bits = (1 << cut) - 1
+    low, high = [0], [0]
+    for table, part in ((low, ends[:cut]), (high, ends[cut:])):
+        for end in part:
+            table += [covered | end for covered in table]
+    # per mask: its level, and the index in ``closed`` of its closure
+    level = array("i", bytes(4 << m))
+    where = array("i", bytes(4 << m))
     closed: list[tuple[int, int, tuple[frozenset[int], ...]]] = []
+    mu: list[int] = []
 
-    def leaf(mask: int, sign: int):
-        found = list(map(walk.find, vertices))
-        closure = mask
-        for bit, u, v, gain in table:
-            if not mask & bit:
-                (r, psi_u), (rv, psi_v) = found[u], found[v]
-                if r == rv and mul[mul[psi_u][gain]][inv[psi_v]] in members[sub[r]]:
-                    closure |= bit
-        mu_by_mask[closure] = mu_by_mask.get(closure, 0) + sign
-        if closure == mask:
-            covered = 0
-            for bit, u, v, _ in table:
-                if mask & bit:
-                    covered |= 1 << u | 1 << v
-            comps = tuple(members[sub[r]] for r in vertices if found[r][0] == r and covered >> r & 1)
+    def leaf(mask: int, sign: int, lv: int):
+        level[mask] = lv
+        for bit in bits:
+            if not mask & bit and level[mask | bit] == lv:
+                j = where[mask | bit]
+                break
+        else:
+            j = len(closed)
+            covered = low[mask & low_bits] | high[mask >> cut]
+            comps = tuple(members[sub[r]] for r in vertices if parent[r] == r and covered >> r & 1)
             closed.append((mask, graph.vertex_count - covered.bit_count(), comps))
+            mu.append(0)
+        where[mask] = j
+        mu[j] += sign
 
     walk.run(leaf)
-    ids = walk.ids
-    subsets = [tuple(ids[i] for i in range(m) if mask >> i & 1) for mask, _, _ in closed]
-    order = sorted(range(len(closed)), key=lambda j: (len(subsets[j]), subsets[j]))
-    sets = tuple(frozenset(subsets[j]) for j in order)
+    # The walk meets sets of one size in the lexicographic order of their
+    # sorted ids, as it includes an edge before it excludes it; so a stable
+    # sort by size puts them in the order of ``ClosedSetLattice.sets``.
+    order = sorted(range(len(closed)), key=lambda j: closed[j][0].bit_count())
+    sets = tuple(frozenset(compress(walk.ids, map(closed[j][0].__and__, bits))) for j in order)
     bottomless = closed[order[0]][0] != 0
-    mobius = {} if bottomless else {
-        s: mu_by_mask[closed[j][0]] for s, j in zip(sets, order)
-    }
+    mobius = {} if bottomless else {s: mu[j] for s, j in zip(sets, order)}
     return ClosedSetLattice(
         sets,
         mobius,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gainchroma import (
+    FiniteGroup,
     HolonomyContext,
     MultiPoly,
     build_cyclic,
@@ -33,10 +34,11 @@ from gainchroma import (
     subset_action,
     switch,
     trivial_action,
+    verify_group,
     walk_gain,
     zero_free_polynomial,
 )
-from gainchroma import counting, holonomy
+from gainchroma import counting, harness, holonomy
 from gainchroma.cli import VERTEX_LIMIT
 from helpers import dfs_forest, oracle_closed_sets, oracle_inclexcl, powerset, random_graph
 
@@ -289,6 +291,72 @@ class TestSubsetWalk:
                 else:
                     assert sums[a] == lat.mobius_from_bottom[a]
 
+    def test_lattice_matches_the_oracle_on_harness_graphs(self):
+        rng = random.Random(61)
+        graphs = [harness.random_instance(rng, max_vertices=6, max_edges=9).graph for _ in range(150)]
+        assert any(e.is_loop and e.gain == 0 for g in graphs for e in g.edges)
+        assert any(len(g.edges) == 9 for g in graphs)
+        for g in graphs:
+            lat = enumerate_closed_sets(g)
+            assert (lat.sets, lat.mobius_from_bottom, lat.bottomless) == oracle_closed_sets(g)
+
+
+# Two groups given only by their tables: the Klein four-group as XOR, and S3
+# with its non-identity elements relabelled.
+KLEIN = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)], name="klein")
+_RELABEL = (0, 3, 5, 1, 4, 2)
+S3_TABLE = FiniteGroup(
+    [[_RELABEL[S3.mul[_RELABEL.index(a)][_RELABEL.index(b)]] for b in range(6)] for a in range(6)],
+    name="s3-table",
+)
+
+
+def _level(g, subset):
+    """The walk's level f(B), from the breadth-first split and a fresh
+    holonomy subgroup per component."""
+    touched = {w for e in g.edges for w in (e.u, e.v)}
+    split = components(g, subset)
+    lone = len(touched - set().union(*split.vertex_sets))
+    merged = len(touched) - len(split.edge_sets) - lone
+    return merged * (g.group.order + 1) + lone + sum(len(component_subgroup(g, c)) for c in split.edge_sets)
+
+
+class TestWalkLevel:
+    """An edge outside B lies in the closure of B exactly when adding it
+    leaves the level where it is; the closed-set walk rests on that."""
+
+    GROUPS = (Z2, Z4, S3, KLEIN, S3_TABLE)
+
+    def test_the_table_groups_are_groups(self):
+        assert verify_group(KLEIN) and verify_group(S3_TABLE)
+        assert any(S3_TABLE.mul[a][b] != S3_TABLE.mul[b][a] for a in range(6) for b in range(6))
+
+    def test_level_is_flat_exactly_on_the_closure(self):
+        rng = random.Random(67)
+        flat = rising = 0
+        for i in range(100):
+            g = random_graph(rng, self.GROUPS[i % 5], max_vertices=5, max_edges=8)
+            ids = sorted(g.edge_ids)
+            for _ in range(4):
+                b = frozenset(e for e in ids if rng.random() < 0.5)
+                closure = holonomy_closure(g, b)
+                for e in set(ids) - b:
+                    same = _level(g, b | {e}) == _level(g, b)
+                    assert same == (e in closure)
+                    flat += same
+                    rising += not same
+        assert flat > 100 and rising > 100
+
+    def test_the_walk_level_is_the_independent_one(self):
+        rng = random.Random(71)
+        for i in range(25):
+            g = random_graph(rng, self.GROUPS[i % 5], max_vertices=5, max_edges=7)
+            walk = holonomy._EdgeWalk(g)
+            levels = {}
+            walk.run(lambda mask, sign, level: levels.__setitem__(mask, level))
+            for mask, level in levels.items():
+                assert level == _level(g, {walk.ids[i] for i in range(len(walk.ids)) if mask >> i & 1})
+
 
 class TestUntouchedVertices:
     """A vertex no edge touches is isolated in every edge subset, so the
@@ -332,6 +400,34 @@ class TestUntouchedVertices:
         lattice = enumerate_closed_sets(g)
         assert calls <= 2**m * 2 * m
         assert set(lattice.isolated) <= set(range(VERTEX_LIMIT - 8, VERTEX_LIMIT + 1))
+
+    def test_the_closed_set_leaves_look_up_no_vertex(self, monkeypatch):
+        # two lookups per include step, one include step per inner node of
+        # the walk's tree, and none at a leaf
+        g = self._graph()
+        m = len(g.edges)
+        calls = 0
+        find = holonomy._EdgeWalk.find
+
+        def counted(self, v):
+            nonlocal calls
+            calls += 1
+            return find(self, v)
+
+        monkeypatch.setattr(holonomy._EdgeWalk, "find", counted)
+        enumerate_closed_sets(g)
+        assert calls <= 2 * (2**m - 1)
+
+    def test_the_walk_reaches_every_superset_first(self):
+        g = self._graph()
+        m = len(g.edges)
+        seen = []
+        holonomy._EdgeWalk(g).run(lambda mask, sign, level: seen.append(mask))
+        position = {mask: j for j, mask in enumerate(seen)}
+        assert sorted(position) == list(range(2**m))
+        for mask, j in position.items():
+            for i in range(m):
+                assert position[mask | 1 << i] <= j
 
     def test_delcon_recurses_on_touched_vertices_only(self, monkeypatch):
         g = self._graph()

@@ -598,6 +598,28 @@ class TestUnivariateFold:
             assert chromatic_polynomial(g) == chromatic_polynomial(g, lattice=lat) == oracle_chromatic(g)
             assert zero_free_polynomial(g) == zero_free_polynomial(g, lattice=lat) == oracle_zero_free(g)
 
+    def test_the_zero_free_fold_multiplies_no_zero_polynomial(self, monkeypatch):
+        # a component with nontrivial holonomy contributes the zero
+        # polynomial, which ends its product before any multiplication
+        operands = []
+        mul = MultiPoly.__mul__
+
+        def watched(self, other):
+            operands.append((self, other))
+            return mul(self, other)
+
+        graphs = _six_vertex_s3_graphs()
+        polys = []
+        with monkeypatch.context() as m:
+            m.setattr(MultiPoly, "__mul__", watched)
+            m.setattr(MultiPoly, "__rmul__", watched)
+            for g in graphs:
+                operands.clear()
+                polys.append(zero_free_polynomial(g))
+                assert operands
+                assert not [pair for pair in operands if any(x == 0 or x == MultiPoly.zero(1) for x in pair)]
+        assert polys == [oracle_zero_free(g) for g in graphs]
+
     def test_refuses_nineteen_edges_before_counting(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a counter was called")
