@@ -62,7 +62,7 @@ from .polynomials import (
     graph_chromatic,
     zero_free_polynomial,
 )
-from .models import SignedGraph, potts_direct_count, potts_gain_graph, set_coloring_count
+from .models import SignedGraph, potts_direct_count, potts_gain_graph, set_coloring_routes
 from .harness import run_suite
 
 EXIT_OK = 0
@@ -236,8 +236,10 @@ def render_instance(inst: ParsedInstance) -> str:
 
 
 def load_instance(path: str) -> ParsedInstance:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return parse_instance(text)
+    if path == "-":
+        return parse_instance(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_instance(handle.read())
 
 
 def _combined_action(inst: ParsedInstance, mults: list[int] | None) -> SpinAction:
@@ -455,11 +457,18 @@ def _parse_edge_pairs(text: str, n: int) -> tuple[tuple[int, int], ...]:
 
 def cmd_setcolor(args) -> int:
     template = SimpleGraph(args.vertices, _parse_edge_pairs(args.edges, args.vertices))
-    value = set_coloring_count(template, args.k)
-    report = {"command": "setcolor", "k": args.k, "count": value, "verified": True}
-    lines = [f"set colorations with k={args.k}: {value}", "direct check: agree"]
+    value, direct = set_coloring_routes(template, args.k)
+    agree = value == direct
+    report = {"command": "setcolor", "k": args.k, "count": value, "verified": agree}
+    lines = [f"set colorations with k={args.k}: {value}"]
+    if agree:
+        lines.append("direct check: agree")
+    else:
+        report["direct"] = direct
+        lines += [f"direct check: {direct}", "agree: NO"]
+        print(f"error: set-coloring routes disagree: expansion {value}, direct {direct}", file=sys.stderr)
     _emit(report, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK if agree else EXIT_DIVERGE
 
 
 def build_parser() -> argparse.ArgumentParser:

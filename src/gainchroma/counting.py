@@ -152,32 +152,28 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     return CountResult(value, "delcon", {"calls": calls})
 
 
-def lattice_sum(
-    lattice: ClosedSetLattice,
-    factor: Callable[[frozenset[int]], Any],
-    isolated: Any,
-    zero: Any = 0,
-):
+def lattice_sum(lattice: ClosedSetLattice, factor: Callable[[frozenset[int]], Any], zero: Any = 0):
     """The sum, over the closed sets of a lattice, of the set's Möbius
-    value times ``isolated`` per vertex it leaves isolated times
-    ``factor(H)`` per component, where H is the component's holonomy
-    subgroup; ``zero`` for a bottomless lattice, which has no terms.
+    value times ``factor(H)`` per component, where H is the component's
+    holonomy subgroup and a vertex the set leaves isolated is a component
+    with H trivial; ``zero`` for a bottomless lattice, which has no terms.
 
-    The summand depends only on the isolated count and the multiset of
-    subgroups, so the sum runs over ``lattice.terms``, one product per group
-    of closed sets.  ``factor`` is called once per distinct subgroup, and
-    each power of a factor or of ``isolated`` is computed once.  The values
-    may be ints or ``MultiPoly``; ``zero`` is the empty sum, and a product
-    with a factor equal to it is skipped without multiplying.
+    The summand depends only on the multiset of subgroups, so the sum runs
+    over ``lattice.terms``, one product per group of closed sets, and the
+    vertices no edge touches multiply every product by the same power of
+    the trivial group's factor.  ``factor`` is called once per distinct
+    subgroup, and each power of a factor is computed once.  The values may
+    be ints or ``MultiPoly``; ``zero`` is the empty sum, and a product with
+    a factor equal to it is skipped without multiplying.
     """
     factor = functools.cache(factor)
     factor_power = functools.cache(lambda subgroup, times: factor(subgroup) ** times)
-    isolated_power = functools.cache(lambda lone: isolated**lone)
+    untouched = factor(frozenset({0})) ** lattice.untouched
     total = zero
-    for weight, lone, parts in lattice.terms:
-        if lone and isolated == zero or any(factor(subgroup) == zero for subgroup, _ in parts):
+    for weight, parts in lattice.terms:
+        if any(factor(subgroup) == zero for subgroup, _ in parts):
             continue
-        term = weight * isolated_power(lone)
+        term = weight * untouched
         for subgroup, times in parts:
             term = term * factor_power(subgroup, times)
         total = total + term
@@ -210,7 +206,7 @@ def count_mobius(g: GainGraph, a: SpinAction, lattice: ClosedSetLattice | None =
     _check_compat(g, a)
     if lattice is None:
         lattice = enumerate_closed_sets(g)
-    total = lattice_sum(lattice, lambda h: len(fixed_set(a, h)), a.size)
+    total = lattice_sum(lattice, lambda h: len(fixed_set(a, h)))
     return CountResult(total, "mobius", {"closed_sets": len(lattice.sets)})
 
 

@@ -282,11 +282,11 @@ CHECKS = (
 )
 
 
-def check_instance(inst: Instance, rng: random.Random, state_cap: int = 10**5) -> list[CheckResult]:
+def check_instance(inst: Instance, rng: random.Random) -> list[CheckResult]:
     return [
         check_method_agreement(inst),
         check_switching_invariance(inst, rng),
-        check_satisfied_closure(inst, state_cap=state_cap, rng=rng),
+        check_satisfied_closure(inst, rng=rng),
         check_deletion_contraction(inst),
         check_balanced_evaluation(inst),
     ]
@@ -304,19 +304,13 @@ class SuiteReport:
         return not self.failures
 
 
-def run_suite(
-    seed: int,
-    count: int,
-    max_vertices: int = 5,
-    max_edges: int = 8,
-    state_cap: int = 10**5,
-) -> SuiteReport:
+def run_suite(seed: int, count: int, max_vertices: int = 5, max_edges: int = 8) -> SuiteReport:
     """Generate ``count`` seeded instances and run every check on each."""
     rng = random.Random(seed)
     report = SuiteReport(seed=seed, count=count, passed={name: 0 for name in CHECKS})
     for _ in range(count):
         inst = random_instance(rng, max_vertices=max_vertices, max_edges=max_edges)
-        for result in check_instance(inst, rng, state_cap=state_cap):
+        for result in check_instance(inst, rng):
             if result.passed:
                 report.passed[result.name] += 1
             else:

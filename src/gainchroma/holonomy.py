@@ -13,10 +13,9 @@ smallest vertex, purely for reproducibility.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby
 from typing import Callable, Iterable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, generate_subgroup
@@ -123,12 +122,7 @@ class HolonomyCache:
         return got
 
 
-def h_fixed_count(
-    graph: GainGraph,
-    action: SpinAction,
-    conn: Iterable[int],
-    cache: HolonomyCache | None = None,
-) -> int:
+def h_fixed_count(graph: GainGraph, action: SpinAction, conn: Iterable[int]) -> int:
     """Number of spins fixed by the holonomy group of a connected edge set.
 
     For the empty set (an isolated vertex) the group is trivial and the
@@ -136,11 +130,7 @@ def h_fixed_count(
     """
     if action.group != graph.group:
         raise ValueError("action and graph use different groups")
-    conn = normalize_edge_subset(graph, conn)
-    if not conn:
-        return action.size
-    subgroup = cache.subgroup(conn) if cache is not None else component_subgroup(graph, conn)
-    return len(fixed_set(action, subgroup))
+    return len(fixed_set(action, component_subgroup(graph, conn)))
 
 
 def holonomy_closure(graph: GainGraph, subset: Iterable[int] | None = None) -> frozenset[int]:
@@ -356,39 +346,40 @@ class ClosedSetLattice:
     is flagged bottomless and carries no Möbius values; every state satisfies
     an identity loop, so all counting built on this lattice is zero.
 
-    ``isolated[j]`` counts the vertices ``sets[j]`` leaves isolated and
-    ``subgroups[j]`` holds the holonomy subgroup of each of its components,
-    each taken at some base vertex of the component (so known up to
-    conjugacy).  ``terms`` groups the closed sets by those two, for folds
-    whose summand depends on nothing else.
+    A vertex is touched when some edge of the graph has it as an end.
+    ``untouched`` counts the other vertices, which every set leaves
+    isolated.  ``subgroups[j]`` holds the holonomy subgroup of each
+    component of ``sets[j]`` over the touched vertices, each taken at some
+    base vertex of the component (so known up to conjugacy); a touched
+    vertex the set leaves isolated is a component with the trivial group.
+    The subgroups of a set come in one fixed order of the distinct
+    subgroups, so sets with equal multisets have equal tuples.  ``terms``
+    groups the closed sets by them, for folds whose summand depends on
+    nothing else.
     """
 
     sets: tuple[frozenset[int], ...]
     mobius_from_bottom: dict[frozenset[int], int]
     bottomless: bool
-    isolated: tuple[int, ...] = ()
+    untouched: int = 0
     subgroups: tuple[tuple[frozenset[int], ...], ...] = ()
 
     @cached_property
-    def terms(self) -> tuple[tuple[int, int, tuple[tuple[frozenset[int], int], ...]], ...]:
-        """One ``(mu, isolated, ((H, times), ...))`` per group of closed
-        sets that leave the same number of vertices isolated and have the
+    def terms(self) -> tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]:
+        """One ``(mu, ((H, times), ...))`` per group of closed sets with the
         same multiset of component subgroups, H occurring ``times`` times;
         mu is the sum of the group's Möbius values, and groups whose sum is
         0 are left out.  Groups come in the order of their first set in
-        ``sets``.  Empty for a bottomless lattice.
-
-        A set's subgroups are put in a canonical order by sorting them by
-        hash.  Two distinct subgroups of one set with equal hashes could
-        split a multiset over two groups, which changes no fold."""
+        ``sets``.  Empty for a bottomless lattice."""
         if self.bottomless:
             return ()
-        sums: dict[tuple[int, tuple[frozenset[int], ...]], int] = {}
-        for subset, lone, subgroups in zip(self.sets, self.isolated, self.subgroups, strict=True):
-            key = (lone, tuple(sorted(subgroups, key=hash)))
-            sums[key] = sums.get(key, 0) + self.mobius_from_bottom[subset]
+        sums: dict[tuple[frozenset[int], ...], int] = {}
+        for subset, subgroups in zip(self.sets, self.subgroups, strict=True):
+            sums[subgroups] = sums.get(subgroups, 0) + self.mobius_from_bottom[subset]
         return tuple(
-            (mu, lone, tuple(Counter(subgroups).items())) for (lone, subgroups), mu in sums.items() if mu
+            (mu, tuple((h, len(list(run))) for h, run in groupby(subgroups)))
+            for subgroups, mu in sums.items()
+            if mu
         )
 
 
@@ -407,7 +398,8 @@ def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
     closure of B exactly when the level of B | e equals that of B (see
     ``_EdgeWalk.run``).  For the first such e, B <= B | e <= cl(B) gives
     cl(B) = cl(B | e), which is already known; with no such e, B is closed.
-    So a leaf compares stored levels and never looks up a vertex.  Graphs
+    So a leaf compares stored levels and never looks up a vertex; a closed
+    set records the subgroup id of every root, in sorted order.  Graphs
     with more than ``LATTICE_EDGE_LIMIT`` edges are refused before the walk.
     """
     m = len(graph.edges)
@@ -417,19 +409,11 @@ def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
     parent, sub, members = walk.parent, walk.sub, walk.subgroups
     vertices = range(len(parent))
     bits = [1 << i for i in range(m)]
-    # the touched vertices a mask covers, as the union of two table entries:
-    # one for its low ``cut`` bits and one for the rest
-    ends = [1 << u | 1 << v for u, v, _ in walk.edges]
-    cut = m // 2
-    low_bits = (1 << cut) - 1
-    low, high = [0], [0]
-    for table, part in ((low, ends[:cut]), (high, ends[cut:])):
-        for end in part:
-            table += [covered | end for covered in table]
     # per mask: its level, and the index in ``closed`` of its closure
     level = array("i", bytes(4 << m))
     where = array("i", bytes(4 << m))
-    closed: list[tuple[int, int, tuple[frozenset[int], ...]]] = []
+    # per closed set: its mask and the sorted subgroup ids of its components
+    closed: list[tuple[int, tuple[int, ...]]] = []
     mu: list[int] = []
 
     def leaf(mask: int, sign: int, lv: int):
@@ -440,9 +424,7 @@ def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
                 break
         else:
             j = len(closed)
-            covered = low[mask & low_bits] | high[mask >> cut]
-            comps = tuple(members[sub[r]] for r in vertices if parent[r] == r and covered >> r & 1)
-            closed.append((mask, graph.vertex_count - covered.bit_count(), comps))
+            closed.append((mask, tuple(sorted([sub[r] for r in vertices if parent[r] == r]))))
             mu.append(0)
         where[mask] = j
         mu[j] += sign
@@ -455,10 +437,12 @@ def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
     sets = tuple(frozenset(compress(walk.ids, map(closed[j][0].__and__, bits))) for j in order)
     bottomless = closed[order[0]][0] != 0
     mobius = {} if bottomless else {s: mu[j] for s, j in zip(sets, order)}
+    # sets with equal ids share one tuple of subgroups
+    named = {ids: tuple(members[h] for h in ids) for ids in {ids for _, ids in closed}}
     return ClosedSetLattice(
         sets,
         mobius,
         bottomless,
-        tuple(closed[j][1] for j in order),
-        tuple(closed[j][2] for j in order),
+        graph.vertex_count - len(parent),
+        tuple(named[closed[j][1]] for j in order),
     )

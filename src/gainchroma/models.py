@@ -116,16 +116,21 @@ def set_coloring_direct(template: SimpleGraph, k: int) -> int:
 SET_COLORING_K_LIMIT = 4
 
 
-def set_coloring_count(template: SimpleGraph, k: int) -> int:
-    """Count proper set colorations through the symmetric-group expansion and
-    verify against the direct enumerator."""
+def set_coloring_routes(template: SimpleGraph, k: int) -> tuple[int, int]:
+    """The count of proper set colorations through the symmetric-group
+    expansion, and the count of the direct enumerator."""
     if k < 1:
         raise ValueError("set coloring needs k >= 1")
     if k > SET_COLORING_K_LIMIT:
         raise BoundExceeded(f"set coloring limited to k <= {SET_COLORING_K_LIMIT}")
     expansion = group_expansion(template, build_symmetric(k))
-    value = count_brute(expansion, subset_action(k)).value
-    direct = set_coloring_direct(template, k)
+    return count_brute(expansion, subset_action(k)).value, set_coloring_direct(template, k)
+
+
+def set_coloring_count(template: SimpleGraph, k: int) -> int:
+    """Count proper set colorations through the symmetric-group expansion and
+    verify against the direct enumerator."""
+    value, direct = set_coloring_routes(template, k)
     if value != direct:
         raise AssertionError(
             f"set-coloring routes disagree: expansion {value}, direct {direct}"

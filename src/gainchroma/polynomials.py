@@ -9,10 +9,10 @@ part.  Specializing the parts recovers the univariate chromatic polynomial
 (one trivial part).
 
 All of them are one fold over the closed-set lattice (``lattice_sum``):
-each closed set contributes its Möbius value times a factor per isolated
-vertex and per component, and the factors are polynomials.  For the
-univariate polynomials that is Zaslavsky's balanced expansion restricted to
-closed sets.
+each closed set contributes its Möbius value times a polynomial factor per
+component, a vertex the set leaves isolated being a component with trivial
+holonomy.  For the univariate polynomials that is Zaslavsky's balanced
+expansion restricted to closed sets.
 
 Every polynomial here is a ``MultiPoly``; the univariate ones have arity 1,
 so they are evaluated as ``p.evaluate([x])`` and print in the spin count λ
@@ -224,9 +224,10 @@ def grand_polynomial(
     """The multivariate count polynomial in the part multiplicities.
 
     Each holonomy-closed set contributes its Möbius value times one linear
-    factor per component (sum over parts of ki times the part's fixed count
-    under the component's holonomy group) and a factor sum ki*|Qi| per
-    isolated vertex.  A bottomless lattice gives the zero polynomial.
+    factor per component: the sum over parts of ki times the part's fixed
+    count under the component's holonomy group.  A vertex the set leaves
+    isolated is a component with trivial holonomy, whose factor is the sum
+    of ki*|Qi|.  A bottomless lattice gives the zero polynomial.
     """
     _check_parts(g, parts)
     p = len(parts)
@@ -235,7 +236,6 @@ def grand_polynomial(
     return lattice_sum(
         lattice,
         lambda h: MultiPoly.linear(p, [len(fixed_set(part, h)) for part in parts]),
-        MultiPoly.linear(p, [part.size for part in parts]),
         zero=MultiPoly.zero(p),
     )
 
@@ -267,8 +267,9 @@ def regular_plus_zeroes(g: GainGraph, lattice: ClosedSetLattice | None = None) -
     With one regular part and one fixed spin, a component's factor is
     k1*|G| + k2 when it is balanced and k2 otherwise, so each closed set
     contributes mu * (k1*|G| + k2)**b * k2**(c - b) where c counts components
-    (isolated vertices included) and b the balanced ones.  Must agree
-    coefficientwise with the two-part grand polynomial.
+    and b the balanced ones, a vertex the set leaves isolated being a
+    balanced component.  Must agree coefficientwise with the two-part grand
+    polynomial.
     """
     order = g.group.order
     if lattice is None:
@@ -279,21 +280,20 @@ def regular_plus_zeroes(g: GainGraph, lattice: ClosedSetLattice | None = None) -
     return lattice_sum(
         lattice,
         lambda h: balanced_factor if len(h) == 1 else k2,
-        balanced_factor,
         zero=MultiPoly.zero(2),
     )
 
 
 def _univariate(g: GainGraph, lattice: ClosedSetLattice | None, unbalanced: int) -> MultiPoly:
     """The fold ``lattice_sum`` in one variable λ over the graph's lattice,
-    built when not given, as a ``MultiPoly`` of arity 1: each isolated
-    vertex and each component with trivial holonomy contributes a factor λ,
-    and each other component the constant ``unbalanced``."""
+    built when not given, as a ``MultiPoly`` of arity 1: each component
+    with trivial holonomy, an isolated vertex among them, contributes a
+    factor λ, and each other component the constant ``unbalanced``."""
     if lattice is None:
         lattice = enumerate_closed_sets(g)
     lam = MultiPoly.linear(1, [1])
     other = MultiPoly.constant(1, unbalanced)
-    return lattice_sum(lattice, lambda h: lam if len(h) == 1 else other, lam, zero=MultiPoly.zero(1))
+    return lattice_sum(lattice, lambda h: lam if len(h) == 1 else other, zero=MultiPoly.zero(1))
 
 
 def chromatic_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> MultiPoly:
@@ -303,11 +303,12 @@ def chromatic_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) 
 
     A subgroup H fixes k*|G| + 1 = λ of those spins when it is trivial and
     only the fixed spin otherwise, so the Möbius sum over the closed sets
-    gives each closed set mu * λ**b, where b counts its isolated vertices
-    and its components with trivial holonomy (Zaslavsky's balanced
-    expansion restricted to closed sets).  ``lattice``, when given, must be
-    the graph's closed-set lattice; otherwise it is built, which refuses
-    graphs over ``enumerate_closed_sets``' edge limit.
+    gives each closed set mu * λ**b, where b counts its components with
+    trivial holonomy, a vertex the set leaves isolated being one such
+    component (Zaslavsky's balanced expansion restricted to closed sets).
+    ``lattice``, when given, must be the graph's closed-set lattice;
+    otherwise it is built, which refuses graphs over
+    ``enumerate_closed_sets``' edge limit.
     """
     return _univariate(g, lattice, 1)
 

@@ -141,17 +141,19 @@ def oracle_closed_sets(graph: GainGraph):
     return tuple(closed), mobius, bottomless
 
 
-def oracle_lattice_sum(lattice, factor, isolated, zero=0):
+def oracle_lattice_sum(lattice, factor, zero=0):
     """``counting.lattice_sum`` folded over the closed sets one by one, each
-    with its own Möbius value: the path the grouped terms replaced.  A
+    with its own Möbius value: the path the grouped terms replaced.  Each
+    vertex no edge touches is a component with trivial holonomy.  A
     bottomless lattice has no Möbius values, so its sum is ``zero``."""
     factors = {}
+    untouched = factor(frozenset({0})) ** lattice.untouched
     total = zero
-    for subset, lone, subgroups in zip(lattice.sets, lattice.isolated, lattice.subgroups, strict=True):
+    for subset, subgroups in zip(lattice.sets, lattice.subgroups, strict=True):
         weight = lattice.mobius_from_bottom.get(subset, 0)
         if weight == 0:
             continue
-        term = weight * isolated**lone
+        term = weight * untouched
         for subgroup in subgroups:
             if term == 0:
                 break

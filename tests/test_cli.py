@@ -489,6 +489,24 @@ class TestPottsAndSetcolor:
         assert code == 0
         assert "10" in out
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_setcolor_divergence_exit(self, as_json, capsys, monkeypatch):
+        # a deliberately broken direct route must trip the agreement gate
+        import gainchroma.models as models
+
+        monkeypatch.setattr(models, "set_coloring_direct", lambda template, k: 12345)
+        argv = ["setcolor", "--vertices", "2", "--edges", "0-1", "--k", "2"]
+        code = main(argv + ["--json"] if as_json else argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_DIVERGE
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        if as_json:
+            payload = json.loads(captured.out)
+            assert payload["verified"] is False
+            assert (payload["count"], payload["direct"]) == (10, 12345)
+        else:
+            assert "agree: NO" in captured.out
+
     def test_positive_triangle(self, tmp_path, capsys):
         payload = {
             "group": {"kind": "cyclic", "n": 2},
@@ -587,12 +605,18 @@ class TestModuleEntryPoint:
         env = dict(os.environ, PYTHONPATH=path)
 
         def run(*argv):
+            # development mode reports an unclosed file as a ResourceWarning
             return subprocess.run(
-                [sys.executable, "-m", "gainchroma", *argv], capture_output=True, text=True, env=env, timeout=120
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "gainchroma", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
             )
 
         done = run("count", write(tmp_path, DIGON), "--json")
         assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
         assert json.loads(done.stdout)["agree"] is True
         done = run("count", str(tmp_path / "missing.json"))
         assert done.returncode == EXIT_PARSE

@@ -260,12 +260,20 @@ class TestSubsetWalk:
             assert lat.sets == sets
             assert lat.mobius_from_bottom == mobius
             assert lat.bottomless == bottomless
-            for a, lone, subgroups in zip(lat.sets, lat.isolated, lat.subgroups, strict=True):
+            touched = {w for e in g.edges for w in (e.u, e.v)}
+            assert lat.untouched == g.vertex_count - len(touched)
+            # a touched vertex the set leaves isolated is a trivial component
+            tuples = {}
+            for a, subgroups in zip(lat.sets, lat.subgroups, strict=True):
                 split = components(g, a)
-                assert lone == len(split.isolated)
+                expected = [component_subgroup(g, c) for c in split.edge_sets]
+                expected += [frozenset({0})] * len(touched.intersection(split.isolated))
                 assert sorted(_conjugacy_class(g.group, h) for h in subgroups) == sorted(
-                    _conjugacy_class(g.group, component_subgroup(g, c)) for c in split.edge_sets
+                    _conjugacy_class(g.group, h) for h in expected
                 )
+                # equal multisets of subgroups come as equal tuples
+                multiset = frozenset(collections.Counter(subgroups).items())
+                assert tuples.setdefault(multiset, subgroups) == subgroups
 
     def test_inclexcl_matches_the_oracle(self):
         for g in self.GRAPHS:
@@ -399,7 +407,8 @@ class TestUntouchedVertices:
         monkeypatch.setattr(holonomy._EdgeWalk, "find", counted)
         lattice = enumerate_closed_sets(g)
         assert calls <= 2**m * 2 * m
-        assert set(lattice.isolated) <= set(range(VERTEX_LIMIT - 8, VERTEX_LIMIT + 1))
+        assert lattice.untouched == VERTEX_LIMIT - 8
+        assert all(len(subgroups) <= 8 for subgroups in lattice.subgroups)
 
     def test_the_closed_set_leaves_look_up_no_vertex(self, monkeypatch):
         # two lookups per include step, one include step per inner node of

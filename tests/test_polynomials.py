@@ -509,7 +509,7 @@ class TestGroupedFold:
         assert any(e.is_loop and e.gain != 0 for g in FOLD_GRAPHS for e in g.edges)
         assert any(len(g.edges) != len({(e.u, e.v, e.gain) for e in g.edges}) for g in FOLD_GRAPHS)
         assert sum(len(lat.terms) < len(lat.sets) for lat in lattices) >= 20
-        assert any(times >= 3 for lat in lattices for _, _, parts in lat.terms for _, times in parts)
+        assert any(times >= 3 for lat in lattices for _, parts in lat.terms for _, times in parts)
 
     @pytest.mark.parametrize("index", range(len(FOLD_GRAPHS)))
     def test_terms_regroup_the_closed_sets(self, index):
@@ -518,14 +518,14 @@ class TestGroupedFold:
         if lat.bottomless:
             assert lat.terms == ()
             return
-        assert sum(mu for mu, _, _ in lat.terms) == sum(lat.mobius_from_bottom.values())
-        keys = [(lone, frozenset(parts)) for _, lone, parts in lat.terms]
+        assert sum(mu for mu, _ in lat.terms) == sum(lat.mobius_from_bottom.values())
+        keys = [frozenset(parts) for _, parts in lat.terms]
         assert len(set(keys)) == len(keys)
-        for mu, lone, parts in lat.terms:
+        for mu, parts in lat.terms:
             assert mu != 0
             members = [
-                a for a, n, subgroups in zip(lat.sets, lat.isolated, lat.subgroups)
-                if n == lone and sorted(map(sorted, subgroups)) == sorted(
+                a for a, subgroups in zip(lat.sets, lat.subgroups)
+                if sorted(map(sorted, subgroups)) == sorted(
                     sorted(h) for h, times in parts for _ in range(times)
                 )
             ]
