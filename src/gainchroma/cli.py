@@ -38,6 +38,7 @@ from .groups import (
     build_symmetric,
     disjoint_union_action,
     fixed_set,
+    generate_subgroup,
     regular_action,
     standard_colors,
     subset_action,
@@ -52,7 +53,6 @@ from .holonomy import (
     enumerate_closed_sets,
     holonomy_closure,
     holonomy_generators,
-    holonomy_group,
 )
 from .counting import COUNTERS, count_brute, verify_all
 from .polynomials import (
@@ -85,7 +85,6 @@ class ParsedInstance:
     spins: tuple[SpinAction, ...]
     graph: GainGraph
     signed: SignedGraph | None
-    comment: str
     spec: dict
 
 
@@ -133,7 +132,7 @@ def _parse_group(spec, where: str = "group") -> FiniteGroup:
     raise InstanceError(f"{where}.kind: unknown group kind {kind!r}")
 
 
-def _parse_spin(spec, group: FiniteGroup, group_kind: str, where: str) -> SpinAction:
+def _parse_spin(spec, group: FiniteGroup, group_spec: dict, where: str) -> SpinAction:
     _expect(isinstance(spec, dict), where, "must be an object")
     kind = spec.get("kind")
     if kind == "regular":
@@ -145,13 +144,8 @@ def _parse_spin(spec, group: FiniteGroup, group_kind: str, where: str) -> SpinAc
     if kind == "zero_free":
         return zero_free_colors(group, _get_int(spec, where, "k"))
     if kind == "subsets":
-        _expect(group_kind == "symmetric", where, "'subsets' needs a symmetric group")
-        import math
-
-        d = 1
-        while math.factorial(d) < group.order:
-            d += 1
-        return subset_action(d)
+        _expect(group_spec["kind"] == "symmetric", where, "'subsets' needs a symmetric group")
+        return subset_action(group_spec["d"])
     if kind == "table":
         _expect("act" in spec, where, "missing field 'act'")
         act = _int_table(spec["act"], f"{where}.act")
@@ -216,18 +210,16 @@ def parse_instance(text: str) -> ParsedInstance:
     _expect(isinstance(spec, dict), "instance", "must be a JSON object")
     _expect("group" in spec, "instance", "missing 'group'")
     group = _parse_group(spec["group"])
-    group_kind = spec["group"].get("kind")
     spins_spec = spec.get("spins", [])
     _expect(isinstance(spins_spec, list), "spins", "must be a list")
     spins = tuple(
-        _parse_spin(entry, group, group_kind, f"spins[{i}]")
+        _parse_spin(entry, group, spec["group"], f"spins[{i}]")
         for i, entry in enumerate(spins_spec)
     )
     _expect("graph" in spec, "instance", "missing 'graph'")
     graph = _parse_graph(spec["graph"], group)
     signed = _parse_signed(spec["signed_graph"]) if "signed_graph" in spec else None
-    comment = spec.get("comment", "")
-    return ParsedInstance(group, spins, graph, signed, comment, spec)
+    return ParsedInstance(group, spins, graph, signed, spec)
 
 
 def render_instance(inst: ParsedInstance) -> str:
@@ -339,7 +331,11 @@ def cmd_poly(args) -> int:
     if args.chromatic:
         polys["chromatic"] = chromatic_polynomial(inst.graph, lattice=lattice)
     if args.zero_free:
-        polys["zero_free"] = zero_free_polynomial(inst.graph, lattice=lattice)
+        try:
+            polys["zero_free"] = zero_free_polynomial(inst.graph, lattice=lattice)
+        except ArithmeticError as exc:  # its loop-deletion check failed
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DIVERGE
     if args.graph_chromatic:
         template = SimpleGraph(inst.graph.vertex_count, tuple((e.u, e.v) for e in inst.graph.edges))
         polys["graph_chromatic"] = graph_chromatic(template)
@@ -360,7 +356,7 @@ def cmd_holonomy(args) -> int:
     lines = [f"edge set: {sorted(subset)}"]
     for j in range(len(ctx.split.edge_sets)):
         gens = holonomy_generators(ctx, j)
-        subgroup = holonomy_group(ctx, j)
+        subgroup = generate_subgroup(inst.graph.group, gens)
         entry = {
             "base": ctx.bases[j],
             "edges": sorted(ctx.split.edge_sets[j]),
@@ -478,9 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--timings", action="store_true", help="include wall-clock timings")
 
     p = sub.add_parser("count", help="count totally frustrated states")
     p.add_argument("file", help="instance file, or - for stdin")
@@ -492,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mults", default="", help="comma list of part multiplicities")
     p.add_argument("--max-states", type=int, default=10**8, dest="max_states")
     p.add_argument("--max-subsets", type=int, default=2**22, dest="max_subsets")
-    add_common(p)
+    add_json(p)
+    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.set_defaults(run=cmd_count)
 
     p = sub.add_parser("poly", help="print the multivariate count polynomial")
@@ -501,13 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chromatic", action="store_true")
     p.add_argument("--zero-free", action="store_true", dest="zero_free")
     p.add_argument("--graph-chromatic", action="store_true", dest="graph_chromatic")
-    add_common(p)
+    add_json(p)
     p.set_defaults(run=cmd_poly)
 
     p = sub.add_parser("holonomy", help="holonomy report for an edge set")
     p.add_argument("file")
     p.add_argument("--edges", default="all", help="comma list of edge ids, or 'all'")
-    add_common(p)
+    add_json(p)
     p.set_defaults(run=cmd_holonomy)
 
     p = sub.add_parser("verify", help="run the seeded random cross-check suite")
@@ -515,20 +511,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--max-vertices", type=int, default=5, dest="max_vertices")
     p.add_argument("--max-edges", type=int, default=8, dest="max_edges")
-    add_common(p)
+    add_json(p)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("potts", help="count satisfied Potts states")
     p.add_argument("file")
     p.add_argument("--max-states", type=int, default=10**8, dest="max_states")
-    add_common(p)
+    add_json(p)
     p.set_defaults(run=cmd_potts)
 
     p = sub.add_parser("setcolor", help="count proper set colorations")
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--edges", default="", help="comma list of u-v pairs")
     p.add_argument("--k", type=int, required=True)
-    add_common(p)
+    add_json(p)
     p.set_defaults(run=cmd_setcolor)
 
     return parser

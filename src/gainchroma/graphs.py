@@ -250,12 +250,7 @@ def satisfied_edges(g: GainGraph, action: SpinAction, state: Sequence[int]) -> f
     for q in state:
         if not 0 <= q < action.size:
             raise ValueError(f"{q} is not a spin index")
-    return _satisfied_edges(g, action.act, state)
-
-
-def _satisfied_edges(g: GainGraph, act, state: Sequence[int]) -> frozenset[int]:
-    """``satisfied_edges`` without its input checks, for callers that have
-    checked the graph and action once and generate valid states themselves."""
+    act = action.act
     return frozenset(e.id for e in g.edges if act[state[e.u]][e.gain] == state[e.v])
 
 

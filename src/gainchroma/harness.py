@@ -27,7 +27,6 @@ from .groups import (
 )
 from .graphs import (
     GainGraph,
-    _satisfied_edges,
     contract_link,
     delete_edge,
     gain_graph,
@@ -51,6 +50,9 @@ GROUP_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
 # Largest k for the standard / zero-free color constructors, per group, so
 # that the spin count stays single digit and |Q|**5 stays enumerable.
 _STANDARD_K_CAP = {"Z2": 4, "Z3": 2, "Z4": 2, "S3": 1}
+
+# States drawn by ``check_satisfied_closure`` when |Q|**|V| passes its cap.
+CLOSURE_SAMPLES = 100
 
 
 @dataclass
@@ -204,13 +206,16 @@ def _satisfied_masks(g: GainGraph, act, q: int, ids: list[int]):
             state[d] += 1
 
 
-def check_satisfied_closure(inst: Instance, state_cap: int = 10**5, samples: int = 100,
+def check_satisfied_closure(inst: Instance, state_cap: int = 10**5,
                             rng: random.Random | None = None) -> CheckResult:
     """Every reachable satisfied-edge set must be holonomy closed.
 
-    All states are enumerated when |Q|**|V| fits under the cap, keyed by
-    the bit mask of their satisfied edges; otherwise a random sample is
-    checked, keyed by the satisfied set.  Each key's verdict is computed once.
+    When |Q|**|V| fits under ``state_cap``, every state is enumerated by a
+    depth-first walk over the vertices, keyed by the bit mask of the edges
+    it satisfies.  Otherwise ``CLOSURE_SAMPLES`` states are drawn from
+    ``rng`` (a fixed seed when none is given), keyed by ``satisfied_edges``.
+    Each key's verdict is computed once; the first state whose satisfied
+    set is not closed is reported.
     """
     g, a = inst.graph, inst.action
     _check_compat(g, a)
@@ -223,8 +228,8 @@ def check_satisfied_closure(inst: Instance, state_cap: int = 10**5, samples: int
             return frozenset(eid for bit, eid in enumerate(ids) if mask >> bit & 1)
     else:
         rng = rng or random.Random(0)
-        states = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(samples))
-        keyed = ((state, _satisfied_edges(g, a.act, state)) for state in states)
+        states = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(CLOSURE_SAMPLES))
+        keyed = ((state, satisfied_edges(g, a, state)) for state in states)
 
         def edge_set(sat: frozenset[int]) -> frozenset[int]:
             return sat

@@ -137,35 +137,28 @@ def holonomy_closure(graph: GainGraph, subset: Iterable[int] | None = None) -> f
     """Edges of the graphic closure whose fundamental-walk gain lies in the
     holonomy group of their component.
 
-    A candidate link must have both endpoints inside one component of the
-    subset (otherwise it is not even in the graphic closure).  A loop at a
-    covered vertex is tested against that component's group; a loop at an
-    uncovered vertex sees a trivial group, so it enters the closure exactly
-    when its gain is the identity.
+    An edge e: u->v with both ends in one component of the subset joins when
+    psi(u) * gain(e) * psi(v)^-1 lies in that component's group; a loop is
+    the case u = v.  A vertex the subset leaves uncovered is a component with
+    trivial group and no edges, so an edge at it joins exactly when it is a
+    loop with identity gain.
     """
     s = normalize_edge_subset(graph, subset)
     ctx = HolonomyContext(graph, s)
     groups = [holonomy_group(ctx, j) for j in range(len(ctx.split.edge_sets))]
     mul, inv = graph.group.mul, graph.group.inv
-    psi = ctx.psi
+    psi, comp_of = ctx.psi, ctx.comp_of
     out = set(s)
     for e in graph.edges:
         if e.id in s:
             continue
-        ju = ctx.comp_of.get(e.u)
-        if e.is_loop:
-            if ju is None:
-                if e.gain == 0:
-                    out.add(e.id)
-            else:
-                hol = mul[mul[psi[e.u]][e.gain]][inv[psi[e.u]]]
-                if hol in groups[ju]:
-                    out.add(e.id)
+        j = comp_of.get(e.u)
+        if j is None:
+            joins = e.is_loop and e.gain == 0
         else:
-            if ju is not None and ju == ctx.comp_of.get(e.v):
-                hol = mul[mul[psi[e.u]][e.gain]][inv[psi[e.v]]]
-                if hol in groups[ju]:
-                    out.add(e.id)
+            joins = j == comp_of.get(e.v) and mul[mul[psi[e.u]][e.gain]][inv[psi[e.v]]] in groups[j]
+        if joins:
+            out.add(e.id)
     return frozenset(out)
 
 

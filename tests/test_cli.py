@@ -6,7 +6,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gainchroma import BoundExceeded, CountResult
+from gainchroma import BoundExceeded, CountResult, gain_graph
 from gainchroma import cli, polynomials
 from gainchroma.counting import COUNTERS
 from gainchroma.cli import (
@@ -77,17 +77,18 @@ class TestParsing:
             assert again.signed == inst.signed
 
     def test_symmetric_group_and_subsets(self):
-        inst = parse_instance(
-            json.dumps(
-                {
-                    "group": {"kind": "symmetric", "d": 3},
-                    "spins": [{"kind": "subsets"}],
-                    "graph": {"vertices": 1, "edges": []},
-                }
+        for d, order in ((1, 1), (2, 2), (3, 6), (4, 24)):
+            inst = parse_instance(
+                json.dumps(
+                    {
+                        "group": {"kind": "symmetric", "d": d},
+                        "spins": [{"kind": "subsets"}],
+                        "graph": {"vertices": 1, "edges": []},
+                    }
+                )
             )
-        )
-        assert inst.group.order == 6
-        assert inst.spins[0].size == 8
+            assert inst.group.order == order
+            assert inst.spins[0].size == 2**d
 
     def test_located_errors(self):
         bad_gain = json.loads(json.dumps(DIGON))
@@ -308,6 +309,26 @@ class TestCountCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_timings_add_only_the_seconds(self, as_json, tmp_path, capsys):
+        argv = ["count", write(tmp_path, DIGON), *(["--json"] if as_json else [])]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--timings"]) == 0
+        timed = capsys.readouterr().out
+        if as_json:
+            plain, timed = json.loads(plain), json.loads(timed)
+            assert list(timed) == [*plain, "seconds"]
+            seconds = timed.pop("seconds")
+            assert isinstance(seconds, float) and seconds >= 0
+            assert timed == plain
+        else:
+            lines = timed.splitlines()
+            extra = [i for i, line in enumerate(lines) if line.startswith("seconds:")]
+            assert len(extra) == 1
+            assert re.fullmatch(r"seconds: \d+\.\d{3}", lines.pop(extra[0]))
+            assert lines == plain.splitlines()
+
 
 class TestPolyCommand:
     def test_k2_regular(self, tmp_path, capsys):
@@ -334,6 +355,22 @@ class TestPolyCommand:
         assert "grand: 0" in out
         assert "chromatic: 0" in out
         assert "zero_free: 0" in out
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_failed_zero_free_check_exits_4(self, as_json, tmp_path, capsys, monkeypatch):
+        # a loop deletion that drops every edge must trip the zero-free check
+        payload = {
+            "group": {"kind": "cyclic", "n": 3},
+            "spins": [{"kind": "regular"}],
+            "graph": {"vertices": 2, "edges": [[0, 1, 0], [0, 0, 1]]},
+        }
+        monkeypatch.setattr(polynomials, "_without_nonidentity_loops", lambda g: gain_graph(g.group, g.vertex_count, []))
+        argv = ["poly", write(tmp_path, payload), "--zero-free"]
+        code = main(argv + ["--json"] if as_json else argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_DIVERGE
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_parts_selection(self, tmp_path, capsys):
         code = main(["poly", write(tmp_path, LOOP_VERTEX), "--parts", "0"])

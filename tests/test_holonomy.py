@@ -138,6 +138,16 @@ class TestClosure:
         h = gain_graph(Z2, 1, [(0, 0, 0)])
         assert holonomy_closure(h, frozenset()) == frozenset({0})
         assert not is_holonomy_closed(h, frozenset())
+        # a vertex the set leaves uncovered is a component with trivial group
+        # and no edges: an identity loop there joins, an identity link does not
+        k = gain_graph(Z3, 2, [(0, 1, 0), (1, 1, 0), (1, 1, 2)])
+        assert holonomy_closure(k, frozenset()) == frozenset({1})
+        # the same with vertex 0 covered: the link stays out in either orientation
+        k = gain_graph(Z3, 3, [(0, 2, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])
+        assert holonomy_closure(k, frozenset({0})) == frozenset({0, 3})
+        # and so does an identity link between two components
+        k = gain_graph(Z2, 4, [(0, 1, 0), (2, 3, 0), (1, 2, 0)])
+        assert holonomy_closure(k, frozenset({0, 1})) == frozenset({0, 1})
 
     def test_parallel_identity_edges_not_closed(self):
         g = digon(gains=(0, 0))
@@ -168,6 +178,13 @@ class TestClosure:
         assert closed == frozenset({0, 1})
         full = holonomy_closure(g, frozenset({0, 2}))
         assert full == frozenset({0, 1, 2})  # holonomy 2 lies in <1> = Z4
+        # a loop at a covered vertex is the case u = v of the same rule
+        h = gain_graph(Z4, 2, [(0, 1, 0), (0, 1, 2), (1, 1, 2), (1, 1, 1), (0, 0, 3)])
+        assert holonomy_closure(h, frozenset({0, 1})) == frozenset({0, 1, 2})
+        # psi(1) = 1 in Z3 and the tree has trivial holonomy: only the
+        # identity loop joins, whose walk gain psi(1) * 0 * psi(1)^-1 is 0
+        t = gain_graph(Z3, 2, [(0, 1, 1), (1, 1, 0), (1, 1, 1), (1, 1, 2)])
+        assert holonomy_closure(t, frozenset({0})) == frozenset({0, 1})
 
 
 class TestLattice:
