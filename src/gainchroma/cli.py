@@ -56,7 +56,7 @@ from .holonomy import (
 )
 from .counting import COUNTERS, count_brute, verify_all
 from .polynomials import (
-    _check_parts,
+    check_parts,
     chromatic_polynomial,
     grand_polynomial,
     graph_chromatic,
@@ -325,7 +325,7 @@ def cmd_poly(args) -> int:
             if not 0 <= i < len(parts):
                 raise InstanceError(f"--parts index {i} out of range")
         parts = [parts[i] for i in indices]
-    _check_parts(inst.graph, parts)
+    check_parts(inst.graph, parts)
     lattice = enumerate_closed_sets(inst.graph)
     polys = {"grand": grand_polynomial(inst.graph, parts, lattice=lattice)}
     if args.chromatic:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, stabilizer_classes
-from .graphs import Edge, GainGraph, balanced_component_count, contract_link, delete_edge
+from .graphs import Edge, GainGraph, balanced_component_count, check_action, contract_link, delete_edge
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, enumerate_closed_sets, signed_subset_sum
 
@@ -38,18 +38,13 @@ class CountResult:
     stats: dict[str, int]
 
 
-def _check_compat(g: GainGraph, a: SpinAction):
-    if a.group != g.group:
-        raise ValueError("action and graph use different groups")
-
-
 def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountResult:
     """Count states with no satisfied edge by backtracking enumeration.
 
     A partial state is abandoned as soon as any edge among the assigned
     vertices is satisfied, so only the bound |Q|**|V| is checked up front.
     """
-    _check_compat(g, a)
+    check_action(g, a)
     n = g.vertex_count
     m = a.size
     if m**n > max_states:
@@ -85,10 +80,7 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
                 assigned[v] = q
                 descend(v + 1)
 
-    if n == 0:
-        total = 1
-    else:
-        descend(0)
+    descend(0)
     return CountResult(total, "brute", {"states_visited": visited})
 
 
@@ -109,7 +101,7 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     order with the edge ids kept; each other vertex takes any of the |Q|
     spins, a factor the result is multiplied by.
     """
-    _check_compat(g, a)
+    check_action(g, a)
     links = sum(not e.is_loop for e in g.edges)
     if links > DELCON_LINK_LIMIT:
         raise BoundExceeded(f"{links} links exceed the deletion-contraction depth limit {DELCON_LINK_LIMIT}")
@@ -189,7 +181,7 @@ def count_inclexcl(
     contributes (-1)**|A| times the product of holonomy fixed counts over its
     components, times |Q| per vertex it leaves isolated.
     """
-    _check_compat(g, a)
+    check_action(g, a)
     m = len(g.edges)
     if 2**m > max_subsets:
         raise BoundExceeded(f"2**{m} subsets exceed the inclusion-exclusion limit {max_subsets}")
@@ -203,7 +195,7 @@ def count_mobius(g: GainGraph, a: SpinAction, lattice: ClosedSetLattice | None =
     A bottomless lattice (the graph has an identity loop, which every state
     satisfies) has no terms, so it gives zero.
     """
-    _check_compat(g, a)
+    check_action(g, a)
     if lattice is None:
         lattice = enumerate_closed_sets(g)
     total = lattice_sum(lattice, lambda h: len(fixed_set(a, h)))
@@ -337,7 +329,7 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
     ``stats["transitions"]`` counts table entries times spins tried, summed
     over the steps, and ``stats["peak_states"]`` the largest table.
     """
-    _check_compat(g, a)
+    check_action(g, a)
     n = g.vertex_count
     q = a.size
     steps, sizes = _elim_order(g)
@@ -391,8 +383,6 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
         if pinned:  # a pinned vertex is kept, so its spin ends each key
             new = {k: count * class_size[k[-1]] for k, count in new.items()}
         table = new
-        if not table:
-            break
         peak = max(peak, len(table))
     stats = {"width": width, "peak_states": peak, "transitions": transitions}
     return CountResult(table.get((), 0), "elim", stats)
@@ -431,7 +421,7 @@ def theta(g: GainGraph, a: SpinAction) -> Fraction:
     chi = count_auto(g, a)
     if a.size == 0 and b > 0:
         raise ValueError("theta is undefined for an empty spin set on a graph with balanced components")
-    return Fraction(chi, a.size**b if b else 1)
+    return Fraction(chi, a.size**b)
 
 
 @dataclass

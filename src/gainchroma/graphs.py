@@ -239,11 +239,16 @@ def switch_state(state: Sequence[int], eta: Sequence[int], action: SpinAction) -
     return tuple(act[q][x] for q, x in zip(state, eta))
 
 
+def check_action(g: GainGraph, action: SpinAction):
+    """Raise ``ValueError`` unless the action is of the graph's gain group."""
+    if action.group != g.group:
+        raise ValueError("action and graph use different groups")
+
+
 def satisfied_edges(g: GainGraph, action: SpinAction, state: Sequence[int]) -> frozenset[int]:
     """Ids of edges e: u->v whose equation s_v = s_u * gain holds; a loop
     with gain h is satisfied exactly when h fixes the spin at its vertex."""
-    if action.group != g.group:
-        raise ValueError("action and graph use different groups")
+    check_action(g, action)
     state = tuple(state)
     if len(state) != g.vertex_count:
         raise ValueError("state must assign a spin to every vertex")

@@ -27,6 +27,7 @@ from .groups import (
 )
 from .graphs import (
     GainGraph,
+    check_action,
     contract_link,
     delete_edge,
     gain_graph,
@@ -37,7 +38,7 @@ from .graphs import (
     SimpleGraph,
 )
 from .holonomy import is_holonomy_closed
-from .counting import _check_compat, count_inclexcl, verify_all
+from .counting import count_inclexcl, verify_all
 from .polynomials import graph_chromatic
 
 GROUP_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
@@ -143,11 +144,11 @@ def check_method_agreement(inst: Instance) -> CheckResult:
     return CheckResult("method_agreement", True)
 
 
-def check_switching_invariance(inst: Instance, rng: random.Random) -> CheckResult:
+def check_switching_invariance(inst: Instance, rng: random.Random, before: int) -> CheckResult:
+    """``before`` is the instance graph's count, which switching must keep."""
     g, a = inst.graph, inst.action
     eta = tuple(rng.randrange(g.group.order) for _ in range(g.vertex_count))
     switched = switch(g, eta)
-    before = count_inclexcl(g, a).value
     after = count_inclexcl(switched, a).value
     if before != after:
         return CheckResult(
@@ -218,7 +219,7 @@ def check_satisfied_closure(inst: Instance, state_cap: int = 10**5,
     set is not closed is reported.
     """
     g, a = inst.graph, inst.action
-    _check_compat(g, a)
+    check_action(g, a)
     n, q = g.vertex_count, a.size
     if q**n <= state_cap:
         ids = sorted(g.edge_ids)
@@ -245,9 +246,9 @@ def check_satisfied_closure(inst: Instance, state_cap: int = 10**5,
     return CheckResult("satisfied_closure", True)
 
 
-def check_deletion_contraction(inst: Instance) -> CheckResult:
+def check_deletion_contraction(inst: Instance, whole: int) -> CheckResult:
+    """``whole`` is the instance graph's count."""
     g, a = inst.graph, inst.action
-    whole = count_inclexcl(g, a).value
     for e in g.edges:
         if e.is_loop:
             continue
@@ -262,15 +263,14 @@ def check_deletion_contraction(inst: Instance) -> CheckResult:
     return CheckResult("deletion_contraction", True)
 
 
-def check_balanced_evaluation(inst: Instance) -> CheckResult:
-    """A balanced graph must count like its underlying graph colored with
-    |Q| colors."""
+def check_balanced_evaluation(inst: Instance, actual: int) -> CheckResult:
+    """A balanced graph's count ``actual`` must be that of its underlying
+    graph colored with |Q| colors."""
     g, a = inst.graph, inst.action
     if not is_balanced(g):
         return CheckResult("balanced_evaluation", True, "not balanced, vacuous")
     template = SimpleGraph(g.vertex_count, tuple((e.u, e.v) for e in g.edges))
     expected = graph_chromatic(template).evaluate([a.size])
-    actual = count_inclexcl(g, a).value
     if expected != actual:
         return CheckResult(
             "balanced_evaluation", False, f"chromatic value {expected} != count {actual}"
@@ -288,12 +288,13 @@ CHECKS = (
 
 
 def check_instance(inst: Instance, rng: random.Random) -> list[CheckResult]:
+    whole = count_inclexcl(inst.graph, inst.action).value  # shared by three checks
     return [
         check_method_agreement(inst),
-        check_switching_invariance(inst, rng),
+        check_switching_invariance(inst, rng, whole),
         check_satisfied_closure(inst, rng=rng),
-        check_deletion_contraction(inst),
-        check_balanced_evaluation(inst),
+        check_deletion_contraction(inst, whole),
+        check_balanced_evaluation(inst, whole),
     ]
 
 
@@ -311,6 +312,9 @@ class SuiteReport:
 
 def run_suite(seed: int, count: int, max_vertices: int = 5, max_edges: int = 8) -> SuiteReport:
     """Generate ``count`` seeded instances and run every check on each."""
+    for name, value, least in (("count", count, 0), ("max_vertices", max_vertices, 1), ("max_edges", max_edges, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     rng = random.Random(seed)
     report = SuiteReport(seed=seed, count=count, passed={name: 0 for name in CHECKS})
     for _ in range(count):

@@ -19,7 +19,7 @@ from itertools import compress, groupby
 from typing import Callable, Iterable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, generate_subgroup
-from .graphs import GainGraph, normalize_edge_subset, traverse
+from .graphs import GainGraph, check_action, normalize_edge_subset, traverse
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 
 
@@ -128,8 +128,7 @@ def h_fixed_count(graph: GainGraph, action: SpinAction, conn: Iterable[int]) -> 
     For the empty set (an isolated vertex) the group is trivial and the
     answer is the whole spin count.
     """
-    if action.group != graph.group:
-        raise ValueError("action and graph use different groups")
+    check_action(graph, action)
     return len(fixed_set(action, component_subgroup(graph, conn)))
 
 
@@ -364,11 +363,9 @@ class ClosedSetLattice:
         mu is the sum of the group's Möbius values, and groups whose sum is
         0 are left out.  Groups come in the order of their first set in
         ``sets``.  Empty for a bottomless lattice."""
-        if self.bottomless:
-            return ()
         sums: dict[tuple[frozenset[int], ...], int] = {}
         for subset, subgroups in zip(self.sets, self.subgroups, strict=True):
-            sums[subgroups] = sums.get(subgroups, 0) + self.mobius_from_bottom[subset]
+            sums[subgroups] = sums.get(subgroups, 0) + self.mobius_from_bottom.get(subset, 0)
         return tuple(
             (mu, tuple((h, len(list(run))) for h, run in groupby(subgroups)))
             for subgroups, mu in sums.items()

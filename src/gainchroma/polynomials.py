@@ -203,7 +203,8 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
-def _check_parts(g: GainGraph, parts: Sequence[SpinAction]):
+def check_parts(g: GainGraph, parts: Sequence[SpinAction]):
+    """Refuse spin parts that are none, of another group, or over a limit."""
     if not parts:
         raise ValueError("need at least one spin part")
     if len(parts) > PART_LIMIT:
@@ -229,7 +230,7 @@ def grand_polynomial(
     isolated is a component with trivial holonomy, whose factor is the sum
     of ki*|Qi|.  A bottomless lattice gives the zero polynomial.
     """
-    _check_parts(g, parts)
+    check_parts(g, parts)
     p = len(parts)
     if lattice is None:
         lattice = enumerate_closed_sets(g)
@@ -243,7 +244,7 @@ def grand_polynomial(
 def leading_form(g: GainGraph, parts: Sequence[SpinAction]) -> MultiPoly:
     """The homogeneous degree-|V| product: one linear factor per vertex whose
     part-i coefficient is |Qi| minus the spins fixed by some incident loop."""
-    _check_parts(g, parts)
+    check_parts(g, parts)
     p = len(parts)
     loop_gains: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for e in g.edges:
@@ -332,7 +333,7 @@ def zero_free_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) 
     poly = _univariate(g, lattice, 0)
     stripped = _without_nonidentity_loops(g)
     if len(stripped.edges) != len(g.edges):
-        if zero_free_polynomial(stripped) != poly:
+        if _univariate(stripped, None, 0) != poly:
             raise ArithmeticError("zero-free polynomial changed under nonidentity loop deletion")
     return poly
 

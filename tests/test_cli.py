@@ -491,6 +491,17 @@ class TestVerifyCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize(
+        "option,value,name",
+        [("--count", "-1", "count"), ("--max-vertices", "0", "max_vertices"), ("--max-edges", "-1", "max_edges")],
+    )
+    def test_impossible_sizes_exit_2_naming_the_argument(self, option, value, name, capsys):
+        code = main(["verify", option, value])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be at least {int(value) + 1}, got {value}\n"
+
     def test_mutation_is_caught(self, capsys, monkeypatch):
         # break the Möbius counter and require a reported counterexample
         import gainchroma.counting as counting

@@ -218,6 +218,12 @@ class TestTheta:
         for action in (regular_action(Z3), standard_colors(Z3, 2)):
             assert theta(g, action) == 1
 
+    def test_no_balanced_component(self):
+        # the divisor is |Q|**0 = 1, also for an empty spin set
+        g = loop_vertex(Z2, 1)
+        assert theta(g, regular_action(Z2)) == 2
+        assert theta(g, zero_free_colors(Z2, 0)) == 0
+
     def test_empty_spin_set_with_balance_rejected(self):
         g = gain_graph(Z3, 1, [])
         with pytest.raises(ValueError):
@@ -412,6 +418,17 @@ class TestElimination:
         assert result.stats["width"] == 1
         assert 1 <= result.stats["peak_states"] <= 3
         assert result.stats["transitions"] > 0
+
+    def test_identity_loop_at_the_first_vertex_empties_the_table(self):
+        # vertex 0 is placed first and has no spin left; the later steps run
+        # over an empty table and change nothing
+        g = gain_graph(Z3, 4, [(0, 0, 0), (0, 1, 1), (1, 2, 2), (2, 3, 0)])
+        assert counting._elim_order(g)[0][0][0] == 0
+        for action in (regular_action(Z3), standard_colors(Z3, 1)):
+            result = count_elim(g, action)
+            assert result.value == 0
+            assert (result.value, result.stats) == oracle_elim(g, action)
+            assert result.stats == {"width": 1, "peak_states": 1, "transitions": 0}
 
     def test_bound_is_checked_before_any_table(self):
         class Untouchable:

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from gainchroma import build_cyclic, build_symmetric, gain_graph, harness, regular_action, trivial_action
+from gainchroma import build_cyclic, build_symmetric, counting, gain_graph, harness, regular_action, trivial_action
 from gainchroma.harness import (
     CHECKS,
     GROUP_BUILDERS,
     Instance,
+    check_instance,
     check_satisfied_closure,
     random_instance,
     run_suite,
@@ -59,6 +60,28 @@ class TestSuiteRunner:
         report = run_suite(1, 0)
         assert report.ok
         assert all(count == 0 for count in report.passed.values())
+
+    def test_each_instance_graph_is_counted_by_inclexcl_twice(self, monkeypatch):
+        # once among verify_all's counters, once for the three checks that
+        # need the count
+        original = counting.count_inclexcl
+        graphs = []
+
+        def watched(g, a, **kwargs):
+            graphs.append(g)
+            return original(g, a, **kwargs)
+
+        monkeypatch.setattr(counting, "count_inclexcl", watched)
+        monkeypatch.setattr(harness, "count_inclexcl", watched)
+        rng = random.Random(6)
+        balanced = 0
+        for _ in range(30):
+            inst = random_instance(rng)
+            graphs.clear()
+            assert all(result.passed for result in check_instance(inst, rng))
+            assert sum(g is inst.graph for g in graphs) == 2
+            balanced += inst.balanced
+        assert balanced > 0
 
 
 class TestSatisfiedClosure:

@@ -206,6 +206,13 @@ class TestLattice:
         assert lat.bottomless
         assert lat.mobius_from_bottom == {}
 
+    def test_bottomless_lattice_has_no_terms(self):
+        g = gain_graph(Z3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, 0), (1, 1, 0)])
+        lat = enumerate_closed_sets(g)
+        assert lat.bottomless and len(lat.sets) > 1
+        assert len(lat.subgroups) == len(lat.sets)
+        assert lat.terms == ()
+
     def test_mobius_sums_vanish(self):
         rng = random.Random(5)
         for _ in range(20):

@@ -40,7 +40,7 @@ def _allowed(module_name: str, name: str) -> set[str]:
 def test_only_budgets_and_generator_sizes_are_keywords():
     seen = {qualified: func for qualified, _, func in _callables()}
     # the walk reaches private helpers, methods and the counter runners
-    assert {"gainchroma.polynomials._check_parts", "gainchroma.polynomials.MultiPoly.__mul__"} <= set(seen)
+    assert {"gainchroma.polynomials._univariate", "gainchroma.polynomials.MultiPoly.__mul__"} <= set(seen)
     assert "max_subsets" in inspect.signature(seen["COUNTERS['inclexcl']"]).parameters
     found = {}
     for qualified, name, func in _callables():

@@ -367,6 +367,19 @@ class TestZeroFreePolynomial:
             )
             assert zero_free_polynomial(g) == zero_free_polynomial(stripped)
 
+    def test_loop_deletion_check_does_not_recurse(self, monkeypatch):
+        calls = []
+        original = polynomials.zero_free_polynomial
+
+        def watched(g, lattice=None):
+            calls.append(g)
+            return original(g, lattice)
+
+        monkeypatch.setattr(polynomials, "zero_free_polynomial", watched)
+        g = gain_graph(Z3, 2, [(0, 1, 1), (0, 0, 2)])
+        assert polynomials.zero_free_polynomial(g) == univariate(0, -1, 1)
+        assert calls == [g]
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_interpolates_brute_counts(self, seed):
