@@ -47,7 +47,7 @@ from .groups import (
     verify_group,
     zero_free_colors,
 )
-from .graphs import GainGraph, SimpleGraph, gain_graph
+from .graphs import VERTEX_LIMIT, GainGraph, SimpleGraph, gain_graph
 from .holonomy import (
     HolonomyContext,
     enumerate_closed_sets,
@@ -69,10 +69,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BOUND = 3
 EXIT_DIVERGE = 4
-
-# Every graph block allocates per vertex, and every counter is exponential
-# long before this size, so larger files are refused before any allocation.
-VERTEX_LIMIT = 4096
 
 
 class InstanceError(ValueError):

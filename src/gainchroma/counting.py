@@ -38,17 +38,28 @@ class CountResult:
     stats: dict[str, int]
 
 
+# The most vertices count_brute and links count_delcon take on.  Brute
+# recurses once per vertex and delcon once per link, so both stay well under
+# Python's default recursion limit of 1000, whatever the caller's own depth.
+BRUTE_VERTEX_LIMIT = 400
+DELCON_LINK_LIMIT = 400
+
+
 def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountResult:
     """Count states with no satisfied edge by backtracking enumeration.
 
     A partial state is abandoned as soon as any edge among the assigned
     vertices is satisfied, so only the bound |Q|**|V| is checked up front.
+    With any spin it recurses once per vertex, so ``BRUTE_VERTEX_LIMIT``
+    caps the vertices; with none, ``descend(0)`` returns at once.
     """
     check_action(g, a)
     n = g.vertex_count
     m = a.size
     if m**n > max_states:
         raise BoundExceeded(f"{m}**{n} states exceed the brute-force limit {max_states}")
+    if m and n > BRUTE_VERTEX_LIMIT:
+        raise BoundExceeded(f"{n} vertices exceed the brute-force depth limit {BRUTE_VERTEX_LIMIT}")
     act = a.act
     inv = g.group.inv
     loop_gains: list[set[int]] = [set() for _ in range(n)]
@@ -84,12 +95,6 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
     return CountResult(total, "brute", {"states_visited": visited})
 
 
-# The most links count_delcon takes on.  Its recursion goes one call deeper
-# per link along the deletion branch, so this keeps it well under Python's
-# default recursion limit of 1000, whatever the caller's own depth.
-DELCON_LINK_LIMIT = 400
-
-
 def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountResult:
     """Count by the deletion-contraction recursion on the lowest-id link.
 
@@ -106,15 +111,7 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     if links > DELCON_LINK_LIMIT:
         raise BoundExceeded(f"{links} links exceed the deletion-contraction depth limit {DELCON_LINK_LIMIT}")
     m = a.size
-    fixed_of: dict[int, frozenset[int]] = {}
-
-    def fixed(gain: int) -> frozenset[int]:
-        got = fixed_of.get(gain)
-        if got is None:
-            got = a.fixed(gain)
-            fixed_of[gain] = got
-        return got
-
+    fixed = functools.cache(a.fixed)
     calls = 0
 
     def loops_only_value(graph: GainGraph) -> int:

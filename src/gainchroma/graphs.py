@@ -16,6 +16,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .groups import BoundExceeded, FiniteGroup, SpinAction
 
+# Every graph allocates per vertex, and every counter is exponential long
+# before this size, so larger graphs are refused before any allocation.
+VERTEX_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -55,6 +59,8 @@ class GainGraph:
     def __init__(self, group: FiniteGroup, vertex_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
             raise ValueError("vertex count must be nonnegative")
+        if vertex_count > VERTEX_LIMIT:
+            raise BoundExceeded(f"vertex count {vertex_count} exceeds limit {VERTEX_LIMIT}")
         edge_tuple = tuple(edges)
         by_id: dict[int, Edge] = {}
         incident: list[list[int]] = [[] for _ in range(vertex_count)]
@@ -338,13 +344,13 @@ def is_balanced(g: GainGraph, subset: Iterable[int] | None = None) -> bool:
     every remaining subset edge must carry the identity.
     """
     s = normalize_edge_subset(g, subset)
-    psi = traverse(g, s)[2]
+    return _keeps_potential(g, traverse(g, s)[2], s)
+
+
+def _keeps_potential(g: GainGraph, psi: dict[int, int], edge_ids: Iterable[int]) -> bool:
+    """True when every edge has psi[u] * gain == psi[v] under ``traverse``'s psi."""
     mul = g.group.mul
-    for eid in s:
-        e = g.edge(eid)
-        if mul[psi[e.u]][e.gain] != psi[e.v]:
-            return False
-    return True
+    return all(mul[psi[e.u]][e.gain] == psi[e.v] for e in map(g.edge, edge_ids))
 
 
 def balanced_component_count(g: GainGraph, subset: Iterable[int] | None = None) -> int:
@@ -352,12 +358,8 @@ def balanced_component_count(g: GainGraph, subset: Iterable[int] | None = None) 
 
     Isolated vertices (relative to the subset) count as balanced components.
     """
-    split = components(g, subset)
-    count = len(split.isolated)
-    for comp in split.edge_sets:
-        if is_balanced(g, comp):
-            count += 1
-    return count
+    split, _, psi = traverse(g, subset)
+    return len(split.isolated) + sum(_keeps_potential(g, psi, comp) for comp in split.edge_sets)
 
 
 def frame_rank(g: GainGraph, subset: Iterable[int] | None = None) -> int:

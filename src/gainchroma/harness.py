@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .groups import (
+    BoundExceeded,
     FiniteGroup,
     SpinAction,
     build_cyclic,
@@ -26,6 +27,7 @@ from .groups import (
     zero_free_colors,
 )
 from .graphs import (
+    VERTEX_LIMIT,
     GainGraph,
     check_action,
     contract_link,
@@ -37,7 +39,7 @@ from .graphs import (
     switch_state,
     SimpleGraph,
 )
-from .holonomy import is_holonomy_closed
+from .holonomy import LATTICE_EDGE_LIMIT, is_holonomy_closed
 from .counting import count_inclexcl, verify_all
 from .polynomials import graph_chromatic
 
@@ -135,12 +137,14 @@ class CheckResult:
 
 
 def check_method_agreement(inst: Instance) -> CheckResult:
+    """Every counter that ran must give the same count; if they agree, any
+    counter over its bound raises ``BoundExceeded``, naming each one."""
     report = verify_all(inst.graph, inst.action)
-    if report.errors:
-        return CheckResult("method_agreement", False, f"bounds hit: {report.errors}")
     if not report.agree:
         values = {k: r.value for k, r in report.results.items()}
         return CheckResult("method_agreement", False, f"counts diverge: {values}")
+    if report.errors:
+        raise BoundExceeded("; ".join(f"{name}: {error}" for name, error in report.errors.items()))
     return CheckResult("method_agreement", True)
 
 
@@ -311,15 +315,29 @@ class SuiteReport:
 
 
 def run_suite(seed: int, count: int, max_vertices: int = 5, max_edges: int = 8) -> SuiteReport:
-    """Generate ``count`` seeded instances and run every check on each."""
+    """Generate ``count`` seeded instances and run every check on each.
+    ``BoundExceeded`` is raised for sizes over ``VERTEX_LIMIT`` or mobius's
+    ``LATTICE_EDGE_LIMIT`` before any draw, and for an instance over a bound
+    unless an earlier one failed: then the suite stops, ``count`` the number
+    checked."""
     for name, value, least in (("count", count, 0), ("max_vertices", max_vertices, 1), ("max_edges", max_edges, 0)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    for name, value, most in (("max_vertices", max_vertices, VERTEX_LIMIT), ("max_edges", max_edges, LATTICE_EDGE_LIMIT)):
+        if value > most:
+            raise BoundExceeded(f"{name} must be at most {most}, got {value}")
     rng = random.Random(seed)
     report = SuiteReport(seed=seed, count=count, passed={name: 0 for name in CHECKS})
-    for _ in range(count):
+    for done in range(count):
         inst = random_instance(rng, max_vertices=max_vertices, max_edges=max_edges)
-        for result in check_instance(inst, rng):
+        try:
+            results = check_instance(inst, rng)
+        except BoundExceeded:
+            if not report.failures:
+                raise
+            report.count = done
+            break
+        for result in results:
             if result.passed:
                 report.passed[result.name] += 1
             else:

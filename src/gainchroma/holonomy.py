@@ -353,8 +353,8 @@ class ClosedSetLattice:
     sets: tuple[frozenset[int], ...]
     mobius_from_bottom: dict[frozenset[int], int]
     bottomless: bool
-    untouched: int = 0
-    subgroups: tuple[tuple[frozenset[int], ...], ...] = ()
+    untouched: int
+    subgroups: tuple[tuple[frozenset[int], ...], ...]
 
     @cached_property
     def terms(self) -> tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .groups import (
     BoundExceeded,
@@ -56,20 +58,26 @@ def potts_gain_graph(signed: SignedGraph, group: FiniteGroup) -> GainGraph:
     return gain_graph(group, signed.vertex_count, triples)
 
 
+def _count_states(n: int, q: int, constraints: list[tuple[int, int, Callable[[int, int], bool]]]) -> int:
+    """Assignments of ``range(q)`` to n vertices under which every
+    ``(u, v, ok)`` has ``ok(s_u, s_v)``, by plain enumeration; each ``ok``
+    is tabled first, so a state pays a lookup per constraint, not a call."""
+    tables = [(u, v, [[ok(s, t) for t in range(q)] for s in range(q)]) for u, v, ok in constraints]
+    total = 0
+    for state in itertools.product(range(q), repeat=n):
+        for u, v, allowed in tables:
+            if not allowed[state[u]][state[v]]:
+                break
+        else:
+            total += 1
+    return total
+
+
 def potts_direct_count(signed: SignedGraph, spin_count: int) -> int:
     """Spin assignments where every positive edge joins equal spins and every
     negative edge joins unequal spins, by plain enumeration."""
-    total = 0
-    for state in itertools.product(range(spin_count), repeat=signed.vertex_count):
-        ok = True
-        for u, v, s in signed.edges:
-            same = state[u] == state[v]
-            if (s > 0) != same:
-                ok = False
-                break
-        if ok:
-            total += 1
-    return total
+    constraints = [(u, v, operator.eq if s > 0 else operator.ne) for u, v, s in signed.edges]
+    return _count_states(signed.vertex_count, spin_count, constraints)
 
 
 def potts_satisfiable_count(
@@ -92,7 +100,6 @@ def set_coloring_direct(template: SimpleGraph, k: int) -> int:
     permutation carries one endpoint's subset onto the other's, by plain
     enumeration over states and permutations."""
     perms = list(itertools.permutations(range(k)))
-    subsets = list(range(1 << k))
 
     def image(mask: int, p) -> int:
         out = 0
@@ -101,16 +108,9 @@ def set_coloring_direct(template: SimpleGraph, k: int) -> int:
                 out |= 1 << p[x]
         return out
 
-    total = 0
-    for state in itertools.product(subsets, repeat=template.vertex_count):
-        ok = True
-        for u, v in template.edges:
-            if any(state[v] == image(state[u], p) for p in perms):
-                ok = False
-                break
-        if ok:
-            total += 1
-    return total
+    images = [{image(a, p) for p in perms} for a in range(1 << k)]
+    constraints = [(u, v, lambda s, t: t not in images[s]) for u, v in template.edges]
+    return _count_states(template.vertex_count, 1 << k, constraints)
 
 
 SET_COLORING_K_LIMIT = 4
@@ -191,11 +191,6 @@ def equivalence_direct_count(
     template: SimpleGraph, block_sizes: tuple[int, ...] | list[int]
 ) -> int:
     """Colorings with adjacent spins in different blocks, by enumeration."""
-    block_of = []
-    for i, b in enumerate(block_sizes):
-        block_of.extend([i] * b)
-    total = 0
-    for state in itertools.product(range(len(block_of)), repeat=template.vertex_count):
-        if all(block_of[state[u]] != block_of[state[v]] for u, v in template.edges):
-            total += 1
-    return total
+    block_of = [i for i, b in enumerate(block_sizes) for _ in range(b)]
+    constraints = [(u, v, lambda s, t: block_of[s] != block_of[t]) for u, v in template.edges]
+    return _count_states(template.vertex_count, len(block_of), constraints)

@@ -26,7 +26,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .groups import BoundExceeded, SpinAction, fixed_set
-from .graphs import GainGraph, SimpleGraph
+from .graphs import GainGraph, SimpleGraph, check_action
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, enumerate_closed_sets
 from .counting import count_auto  # noqa: F401  perfbench's tracer rebinds it in this namespace
@@ -210,8 +210,7 @@ def check_parts(g: GainGraph, parts: Sequence[SpinAction]):
     if len(parts) > PART_LIMIT:
         raise BoundExceeded(f"{len(parts)} spin parts exceed the limit {PART_LIMIT}")
     for part in parts:
-        if part.group != g.group:
-            raise ValueError("every spin part must use the graph's group")
+        check_action(g, part)
     room = math.comb(g.vertex_count + len(parts), len(parts))
     if room > TERM_LIMIT:
         raise BoundExceeded(

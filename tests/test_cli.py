@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gainchroma import BoundExceeded, CountResult, gain_graph
-from gainchroma import cli, polynomials
+from gainchroma import cli, harness, polynomials
+from gainchroma.holonomy import LATTICE_EDGE_LIMIT
 from gainchroma.counting import COUNTERS
 from gainchroma.cli import (
     EXIT_BOUND,
@@ -281,6 +282,28 @@ class TestCountCommand:
         assert captured.err.startswith("error:") and f"{n} links" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_deep_graph_is_refused_by_brute_instead_of_recursing(self, tmp_path, capsys):
+        # brute recurses once per vertex, and 1**3000 states pass its state
+        # budget, so its vertex bound must refuse before the first call
+        deep = {
+            "group": {"kind": "cyclic", "n": 2},
+            "spins": [{"kind": "trivial", "size": 1}],
+            "graph": {"vertices": 3000, "edges": [[2998, 2999, 1]]},
+        }
+        path = write(tmp_path, deep)
+        assert main(["count", path]) == 0
+        captured = capsys.readouterr()
+        assert "brute: bound exceeded (3000 vertices exceed" in captured.out
+        assert "agree: yes" in captured.out and captured.err == ""
+        assert main(["count", path, "--method", "brute"]) == EXIT_BOUND
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: 3000 vertices exceed")
+        # with no spin brute does not recurse, so it still counts at once
+        none = {**deep, "spins": [{"kind": "zero_free", "k": 0}], "graph": {"vertices": 500, "edges": []}}
+        path = write(tmp_path, none)
+        assert main(["count", path, "--method", "brute"]) == 0
+        assert capsys.readouterr().out == "brute: 0\n"
+
     def test_divergence_exit(self, tmp_path, capsys, monkeypatch):
         # a deliberately broken counter must trip the agreement gate
         import gainchroma.counting as counting
@@ -502,6 +525,50 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: {name} must be at least {int(value) + 1}, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "option,most", [("--max-vertices", cli.VERTEX_LIMIT), ("--max-edges", LATTICE_EDGE_LIMIT)]
+    )
+    def test_sizes_over_the_caps_exit_3_before_any_draw(self, option, most, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was drawn before the sizes were checked")
+
+        monkeypatch.setattr(harness, "random_instance", refuse)
+        code = main(["verify", option, str(most + 1)])
+        captured = capsys.readouterr()
+        assert code == EXIT_BOUND
+        assert captured.out == ""
+        name = option[2:].replace("-", "_")
+        assert captured.err == f"error: {name} must be at most {most}, got {most + 1}\n"
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_a_counter_over_its_bound_exits_3_not_4(self, as_json, capsys):
+        # one of these instances has 33 vertices, 8**33 states for brute:
+        # a refusal, not a failed verification
+        argv = ["verify", "--max-vertices", "40", "--count", "3"]
+        code = main(argv + ["--json"] if as_json else argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_BOUND
+        assert captured.out == ""
+        assert captured.err.startswith("error: brute: ") and captured.err.count("\n") == 1
+
+    def test_a_divergence_beside_a_refusal_still_exits_4(self, capsys, monkeypatch):
+        # brute refuses the 33-vertex instance, and the counters that ran
+        # disagree there: a failed verification, not a refusal
+        import gainchroma.counting as counting
+
+        original = counting.count_mobius
+
+        def wrong(g, a, **kwargs):
+            result = original(g, a, **kwargs)
+            return CountResult(result.value + 1, "mobius", result.stats)
+
+        monkeypatch.setattr(counting, "count_mobius", wrong)
+        code = main(["verify", "--max-vertices", "40", "--count", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DIVERGE
+        assert "FAIL method_agreement: counts diverge" in captured.out
+        assert captured.err == ""
+
     def test_mutation_is_caught(self, capsys, monkeypatch):
         # break the Möbius counter and require a reported counterexample
         import gainchroma.counting as counting
@@ -554,6 +621,13 @@ class TestPottsAndSetcolor:
             assert (payload["count"], payload["direct"]) == (10, 12345)
         else:
             assert "agree: NO" in captured.out
+
+    def test_setcolor_over_the_vertex_limit_names_it(self, capsys):
+        code = main(["setcolor", "--vertices", "5000", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BOUND
+        assert captured.out == ""
+        assert captured.err == f"error: vertex count 5000 exceeds limit {cli.VERTEX_LIMIT}\n"
 
     def test_positive_triangle(self, tmp_path, capsys):
         payload = {

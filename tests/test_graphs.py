@@ -28,6 +28,7 @@ from gainchroma import (
     trivial_action,
     walk_gain,
 )
+from gainchroma import BoundExceeded, cli, graphs
 from gainchroma.graphs import traverse
 from helpers import naive_count, powerset, random_graph
 
@@ -53,6 +54,12 @@ class TestConstruction:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
             GainGraph(Z2, 2, [Edge(0, 0, 1, 0), Edge(0, 0, 1, 1)])
+
+    def test_over_the_vertex_limit_is_refused(self):
+        with pytest.raises(BoundExceeded, match=f"vertex count {graphs.VERTEX_LIMIT + 1} exceeds limit"):
+            GainGraph(Z2, graphs.VERTEX_LIMIT + 1, [])
+        assert GainGraph(Z2, graphs.VERTEX_LIMIT, []).vertex_count == graphs.VERTEX_LIMIT
+        assert cli.VERTEX_LIMIT == graphs.VERTEX_LIMIT
 
     def test_incident_ids_sorted(self):
         g = gain_graph(Z3, 3, [(1, 2, 0), (0, 1, 1), (0, 0, 2)])
@@ -321,6 +328,30 @@ class TestBalance:
         assert balanced_component_count(h) == 1
         tri = gain_graph(Z2, 3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
         assert balanced_component_count(tri) == 1
+
+    def test_balanced_component_count_traverses_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return traverse(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "traverse", counted)
+        # a balanced Z3 triangle, an unbalanced digon, an unbalanced loop
+        # and an isolated vertex
+        g = gain_graph(Z3, 7, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 0), (3, 4, 1), (5, 5, 1)])
+        assert balanced_component_count(g) == 2
+        assert len(calls) == 1
+        # against one balance test per component, on every edge subset
+        rng = random.Random(5)
+        for _ in range(40):
+            h = random_graph(rng, S3, max_vertices=5, max_edges=7)
+            for subset in powerset(h.edge_ids):
+                split = components(h, subset)
+                expected = len(split.isolated) + sum(is_balanced(h, comp) for comp in split.edge_sets)
+                calls.clear()
+                assert balanced_component_count(h, subset) == expected
+                assert len(calls) == 1
 
     def test_frame_rank_examples(self):
         g = gain_graph(Z2, 4, [])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gainchroma import build_cyclic, build_symmetric, counting, gain_graph, harness, regular_action, trivial_action
+from gainchroma import BoundExceeded, build_cyclic, build_symmetric, counting, gain_graph, harness, regular_action, trivial_action
 from gainchroma.harness import (
     CHECKS,
     GROUP_BUILDERS,
@@ -60,6 +60,26 @@ class TestSuiteRunner:
         report = run_suite(1, 0)
         assert report.ok
         assert all(count == 0 for count in report.passed.values())
+
+    def test_a_later_refusal_keeps_the_failures_found_before_it(self, monkeypatch):
+        # the first instance fails a check and the second is over a bound:
+        # the suite stops there and reports the failure, not the refusal
+        calls = []
+
+        def first_fails_then_refuses(inst, rng):
+            calls.append(inst)
+            if len(calls) == 1:
+                return [harness.CheckResult("method_agreement", False, "counts diverge")]
+            raise BoundExceeded("over a bound")
+
+        monkeypatch.setattr(harness, "check_instance", first_fails_then_refuses)
+        report = run_suite(1, 3)
+        assert len(calls) == 2 and report.count == 1
+        assert [failure[:2] for failure in report.failures] == [("method_agreement", "counts diverge")]
+        # with no failure before it, the refusal itself is raised
+        calls.append(None)
+        with pytest.raises(BoundExceeded, match="over a bound"):
+            run_suite(1, 3)
 
     def test_each_instance_graph_is_counted_by_inclexcl_twice(self, monkeypatch):
         # once among verify_all's counters, once for the three checks that

@@ -194,6 +194,11 @@ class TestGrandPolynomial:
             1, {(2,): 4, (1,): -2}
         )
 
+    def test_a_part_of_another_group_is_refused_as_any_action_is(self):
+        g = gain_graph(Z2, 2, [(0, 1, 1)])
+        with pytest.raises(ValueError, match="^action and graph use different groups$"):
+            polynomials.check_parts(g, [regular_action(Z2), regular_action(build_cyclic(3))])
+
     def test_loop_vertex_two_parts(self):
         g = gain_graph(Z2, 1, [(0, 0, 1)])
         parts = [regular_action(Z2), trivial_action(Z2, 1)]
