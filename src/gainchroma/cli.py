@@ -24,6 +24,7 @@ Exit codes: 0 success, 2 parse error or invalid argument, 3 bound exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -526,9 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    rest of the process.  ``parse_args`` keeps no state between calls, and
+    help and usage text are formatted against the streams of the moment."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -69,7 +69,7 @@ class Instance:
     def describe(self) -> str:
         edges = [(e.u, e.v, e.gain) for e in self.graph.edges]
         return (
-            f"group={self.group_name} action={self.action_kind} "
+            f"group={self.group_name} action={self.action_kind}[{self.action.name}] "
             f"vertices={self.graph.vertex_count} edges={edges}"
         )
 
@@ -173,80 +173,114 @@ def check_switching_invariance(inst: Instance, rng: random.Random, before: int) 
     return CheckResult("switching_invariance", True)
 
 
-def _satisfied_masks(g: GainGraph, act, q: int, ids: list[int]):
-    """Every state, in ``itertools.product`` order, with the mask of the
-    edges it satisfies (bit i for ``ids[i]``).
+def _satisfied_masks(g: GainGraph, act, q: int, ids: list[int], failing: frozenset[int] = frozenset()):
+    """Walk every state by the mask of the edges it satisfies (bit i for
+    ``ids[i]``).
 
-    A depth-first search over vertices 0..n-1: an edge's bit joins the mask
-    when its later endpoint is assigned, so each prefix's mask is built
-    once.  The yielded state is one list, changed in place as the walk goes.
+    Without ``failing``, return the set of distinct masks.  With it, return
+    the first state in ``itertools.product`` order whose mask is in
+    ``failing``, with that mask, or None.
+
+    A depth-first search over vertices 0..n-1 that takes the q spins of a
+    vertex at once: ``rows[d][s]`` is the mask of ``state[:d] + [s]``.  An
+    edge's bit joins the row of its later endpoint d at the spins its
+    equation allows there, given the spin at its earlier endpoint; a loop's
+    bit joins the spins its gain fixes.  The last vertex's row holds the
+    masks of q whole states.
     """
     n = g.vertex_count
-    closing: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]  # u, gain, v, bit
+    if n == 0 or q == 0:  # the one empty state, which satisfies no edge, or no state at all
+        masks = {0} if n == 0 else set()
+        if failing:
+            return ((), 0) if masks & failing else None
+        return masks
+    loops: list[list[int] | None] = [None] * n  # loops[d][s]: the loops at d that spin s satisfies
+    closing: list[list[tuple]] = [[] for _ in range(n)]  # (earlier endpoint w, spins at d per spin at w, bit)
     for bit, eid in enumerate(ids):
         e = g.edge(eid)
-        closing[max(e.u, e.v)].append((e.u, e.gain, e.v, 1 << bit))
-    state = [0] * n
-    if n == 0:
-        yield state, 0
-        return
-    masks = [0] * n  # masks[d]: the edges satisfied by state[:d]
-    d = 0
-    while d >= 0:
-        if state[d] == q:
-            state[d] = 0
-            d -= 1
-            if d >= 0:
-                state[d] += 1
+        if e.u == e.v:
+            loops[e.u] = loops[e.u] or [0] * q
+            for s in range(q):
+                if act[s][e.gain] == s:
+                    loops[e.u][s] |= 1 << bit
             continue
-        mask = masks[d]
-        for u, gain, v, bit in closing[d]:
-            if act[state[u]][gain] == state[v]:
-                mask |= bit
-        if d + 1 < n:
-            d += 1
-            masks[d] = mask
+        allowed: list[list[int]] = [[] for _ in range(q)]
+        if e.u < e.v:  # s_v = s_u * gain, at the later endpoint v
+            for s in range(q):
+                allowed[s].append(act[s][e.gain])
+        else:  # the spins at the later endpoint u that gain sends to s_v
+            for s in range(q):
+                allowed[act[s][e.gain]].append(s)
+        closing[max(e.u, e.v)].append((min(e.u, e.v), allowed, 1 << bit))
+    seen: set[int] = set()
+    state = [0] * n
+    rows: list[list[int]] = [[]] * n
+    last = n - 1
+    d, mask = 0, 0
+    while True:
+        row = [mask | b for b in loops[d]] if loops[d] else [mask] * q
+        for w, allowed, bit in closing[d]:
+            for s in allowed[state[w]]:
+                row[s] |= bit
+        if d < last:
+            rows[d] = row
+            state[d] = 0
+            d, mask = d + 1, row[0]
+            continue
+        if not failing:
+            seen.update(row)
         else:
-            yield state, mask
-            state[d] += 1
+            for s, mask in enumerate(row):
+                if mask in failing:
+                    return (*state[:d], s), mask
+        while d and state[d - 1] == q - 1:
+            d -= 1
+        if not d:
+            return None if failing else seen
+        state[d - 1] += 1
+        mask = rows[d - 1][state[d - 1]]
+
+
+def _not_closed(state: tuple[int, ...], edges: frozenset[int]) -> CheckResult:
+    return CheckResult("satisfied_closure", False, f"state {state} satisfies non-closed set {sorted(edges)}")
 
 
 def check_satisfied_closure(inst: Instance, state_cap: int = 10**5,
                             rng: random.Random | None = None) -> CheckResult:
     """Every reachable satisfied-edge set must be holonomy closed.
 
-    When |Q|**|V| fits under ``state_cap``, every state is enumerated by a
-    depth-first walk over the vertices, keyed by the bit mask of the edges
-    it satisfies.  Otherwise ``CLOSURE_SAMPLES`` states are drawn from
-    ``rng`` (a fixed seed when none is given), keyed by ``satisfied_edges``.
-    Each key's verdict is computed once; the first state whose satisfied
-    set is not closed is reported.
+    When |Q|**|V| fits under ``state_cap``, one walk over every state
+    collects the distinct masks of satisfied edges, and each mask is tested
+    once; only if one fails does a second walk find the first state, in
+    ``itertools.product`` order, that satisfies it.  Otherwise
+    ``CLOSURE_SAMPLES`` states are drawn from ``rng`` (a fixed seed when
+    none is given), keyed by ``satisfied_edges``, and the first whose set
+    is not closed is reported.
     """
     g, a = inst.graph, inst.action
     check_action(g, a)
     n, q = g.vertex_count, a.size
     if q**n <= state_cap:
         ids = sorted(g.edge_ids)
-        keyed = _satisfied_masks(g, a.act, q, ids)
 
         def edge_set(mask: int) -> frozenset[int]:
             return frozenset(eid for bit, eid in enumerate(ids) if mask >> bit & 1)
-    else:
-        rng = rng or random.Random(0)
-        states = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(CLOSURE_SAMPLES))
-        keyed = ((state, satisfied_edges(g, a, state)) for state in states)
 
-        def edge_set(sat: frozenset[int]) -> frozenset[int]:
-            return sat
-    verdicts: dict = {}
-    for state, key in keyed:
-        verdict = verdicts.get(key)
+        failing = frozenset(mask for mask in _satisfied_masks(g, a.act, q, ids) if not is_holonomy_closed(g, edge_set(mask)))
+        if failing:
+            state, mask = _satisfied_masks(g, a.act, q, ids, failing)
+            return _not_closed(state, edge_set(mask))
+        return CheckResult("satisfied_closure", True)
+    rng = rng or random.Random(0)
+    verdicts: dict[frozenset[int], bool] = {}
+    for _ in range(CLOSURE_SAMPLES):
+        state = tuple(rng.randrange(q) for _ in range(n))
+        sat = satisfied_edges(g, a, state)
+        verdict = verdicts.get(sat)
         if verdict is None:
-            verdict = verdicts[key] = is_holonomy_closed(g, edge_set(key))
+            verdict = verdicts[sat] = is_holonomy_closed(g, sat)
         if not verdict:
-            return CheckResult(
-                "satisfied_closure", False, f"state {tuple(state)} satisfies non-closed set {sorted(edge_set(key))}"
-            )
+            return _not_closed(state, sat)
     return CheckResult("satisfied_closure", True)
 
 

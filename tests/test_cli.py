@@ -503,6 +503,27 @@ class TestVerifyCommand:
         assert code == 0
         assert "all checks passed" in out
 
+    def test_passing_run_prints_the_fixed_report(self, capsys):
+        # the instance description appears only on failure lines
+        assert main(["verify", "--seed", "2", "--count", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "seed 2, 4 instances\n"
+            "balanced_evaluation: 4 pass\n"
+            "deletion_contraction: 4 pass\n"
+            "method_agreement: 4 pass\n"
+            "satisfied_closure: 4 pass\n"
+            "switching_invariance: 4 pass\n"
+            "all checks passed\n"
+        )
+        assert main(["verify", "--seed", "2", "--count", "4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "verify",
+            "seed": 2,
+            "instances": 4,
+            "passed": {name: 4 for name in harness.CHECKS},
+            "failures": [],
+        }
+
     def test_zero_count_vacuous(self, capsys):
         code = main(["verify", "--seed", "1", "--count", "0"])
         assert code == 0
@@ -712,6 +733,62 @@ class TestSingleMethod:
         single = json.loads(capsys.readouterr().out)
         assert single["value"] == everything[name]["value"]
         assert single["stats"] == everything[name]["stats"]
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, built on its first call;
+    ``build_parser`` stays the constructor of a fresh one."""
+
+    @staticmethod
+    def run(calls, capsys, fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # usage errors and --help
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_calls_print_what_a_fresh_parser_prints(self, tmp_path, capsys):
+        path = write(tmp_path, DIGON)
+        calls = [
+            ["count"],
+            ["count", "--help"],
+            ["count", path, "--json"],
+            ["poly", path, "--chromatic", "--zero-free", "--json"],
+            ["verify", "--count", "1", "--json"],
+        ]
+        cli._parser.cache_clear()
+        shared = self.run(calls + calls, capsys, fresh=False)
+        fresh = self.run(calls, capsys, fresh=True)
+        assert shared == fresh + fresh
+        assert [code for code, _, _ in fresh] == [EXIT_PARSE, 0, 0, 0, 0]
+        assert fresh[0][2].startswith("usage: gainchroma count")
+        assert fresh[1][1].startswith("usage: gainchroma count")
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built = []
+
+        def counted():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(5):
+                assert main(["setcolor", "--vertices", "2", "--edges", "0-1", "--k", "1"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert capsys.readouterr().out.count("set colorations with k=1: 2\n") == 5
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestModuleEntryPoint:

@@ -2,7 +2,18 @@ import random
 
 import pytest
 
-from gainchroma import BoundExceeded, build_cyclic, build_symmetric, counting, gain_graph, harness, regular_action, trivial_action
+from gainchroma import (
+    BoundExceeded,
+    build_cyclic,
+    build_symmetric,
+    counting,
+    gain_graph,
+    harness,
+    regular_action,
+    standard_colors,
+    trivial_action,
+    zero_free_colors,
+)
 from gainchroma.harness import (
     CHECKS,
     GROUP_BUILDERS,
@@ -41,6 +52,29 @@ class TestGeneratedInstances:
         rng = random.Random(3)
         flags = [random_instance(rng).balanced for _ in range(60)]
         assert any(flags) and not all(flags)
+
+
+class TestDescribe:
+    @pytest.mark.parametrize(
+        "kind,actions",
+        [
+            ("trivial", [lambda g: trivial_action(g, 1), lambda g: trivial_action(g, 3)]),
+            ("standard", [lambda g: standard_colors(g, 1), lambda g: standard_colors(g, 2)]),
+            ("zero_free", [lambda g: zero_free_colors(g, 0), lambda g: zero_free_colors(g, 2)]),
+        ],
+    )
+    def test_instances_differing_only_in_the_action_describe_differently(self, kind, actions):
+        # a failure line names the action's k or size, so it can be rebuilt
+        group = build_cyclic(3)
+        g = gain_graph(group, 2, [(0, 1, 1)])
+        texts = [Instance(g, make(group), "Z3", kind, False).describe() for make in actions]
+        assert texts[0] != texts[1]
+        assert all(f"action={kind}[{make(group).name}]" in text for make, text in zip(actions, texts))
+
+    def test_names_the_spins_of_a_union(self):
+        group = build_cyclic(3)
+        inst = Instance(gain_graph(group, 1, []), standard_colors(group, 2), "Z3", "standard", False)
+        assert inst.describe() == "group=Z3 action=standard[2*regular(Z3) + 1*trivial(1)] vertices=1 edges=[]"
 
 
 class TestSuiteRunner:

@@ -1,8 +1,12 @@
 """No module of the package imports a private name from another: a helper
-that a second module needs is public where it is defined."""
+that a second module needs is public where it is defined.  Importing the
+package builds no command-line parser."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import gainchroma
 
@@ -34,3 +38,33 @@ def test_no_module_imports_a_private_name():
     assert {"cli.py", "counting.py", "harness.py", "polynomials.py"} <= {path.name for path in modules}
     found = {path.name: private_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_importing_the_package_builds_no_argument_parser():
+    # cli.main builds its parser on its first call, so an import, and the
+    # set-up of any program that imports the package, does not pay for it
+    script = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(None)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import gainchroma, gainchroma.cli
+print(len(built))
+gainchroma.cli.build_parser()
+print(len(built))
+"""
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    on_import, after_build = map(int, done.stdout.split())
+    assert on_import == 0
+    assert after_build > 0  # the count sees a build
