@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .groups import BoundExceeded, SpinAction, fixed_set, stabilizer_classes
-from .graphs import Edge, GainGraph, balanced_component_count, check_action, contract_link, delete_edge
+from .groups import BoundExceeded, FiniteGroup, SpinAction, fixed_set, stabilizer_classes
+from .graphs import GainGraph, balanced_component_count, check_action
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, enumerate_closed_sets, signed_subset_sum
 
@@ -45,13 +45,26 @@ BRUTE_VERTEX_LIMIT = 400
 DELCON_LINK_LIMIT = 400
 
 
+def _spin_mask(spins, size: int) -> int:
+    """The int with bit q set for each spin q, built in one pass over a
+    string of ``size`` digits rather than by adding ``size`` shifted ints."""
+    digits = bytearray(b"0" * (size + 1))
+    for q in spins:
+        digits[size - q] = 49  # ord("1")
+    return int(digits, 2)
+
+
 def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountResult:
     """Count states with no satisfied edge by backtracking enumeration.
 
     A partial state is abandoned as soon as any edge among the assigned
     vertices is satisfied, so only the bound |Q|**|V| is checked up front.
-    With any spin it recurses once per vertex, so ``BRUTE_VERTEX_LIMIT``
-    caps the vertices; with none, ``descend(0)`` returns at once.
+    At each search node the spins that the edges back to assigned vertices
+    forbid are one int bitmask, and the last vertex is counted, not
+    descended into: the popcount of its allowed spins minus the forbidden
+    ones.  ``stats["states_visited"]`` still counts every spin tried at
+    every vertex, the last one included.  With any spin it recurses once
+    per vertex, so ``BRUTE_VERTEX_LIMIT`` caps the vertices.
     """
     check_action(g, a)
     n = g.vertex_count
@@ -60,6 +73,8 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
         raise BoundExceeded(f"{m}**{n} states exceed the brute-force limit {max_states}")
     if m and n > BRUTE_VERTEX_LIMIT:
         raise BoundExceeded(f"{n} vertices exceed the brute-force depth limit {BRUTE_VERTEX_LIMIT}")
+    if n == 0:
+        return CountResult(1, "brute", {"states_visited": 0})
     act = a.act
     inv = g.group.inv
     loop_gains: list[set[int]] = [set() for _ in range(n)]
@@ -75,19 +90,23 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
         [q for q in range(m) if all(act[q][h] != q for h in loop_gains[v])]
         for v in range(n)
     ]
+    last = n - 1
+    last_mask = _spin_mask(allowed[last], m)
     assigned = [0] * n
     total = 0
     visited = 0
 
     def descend(v: int):
         nonlocal total, visited
-        if v == n:
-            total += 1
+        forbidden = 0
+        for u, phi in constraints[v]:
+            forbidden |= 1 << act[assigned[u]][phi]
+        visited += len(allowed[v])
+        if v == last:
+            total += (last_mask & ~forbidden).bit_count()
             return
-        forbidden = {act[assigned[u]][phi] for u, phi in constraints[v]}
         for q in allowed[v]:
-            visited += 1
-            if q not in forbidden:
+            if not forbidden >> q & 1:
                 assigned[v] = q
                 descend(v + 1)
 
@@ -95,11 +114,46 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
     return CountResult(total, "brute", {"states_visited": visited})
 
 
+# A minor in count_delcon's recursion: the vertex count and the (u, v, gain)
+# triple of each edge, in edge-id order.
+Minor = tuple[int, tuple[tuple[int, int, int], ...]]
+
+
+def _contract(minor: Minor, i: int, group: FiniteGroup) -> Minor:
+    """The minor with its link i contracted, edge for edge as
+    ``graphs.contract_link`` contracts it: the absorbed endpoint v is
+    switched by gain(i)**-1 and merged into the other endpoint u, every
+    vertex above v moves down by one, and a loop at v becomes a loop at u
+    with gain gain(i) * h * gain(i)**-1."""
+    vertex_count, edges = minor
+    u, v, h = edges[i]
+    mul = group.mul
+    h_times = mul[h]  # x -> h * x, for an edge leaving v
+    h_inv = group.inv[h]  # x -> x * h**-1, for an edge entering v
+    label = [w if w < v else w - 1 for w in range(vertex_count)]
+    label[v] = label[u]
+    contracted = []
+    for j, (a, b, x) in enumerate(edges):
+        if j == i:
+            continue
+        if a == v:
+            x = h_times[x]
+        if b == v:
+            x = mul[x][h_inv]
+        contracted.append((label[a], label[b], x))
+    return vertex_count - 1, tuple(contracted)
+
+
 def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountResult:
     """Count by the deletion-contraction recursion on the lowest-id link.
 
-    A loops-only graph is evaluated directly as the product, over vertices,
-    of the number of spins not fixed by any incident loop gain.  The
+    A minor is a vertex count and the (u, v, gain) triples of its edges in
+    edge-id order, so the lowest-id link is the first non-loop triple:
+    deletion drops it, and ``_contract`` contracts it as
+    ``graphs.contract_link`` would.  A loops-only minor is evaluated
+    directly as the product, over vertices, of |Q| minus the number of
+    spins fixed by some loop gain there: the popcount of the OR of the
+    loops' fixed-spin masks, each built once for a gain that occurs.  The
     recursion is as deep as the graph has links, so more than
     ``DELCON_LINK_LIMIT`` are refused before the first call.  It runs on
     the vertices some edge touches, relabelled 0, 1, ... in increasing
@@ -111,33 +165,36 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     if links > DELCON_LINK_LIMIT:
         raise BoundExceeded(f"{links} links exceed the deletion-contraction depth limit {DELCON_LINK_LIMIT}")
     m = a.size
-    fixed = functools.cache(a.fixed)
+    act = a.act
+    group = g.group
+    fixed_mask = functools.cache(lambda h: _spin_mask((q for q in range(m) if act[q][h] == q), m))
     calls = 0
 
-    def loops_only_value(graph: GainGraph) -> int:
-        value = 1
-        banned: list[set[int]] = [set() for _ in range(graph.vertex_count)]
-        for e in graph.edges:
-            banned[e.u] |= fixed(e.gain)
-        for v in range(graph.vertex_count):
-            value *= m - len(banned[v])
-            if value == 0:
-                return 0
+    def loops_only_value(minor: Minor) -> int:
+        vertex_count, edges = minor
+        banned: dict[int, int] = {}
+        for u, _, h in edges:
+            banned[u] = banned.get(u, 0) | fixed_mask(h)
+        value = m ** (vertex_count - len(banned))
+        for mask in banned.values():
+            value *= m - mask.bit_count()
         return value
 
-    def recurse(graph: GainGraph) -> int:
+    def recurse(minor: Minor) -> int:
         nonlocal calls
         calls += 1
         if calls > max_calls:
             raise BoundExceeded(f"deletion-contraction exceeded {max_calls} calls")
-        link = min((e for e in graph.edges if not e.is_loop), key=lambda e: e.id, default=None)
-        if link is None:
-            return loops_only_value(graph)
-        return recurse(delete_edge(graph, link.id)) - recurse(contract_link(graph, link.id))
+        vertex_count, edges = minor
+        for i, (u, v, _) in enumerate(edges):
+            if u != v:
+                deleted = vertex_count, edges[:i] + edges[i + 1 :]
+                return recurse(deleted) - recurse(_contract(minor, i, group))
+        return loops_only_value(minor)
 
     label = {v: i for i, v in enumerate(sorted({w for e in g.edges for w in (e.u, e.v)}))}
-    core = GainGraph(g.group, len(label), [Edge(e.id, label[e.u], label[e.v], e.gain) for e in g.edges])
-    value = recurse(core) * m ** (g.vertex_count - len(label))
+    core = tuple((label[e.u], label[e.v], e.gain) for e in sorted(g.edges, key=lambda e: e.id))
+    value = recurse((len(label), core)) * m ** (g.vertex_count - len(label))
     return CountResult(value, "delcon", {"calls": calls})
 
 

@@ -12,13 +12,16 @@ import random
 from fractions import Fraction
 
 from gainchroma import (
+    Edge,
     GainGraph,
     HolonomyContext,
     MultiPoly,
     SpinAction,
     component_subgroup,
     components,
+    contract_link,
     count_inclexcl,
+    delete_edge,
     fixed_set,
     gain_graph,
     holonomy_group,
@@ -256,6 +259,74 @@ def oracle_elim(graph: GainGraph, action: SpinAction):
             break
         peak = max(peak, len(table))
     return table.get((), 0), {"width": max(sizes, default=0), "peak_states": peak, "transitions": transitions}
+
+
+def oracle_brute(graph: GainGraph, action: SpinAction):
+    """``count_brute`` with a set of forbidden spins built at every search
+    node and one recursive call per vertex, the last one included: the path
+    the spin masks replaced.  Returns ``(value, stats)``."""
+    n = graph.vertex_count
+    act, inv = action.act, graph.group.inv
+    loop_gains = [set() for _ in range(n)]
+    constraints = [[] for _ in range(n)]
+    for e in graph.edges:
+        if e.is_loop:
+            loop_gains[e.u].add(e.gain)
+        elif e.u < e.v:
+            constraints[e.v].append((e.u, e.gain))
+        else:
+            constraints[e.u].append((e.v, inv[e.gain]))
+    allowed = [
+        [q for q in range(action.size) if all(act[q][h] != q for h in loop_gains[v])]
+        for v in range(n)
+    ]
+    assigned = [0] * n
+    total = visited = 0
+
+    def descend(v):
+        nonlocal total, visited
+        if v == n:
+            total += 1
+            return
+        forbidden = {act[assigned[u]][phi] for u, phi in constraints[v]}
+        for q in allowed[v]:
+            visited += 1
+            if q not in forbidden:
+                assigned[v] = q
+                descend(v + 1)
+
+    descend(0)
+    return total, {"states_visited": visited}
+
+
+def oracle_delcon(graph: GainGraph, action: SpinAction):
+    """``count_delcon`` with a validated ``GainGraph`` per minor, built by
+    ``graphs.delete_edge`` and ``graphs.contract_link``: the path the edge
+    triples replaced.  Returns ``(value, stats)``."""
+    m = action.size
+    calls = 0
+
+    def loops_only_value(minor):
+        value = 1
+        banned = [set() for _ in range(minor.vertex_count)]
+        for e in minor.edges:
+            banned[e.u] |= action.fixed(e.gain)
+        for v in range(minor.vertex_count):
+            value *= m - len(banned[v])
+        return value
+
+    def recurse(minor):
+        nonlocal calls
+        calls += 1
+        link = min((e for e in minor.edges if not e.is_loop), key=lambda e: e.id, default=None)
+        if link is None:
+            return loops_only_value(minor)
+        return recurse(delete_edge(minor, link.id)) - recurse(contract_link(minor, link.id))
+
+    label = {v: i for i, v in enumerate(sorted({w for e in graph.edges for w in (e.u, e.v)}))}
+    core = GainGraph(graph.group, len(label), [Edge(e.id, label[e.u], label[e.v], e.gain) for e in graph.edges])
+    value = recurse(core) * m ** (graph.vertex_count - len(label))
+    return value, {"calls": calls}
 
 
 def oracle_satisfied_closure(inst, state_cap=10**5, samples=100, rng=None, closed=is_holonomy_closed):

@@ -324,6 +324,14 @@ class TestCountCommand:
         assert payload["agree"] is True
         assert payload["brute"]["value"] == 0
 
+    def test_json_stats_of_brute_and_delcon_are_pinned(self, tmp_path, capsys):
+        # brute tries 2 spins at vertex 0 and 2 at vertex 1 under each;
+        # delcon makes 1 + 2 calls on the digon and 2 on its one-link deletion
+        assert main(["count", write(tmp_path, DIGON), "--method", "all", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["brute"] == {"value": 0, "stats": {"states_visited": 6}}
+        assert payload["delcon"] == {"value": 0, "stats": {"calls": 5}}
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write(tmp_path, DIGON)
         main(["count", path])

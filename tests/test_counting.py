@@ -28,8 +28,8 @@ from gainchroma import (
     verify_all,
     zero_free_colors,
 )
-from gainchroma import counting
-from helpers import naive_count, oracle_elim, random_graph
+from gainchroma import contract_link, counting, harness
+from helpers import naive_count, oracle_brute, oracle_delcon, oracle_elim, random_graph
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -122,7 +122,7 @@ class TestDeletionContraction:
         def no_minors(*args):
             raise AssertionError("the recursion started")
 
-        monkeypatch.setattr(counting, "delete_edge", no_minors)
+        monkeypatch.setattr(counting, "_contract", no_minors)
         monkeypatch.setattr(counting, "DELCON_LINK_LIMIT", 1)
         # loops do not count against the bound
         g = gain_graph(Z2, 3, [(0, 1, 0), (1, 2, 1), (2, 2, 1)])
@@ -150,6 +150,57 @@ class TestDeletionContraction:
             [regular_action(group), standard_colors(group, 1), trivial_action(group, 3)]
         )
         assert count_delcon(g, action).value == count_brute(g, action).value
+
+
+def harness_instances(count=2000):
+    """The instances ``harness.random_instance`` draws at (6, 9) from seeds
+    0, 1, ...: every group and action kind in its pool."""
+    for seed in range(count):
+        yield harness.random_instance(random.Random(seed), 6, 9)
+
+
+class TestAgainstTheGraphRecordPaths:
+    """Brute and delcon run on plain ints; the oracles keep the per-node
+    spin set, the recursion into the last vertex and a ``GainGraph`` per
+    minor.  Values and stats must be equal, instance for instance."""
+
+    def test_brute_matches_its_oracle(self):
+        for inst in harness_instances():
+            result = count_brute(inst.graph, inst.action)
+            assert (result.value, result.stats) == oracle_brute(inst.graph, inst.action), inst.describe()
+
+    def test_delcon_matches_its_oracle(self):
+        for inst in harness_instances():
+            result = count_delcon(inst.graph, inst.action)
+            assert (result.value, result.stats) == oracle_delcon(inst.graph, inst.action), inst.describe()
+
+    @pytest.mark.parametrize("group", [S3, Z4], ids=["S3", "Z4"])
+    def test_light_contraction_is_contract_link(self, group):
+        rng = random.Random(f"contract:{group.order}")
+        for _ in range(100):
+            n = rng.randint(2, 5)
+            triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(group.order)) for _ in range(rng.randint(1, 7))]
+            triples += [(v, v, rng.randrange(group.order)) for v in range(n) if rng.random() < 0.6]
+            rng.shuffle(triples)
+            g = gain_graph(group, n, triples)
+            for i, e in enumerate(g.edges):
+                if e.is_loop:
+                    continue
+                c = contract_link(g, e.id)
+                expected = c.vertex_count, tuple((f.u, f.v, f.gain) for f in c.edges)
+                assert counting._contract((n, tuple(triples)), i, group) == expected
+
+    def test_contracted_loops_are_conjugated(self):
+        # Deeper in the recursion a contraction absorbs a vertex that carries
+        # a loop; merging that loop with its gain unconjugated gives 158 here,
+        # in the same 27 calls.
+        inst = harness.random_instance(random.Random(194), 6, 9)
+        g, a = inst.graph, inst.action
+        assert (inst.group_name, a.name, g.vertex_count) == ("S3", "subsets(3)", 3)
+        assert [(e.u, e.v, e.gain) for e in g.edges] == [(1, 2, 3), (2, 1, 4), (1, 1, 2), (0, 2, 0), (2, 0, 5), (1, 0, 5)]
+        assert count_brute(g, a).value == 160
+        assert oracle_delcon(g, a) == (160, {"calls": 27})
+        assert count_delcon(g, a) == counting.CountResult(160, "delcon", {"calls": 27})
 
 
 class TestInclusionExclusion:

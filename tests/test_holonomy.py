@@ -466,19 +466,17 @@ class TestUntouchedVertices:
         g = self._graph()
         action = standard_colors(Z3, 1)
         largest = 0
+        contract = counting._contract
 
-        def watch(minor):
-            def watched(graph, eid):
-                nonlocal largest
-                largest = max(largest, graph.vertex_count)
-                if graph.vertex_count > 8:
-                    raise AssertionError(f"the recursion sees {graph.vertex_count} vertices")
-                return minor(graph, eid)
+        def watched(minor, i, group):
+            nonlocal largest
+            vertex_count = minor[0]
+            largest = max(largest, vertex_count)
+            if vertex_count > 8:
+                raise AssertionError(f"the recursion sees {vertex_count} vertices")
+            return contract(minor, i, group)
 
-            return watched
-
-        monkeypatch.setattr(counting, "delete_edge", watch(counting.delete_edge))
-        monkeypatch.setattr(counting, "contract_link", watch(counting.contract_link))
+        monkeypatch.setattr(counting, "_contract", watched)
         result = count_delcon(g, action)
         assert largest == 8
         assert result.value == count_elim(g, action).value

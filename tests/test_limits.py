@@ -3,6 +3,10 @@ keywords a caller may set are the counters' work budgets and the sizes of
 the harness's random instances."""
 
 import inspect
+import time
+import tracemalloc
+
+import pytest
 
 from gainchroma import cli, counting, graphs, groups, harness, holonomy, models, polynomials
 
@@ -49,3 +53,25 @@ def test_only_budgets_and_generator_sizes_are_keywords():
         if extra:
             found[qualified] = sorted(extra)
     assert found == {}
+
+
+@pytest.mark.parametrize("count", [counting.count_brute, counting.count_delcon], ids=["brute", "delcon"])
+def test_brute_and_delcon_at_the_spin_limit(count):
+    """Both keep O(|V| * |Q|) memory and finish in seconds at the largest
+    spin set: 50 parallel links between two vertices under a trivial action
+    of |Q| = SPIN_COUNT_LIMIT spins.  A table of spin masks per link would
+    take about 50 MB here."""
+    group = groups.build_cyclic(1000)
+    action = groups.trivial_action(group, groups.SPIN_COUNT_LIMIT)
+    g = graphs.gain_graph(group, 2, [(0, 1, 7 * i) for i in range(50)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = count(g, action)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == 4096 * 4095
+    assert peak < 4 * 2**20
+    assert seconds < 10
