@@ -321,9 +321,10 @@ def _elim_order(g: GainGraph) -> tuple[list[tuple[int, set[int]]], list[int]]:
     return steps, sizes
 
 
-# The most keys an elimination table may hold.  An entry takes about 160-260
-# bytes (a tuple key and an int count), and two tables are alive at once, so
-# this keeps count_elim's tables near 130 MB whatever ``max_states`` says.
+# The most keys an elimination table may hold.  An entry, an int key and an
+# int count, takes about 104 bytes (measured with tracemalloc on tables of
+# 2**18 keys; tuple keys took 160-256), and two tables are alive at once, so
+# this keeps count_elim's tables near 52 MB whatever ``max_states`` says.
 ELIM_TABLE_LIMIT = 2**18
 
 
@@ -370,6 +371,17 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
     table is built, the first is checked against ``ELIM_TABLE_LIMIT`` and
     the second against ``max_states``, the same budget as brute's |Q|**|V|.
 
+    A key is one int.  Each frontier vertex owns a slot of b bits, enough
+    for any spin, from the step that places it to the one that retires it;
+    a retired vertex's slot is cleared and reused, so there are at most
+    width slots and equal frontier spins give equal keys.  Dropping the
+    retired vertices is one AND per entry, placing v one OR.  The spins v's
+    edges forbid depend only on the digits of its placed neighbours, the
+    key's pattern under a back mask: each neighbour's row maps its spin to
+    the mask of spins its edges to v forbid, and per distinct pattern the
+    step caches the spins v may take, or their number when v retires at
+    once.
+
     One vertex per connected component, chosen by ``_elim_pins``, is
     pinned: it tries only the first spin of each ``stabilizer_classes``
     class, and the count of each table entry it enters is multiplied by the
@@ -405,41 +417,86 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
         else:
             into[e.v].append((e.u, e.gain))
             into[e.u].append((e.v, inv[e.gain]))
-    frontier: list[int] = []
-    table: dict[tuple[int, ...], int] = {(): 1}
+    b = max(q - 1, 1).bit_length()
+    digit = (1 << b) - 1
+    slots: list[int | None] = [None] * width  # the frontier vertex in each slot
+    shift_of: dict[int, int] = {}  # frontier vertex -> the bit its spin starts at
+    table: dict[int, int] = {0: 1}
     peak = 1
     transitions = 0
     for v, gone in steps:
-        pos = {u: i for i, u in enumerate(frontier)}
-        backs = {(pos[u], h) for u, h in into[v] if u in pos}
-        keep = [i for i, u in enumerate(frontier) if u not in gone]
-        kept = v not in gone
-        frontier = [frontier[i] for i in keep] + [v] * kept
+        gains: dict[int, set[int]] = {}
+        for u, h in into[v]:
+            if u in shift_of:
+                gains.setdefault(shift_of[u], set()).add(h)
+        back_mask = 0
+        rows = []  # (shift, row): a back neighbour with spin d forbids v the spins in row[d]
+        for shift, hs in gains.items():
+            back_mask |= digit << shift
+            row = []
+            for image in act:
+                mask = 0
+                for x in {image[h] for h in hs}:  # parallel links often share images
+                    mask |= 1 << x
+                row.append(mask)
+            rows.append((shift, row))
+
+        def forbidden(pattern: int) -> int:
+            mask = 0
+            for shift, row in rows:
+                mask |= row[pattern >> shift & digit]
+            return mask
+
+        drop = 0
+        for u in gone:
+            if u != v:
+                shift = shift_of.pop(u)
+                slots[shift // b] = None
+                drop |= digit << shift
+        keep = ~drop
         domain = [s for s in range(q) if all(act[s][h] != s for h in loop_gains[v])]
         pinned = v in pins
         if pinned:
             domain = [s for s in domain if s in class_size]
-        allowed = set(domain)
         transitions += len(table) * len(domain)
-        new: dict[tuple[int, ...], int] = {}
-        for spins, count in table.items():
-            forbidden = {act[spins[i]][h] for i, h in backs}
-            head = tuple([spins[i] for i in keep])
-            if kept:
-                for s in domain:
-                    if s not in forbidden:
-                        k = head + (s,)
-                        new[k] = new.get(k, 0) + count
-            else:
-                free = len(domain) - len(forbidden & allowed)
+        new: dict[int, int] = {}
+        cache: dict[int, Any] = {}
+        if v in gone:
+            allowed = _spin_mask(domain, q)
+            for key, count in table.items():
+                pattern = key & back_mask
+                free = cache.get(pattern)
+                if free is None:
+                    free = cache[pattern] = len(domain) - (forbidden(pattern) & allowed).bit_count()
                 if free:
-                    new[head] = new.get(head, 0) + count * free
-        if pinned:  # a pinned vertex is kept, so its spin ends each key
-            new = {k: count * class_size[k[-1]] for k, count in new.items()}
+                    base = key & keep
+                    new[base] = new.get(base, 0) + count * free
+        else:
+            i = slots.index(None)
+            slots[i] = v
+            shift = shift_of[v] = i * b
+            # The cached lists hold at most ELIM_TABLE_LIMIT spins.  They can
+            # outgrow the new table only when v retires a back neighbour,
+            # whose digit is in the pattern but not in the new key.
+            room = ELIM_TABLE_LIMIT // max(len(domain), 1)
+            for key, count in table.items():
+                pattern = key & back_mask
+                placed = cache.get(pattern)
+                if placed is None:
+                    if len(cache) == room:
+                        cache.clear()
+                    banned = forbidden(pattern)
+                    placed = cache[pattern] = [s << shift for s in domain if not banned >> s & 1]
+                base = key & keep
+                for spin in placed:
+                    k = base | spin
+                    new[k] = new.get(k, 0) + count
+            if pinned:
+                new = {k: count * class_size[k >> shift & digit] for k, count in new.items()}
         table = new
         peak = max(peak, len(table))
     stats = {"width": width, "peak_states": peak, "transitions": transitions}
-    return CountResult(table.get((), 0), "elim", stats)
+    return CountResult(table.get(0, 0), "elim", stats)
 
 
 def count_auto(
@@ -472,10 +529,9 @@ def theta(g: GainGraph, a: SpinAction) -> Fraction:
     """The count of totally frustrated states divided by |Q| to the power of
     the number of balanced components, as an exact rational."""
     b = balanced_component_count(g)
-    chi = count_auto(g, a)
     if a.size == 0 and b > 0:
         raise ValueError("theta is undefined for an empty spin set on a graph with balanced components")
-    return Fraction(chi, a.size**b)
+    return Fraction(count_auto(g, a), a.size**b)
 
 
 @dataclass

@@ -26,10 +26,11 @@ from gainchroma import (
     gain_graph,
     holonomy_group,
     is_holonomy_closed,
+    stabilizer_classes,
     standard_colors,
     zero_free_colors,
 )
-from gainchroma.counting import _elim_order
+from gainchroma.counting import _elim_order, _elim_pins
 
 
 def naive_count(graph: GainGraph, action: SpinAction) -> int:
@@ -220,11 +221,17 @@ def oracle_zero_free(graph: GainGraph) -> MultiPoly:
     ])
 
 
-def oracle_elim(graph: GainGraph, action: SpinAction):
-    """``count_elim`` without the pin: every placed vertex tries every spin
-    its loops leave it.  Returns ``(value, stats)``."""
+def oracle_elim(graph: GainGraph, action: SpinAction, pinned: bool = False):
+    """``count_elim`` on tuple keys, with a set of forbidden spins built for
+    every table entry.  Unpinned, every placed vertex tries every spin its
+    loops leave it.  Pinned, the vertices ``_elim_pins`` picks try the first
+    spin of each stabilizer class and multiply the counts they enter by the
+    class size, as ``count_elim`` does, so the stats must match too: the
+    path the int keys replaced.  Returns ``(value, stats)``."""
     steps, sizes = _elim_order(graph)
     q = action.size
+    pins = _elim_pins(steps, sizes, q) if pinned else set()
+    class_size = {spins[0]: len(spins) for spins in stabilizer_classes(action)} if pins else {}
     act, inv = action.act, graph.group.inv
     loop_gains = [set() for _ in range(graph.vertex_count)]
     into = [[] for _ in range(graph.vertex_count)]
@@ -245,6 +252,8 @@ def oracle_elim(graph: GainGraph, action: SpinAction):
         kept = v not in gone
         frontier = [frontier[i] for i in keep] + [v] * kept
         domain = [s for s in range(q) if all(act[s][h] != s for h in loop_gains[v])]
+        if v in pins:
+            domain = [s for s in domain if s in class_size]
         transitions += len(table) * len(domain)
         new = {}
         for spins, count in table.items():
@@ -253,7 +262,7 @@ def oracle_elim(graph: GainGraph, action: SpinAction):
             for s in domain:
                 if s not in forbidden:
                     k = head + (s,) * kept
-                    new[k] = new.get(k, 0) + count
+                    new[k] = new.get(k, 0) + count * (class_size[s] if v in pins else 1)
         table = new
         if not table:
             break

@@ -54,6 +54,16 @@ POTTS = {
     "signed_graph": {"vertices": 2, "edges": [[0, 1, "-"]]},
 }
 
+S3_RING = {
+    "comment": "a ring of nine vertices with every chord of span 2 and six of span 3, over S3",
+    "group": {"kind": "symmetric", "d": 3},
+    "spins": [{"kind": "regular"}],
+    "graph": {
+        "vertices": 9,
+        "edges": [[v, (v + span) % 9, (v + 2 * span) % 6] for span in (1, 2, 3) for v in range(9)][:24],
+    },
+}
+
 TABLE_INSTANCE = {
     "group": {"kind": "table", "mul": [[0, 1], [1, 0]]},
     "spins": [{"kind": "table", "act": [[0, 1], [1, 0], [2, 2]]}],
@@ -331,6 +341,14 @@ class TestCountCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["brute"] == {"value": 0, "stats": {"states_visited": 6}}
         assert payload["delcon"] == {"value": 0, "stats": {"calls": 5}}
+
+    def test_json_stats_of_elim_are_pinned(self, tmp_path, capsys):
+        # a frontier of five vertices, three of them placed into slots that
+        # retired vertices freed; the figures are those of the tuple-keyed tables
+        assert main(["count", write(tmp_path, S3_RING), "--method", "elim", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == 134850
+        assert payload["stats"] == {"width": 5, "peak_states": 525, "transitions": 10585}
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write(tmp_path, DIGON)

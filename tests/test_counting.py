@@ -280,6 +280,15 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta(g, zero_free_colors(Z3, 0))
 
+    def test_empty_spin_set_is_rejected_before_counting(self, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("theta counted before checking its divisor")
+
+        monkeypatch.setattr(counting, "count_auto", no_count)
+        g = gain_graph(Z3, 3, [(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(ValueError, match="empty spin set"):
+            theta(g, zero_free_colors(Z3, 0))
+
     def test_multiplicative_on_disjoint_union(self):
         rng = random.Random(13)
         for _ in range(10):
@@ -630,6 +639,80 @@ class TestElimination:
         assert result.value == value
         assert result.stats["transitions"] * 5 <= stats["transitions"]
         assert result.stats["peak_states"] <= stats["peak_states"]
+
+
+def reused_slots(g):
+    """How many steps of ``_elim_order`` place a vertex into a key slot that
+    a retired vertex freed: count_elim takes the lowest free slot, so a
+    freed one whenever there is one."""
+    steps, _ = counting._elim_order(g)
+    free = reused = 0
+    for v, gone in steps:
+        free += len(gone - {v})
+        if v not in gone and free:
+            free -= 1
+            reused += 1
+    return reused
+
+
+# |Q| = 0, 1, ..., 5: slots of 1, 1, 1, 2, 2 and 3 bits
+PACKING_ACTIONS = [
+    zero_free_colors(Z4, 0),
+    trivial_action(Z4, 1),
+    z4_on_cosets_of_z2(),
+    disjoint_union_action([z4_on_cosets_of_z2(), trivial_action(Z4, 1)], [1, 1]),
+    regular_action(Z4),
+    standard_colors(Z4, 1),
+]
+
+
+class TestAgainstTheTupleKeys:
+    """Elim keys its tables by ints, one slot of bits per frontier vertex,
+    and caches the spins each back-neighbour pattern allows; the pinned
+    oracle keeps tuple keys and a set of forbidden spins per entry.  Values
+    and stats must be equal, instance for instance."""
+
+    def test_harness_instances(self):
+        for seed in range(2000):
+            inst = harness.random_instance(random.Random(seed), 6, 10)
+            result = count_elim(inst.graph, inst.action)
+            assert (result.value, result.stats) == oracle_elim(inst.graph, inst.action, pinned=True), inst.describe()
+
+    @pytest.mark.parametrize(
+        "group,action,n,m,width,reused",
+        [
+            (Z3, standard_colors(Z3, 1), 13, 26, 4, 8),
+            (Z4, regular_action(Z4), 13, 26, 4, 8),
+            (S3, regular_action(S3), 9, 24, 5, 3),
+        ],
+        ids=["Z3", "Z4", "S3"],
+    )
+    def test_ring_sparse_shapes(self, group, action, n, m, width, reused):
+        for seed in range(3):
+            g = ring_with_chords(random.Random(f"slots:{seed}"), group, n, m)
+            assert reused_slots(g) == reused
+            result = count_elim(g, action)
+            assert result.stats["width"] == width
+            assert (result.value, result.stats) == oracle_elim(g, action, pinned=True)
+
+    @pytest.mark.parametrize("action", PACKING_ACTIONS, ids=lambda a: f"{a.size}-spins")
+    def test_slot_widths(self, action):
+        assert [a.size for a in PACKING_ACTIONS] == list(range(6))
+        rng = random.Random(f"packing:{action.size}")
+        a = ring_with_chords(rng, Z4, 5, 9)
+        b = ring_with_chords(rng, Z4, 4, 7)
+        two = gain_graph(Z4, 10, [(e.u, e.v, e.gain) for e in a.edges] + [(e.u + 5, e.v + 5, e.gain) for e in b.edges])
+        shapes = [
+            gain_graph(Z4, 0, []),  # no vertices
+            gain_graph(Z4, 3, [(1, 1, 1)]),  # isolated vertices, one with a loop
+            ring_with_chords(rng, Z4, 8, 16),
+            two,  # two components and an isolated vertex
+        ]
+        for g in shapes:
+            result = count_elim(g, action)
+            assert (result.value, result.stats) == oracle_elim(g, action, pinned=True)
+            assert result.value == count_brute(g, action).value
+        assert count_elim(two, action).value == count_elim(a, action).value * count_elim(b, action).value * action.size
 
 
 class TestCountAuto:

@@ -75,3 +75,45 @@ def test_brute_and_delcon_at_the_spin_limit(count):
     assert result.value == 4096 * 4095
     assert peak < 4 * 2**20
     assert seconds < 10
+
+
+def test_elim_at_the_spin_limit():
+    """Elim's keys take 12-bit slots at the largest spin set, and its
+    forbidden-spin row is one mask per spin of the back neighbour, whatever
+    the number of parallel links: 50 links between two vertices under a
+    trivial action of |Q| = SPIN_COUNT_LIMIT spins.  The pinned vertex
+    tries one spin, so the second step reads one pattern."""
+    group = groups.build_cyclic(1000)
+    action = groups.trivial_action(group, groups.SPIN_COUNT_LIMIT)
+    g = graphs.gain_graph(group, 2, [(0, 1, 7 * i) for i in range(50)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = counting.count_elim(g, action)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == 4096 * 4095
+    assert result.stats == {"width": 1, "peak_states": 1, "transitions": 4097}
+    assert peak < 4 * 2**20
+    assert seconds < 10
+
+
+def test_elim_caches_no_more_spins_than_a_table(monkeypatch):
+    """A step that retires a back neighbour can meet more patterns than its
+    table has keys; the spin lists it caches still hold at most
+    ``ELIM_TABLE_LIMIT`` spins.  On a path of five vertices with 400
+    colours, the fourth step meets 399 patterns of 399 spins each."""
+    monkeypatch.setattr(counting, "ELIM_TABLE_LIMIT", 2**12)
+    group = groups.build_cyclic(3)
+    q = 400
+    g = graphs.gain_graph(group, 5, [(v, v + 1, v % 3) for v in range(4)])
+    tracemalloc.start()
+    try:
+        result = counting.count_elim(g, groups.trivial_action(group, q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == q * (q - 1) ** 4
+    assert peak < 2**20
