@@ -110,7 +110,10 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
                 assigned[v] = q
                 descend(v + 1)
 
-    descend(0)
+    try:
+        descend(0)
+    finally:
+        descend = None  # break the closure's cycle through its own cell
     return CountResult(total, "brute", {"states_visited": visited})
 
 
@@ -194,7 +197,10 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
 
     label = {v: i for i, v in enumerate(sorted({w for e in g.edges for w in (e.u, e.v)}))}
     core = tuple((label[e.u], label[e.v], e.gain) for e in sorted(g.edges, key=lambda e: e.id))
-    value = recurse((len(label), core)) * m ** (g.vertex_count - len(label))
+    try:
+        value = recurse((len(label), core)) * m ** (g.vertex_count - len(label))
+    finally:
+        recurse = None  # break the closure's cycle through its own cell
     return CountResult(value, "delcon", {"calls": calls})
 
 
@@ -253,7 +259,7 @@ def count_mobius(g: GainGraph, a: SpinAction, lattice: ClosedSetLattice | None =
     if lattice is None:
         lattice = enumerate_closed_sets(g)
     total = lattice_sum(lattice, lambda h: len(fixed_set(a, h)))
-    return CountResult(total, "mobius", {"closed_sets": len(lattice.sets)})
+    return CountResult(total, "mobius", {"closed_sets": len(lattice.masks)})
 
 
 def _elim_order(g: GainGraph) -> tuple[list[tuple[int, set[int]]], list[int]]:

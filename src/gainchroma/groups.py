@@ -332,10 +332,22 @@ def stabilizer_classes(action: SpinAction) -> tuple[tuple[int, ...], ...]:
     permutation of the spins that commutes with the action maps x to y:
     x*g -> y*g on the orbit of x (and back on the orbit of y) is one, since
     Aut(G/K) is N(K)/K (tom Dieck, *Transformation Groups*, 1987, I.1).
+
+    ``row.count(q)`` is |Stab(q)|.  When it is |G| the stabilizer is the
+    whole group and when it is 1 the identity alone; only the other spins
+    have their stabilizer listed.
     """
+    whole = tuple(range(action.group.order))
+    trivial = (FiniteGroup.identity,)
     classes: dict[tuple[int, ...], list[int]] = {}
     for q, row in enumerate(action.act):
-        stabilizer = tuple(g for g, x in enumerate(row) if x == q)
+        fixing = row.count(q)
+        if fixing == len(whole):
+            stabilizer = whole
+        elif fixing == 1:
+            stabilizer = trivial
+        else:
+            stabilizer = tuple(g for g, x in enumerate(row) if x == q)
         classes.setdefault(stabilizer, []).append(q)
     return tuple(tuple(spins) for spins in classes.values())
 

@@ -231,12 +231,25 @@ class _EdgeWalk:
             v = parent[v]
         return v, h
 
-    def run(self, leaf: Callable[[int, int, int], None]):
-        """Call ``leaf(mask, sign, level)`` once per edge subset B, with the
-        state describing B, sign = (-1)**|B| and level = f(B).
+    def run(self, leaf: Callable[[int, int, int], None], keep_closed: bool = False):
+        """Call ``leaf(mask, sign, level)`` for the edge subsets B the walk
+        reaches, with the state describing B, sign = (-1)**|B| or 0 (below)
+        and level = f(B).  Each edge is included before it is excluded, so
+        a leaf's supersets that are leaves come before it.
 
-        Each edge is included before it is excluded, so every superset of a
-        mask, ``mask | bit`` in particular, is a leaf before the mask.
+        At an edge e whose ends already share a component, and whose
+        holonomy already lies in that component's subgroup, e lies in the
+        closure of the edges chosen before it: the state with e equals the
+        state without it, and the two halves below differ only in e and in
+        sign.  The walk drops both halves, whose leaves cancel in pairs
+        (Whitney's broken-circuit argument, applied to Zaslavsky's balanced
+        expansion).  With ``keep_closed`` it walks the half with e at sign 0
+        and drops only the half without e, where e lies in the closure of
+        every set, so no closed set is lost.  Then a leaf B that is not
+        closed has a leaf B | e before it with e in its closure: take e the
+        last edge of cl(B) outside B.  At each edge up to e, the path of
+        B | e is that of B, and a later edge dropped from the path of B | e
+        would lie in cl(B) outside B.
 
         The level is f(B) = (t - c) * (|G| + 1) + the sum of |H| over the
         components of B, where t counts the touched vertices, c the
@@ -266,8 +279,17 @@ class _EdgeWalk:
             t = mul[mul[hu][gain]][inv[hv]]
             if ru == rv:
                 before = sub[ru]
-                sub[ru] = join(before, t)
-                rise = orders[sub[ru]] - orders[before]
+                h = join(before, t)
+                if h == before:
+                    # the edge changes nothing, so the two halves pair off
+                    if keep_closed:
+                        if i < last:
+                            descend(i + 1, mask | 1 << i, 0, level)
+                        else:
+                            leaf(mask | 1 << i, 0, level)
+                    return
+                sub[ru] = h
+                rise = orders[h] - orders[before]
             else:
                 if size[ru] < size[rv]:
                     ru, rv, t = rv, ru, inv[t]
@@ -292,10 +314,15 @@ class _EdgeWalk:
             else:
                 leaf(mask, sign, level)
 
-        if m:
-            descend(0, 0, 1, len(parent))
-        else:
-            leaf(0, 1, len(parent))
+        try:
+            if m:
+                descend(0, 0, 1, len(parent))
+            else:
+                leaf(0, 1, len(parent))
+        finally:
+            # descend's closure refers to descend; break that cycle, so the
+            # walk's tables are freed with the walk and not by the collector
+            descend = None
 
 
 def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int]) -> int:
@@ -304,14 +331,17 @@ def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int])
     holonomy subgroup; a vertex the subset leaves isolated is a component
     with H trivial.  H is taken at some base vertex of its component, so
     ``factor`` must not change under conjugation.  It is called once per
-    distinct subgroup.
+    distinct subgroup, the trivial one always.
 
-    The leaves visit only the vertices some edge touches; the others are
+    The walk drops the pairs of subsets that differ by an edge of the
+    closure of the edges before it, whose terms cancel; when the lowest
+    edge is an identity loop every subset pairs off and the sum is 0.  The
+    leaves visit only the vertices some edge touches; the others are
     isolated in every subset, so their factors multiply the total once."""
     walk = _EdgeWalk(graph)
     parent, sub, members = walk.parent, walk.sub, walk.subgroups
     vertices = range(len(parent))
-    factors: list[int] = []
+    factors = [factor(members[0])]
     total = 0
 
     def leaf(mask: int, sign: int, _level: int):
@@ -333,15 +363,19 @@ class ClosedSetLattice:
     """All holonomy-closed edge sets of a graph, with Möbius values from the
     bottom.
 
-    ``sets`` is sorted by size then lexicographically by sorted ids.  When
-    the empty set is not closed (the graph has an identity loop) the lattice
-    is flagged bottomless and carries no Möbius values; every state satisfies
-    an identity loop, so all counting built on this lattice is zero.
+    ``masks`` holds the closed sets as edge masks, bit i standing for
+    ``ids[i]``, the i-th smallest edge id; they are sorted by size, then
+    lexicographically by sorted ids.  ``mobius[j]`` is the Möbius value of
+    ``masks[j]``.  When the empty set is not closed (the graph has an
+    identity loop) the lattice is flagged bottomless and carries no Möbius
+    values; every state satisfies an identity loop, so all counting built
+    on this lattice is zero.  ``sets`` and ``mobius_from_bottom`` give the
+    same as frozensets of edge ids, built on first use.
 
     A vertex is touched when some edge of the graph has it as an end.
     ``untouched`` counts the other vertices, which every set leaves
     isolated.  ``subgroups[j]`` holds the holonomy subgroup of each
-    component of ``sets[j]`` over the touched vertices, each taken at some
+    component of ``masks[j]`` over the touched vertices, each taken at some
     base vertex of the component (so known up to conjugacy); a touched
     vertex the set leaves isolated is a component with the trivial group.
     The subgroups of a set come in one fixed order of the distinct
@@ -350,11 +384,23 @@ class ClosedSetLattice:
     nothing else.
     """
 
-    sets: tuple[frozenset[int], ...]
-    mobius_from_bottom: dict[frozenset[int], int]
+    ids: tuple[int, ...]
+    masks: tuple[int, ...]
+    mobius: tuple[int, ...]
     bottomless: bool
     untouched: int
     subgroups: tuple[tuple[frozenset[int], ...], ...]
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """The closed sets as frozensets of edge ids, in the order of ``masks``."""
+        bits = [1 << i for i in range(len(self.ids))]
+        return tuple(frozenset(compress(self.ids, map(mask.__and__, bits))) for mask in self.masks)
+
+    @cached_property
+    def mobius_from_bottom(self) -> dict[frozenset[int], int]:
+        """The Möbius value of each closed set; empty for a bottomless lattice."""
+        return dict(zip(self.sets, self.mobius))
 
     @cached_property
     def terms(self) -> tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]:
@@ -362,10 +408,10 @@ class ClosedSetLattice:
         same multiset of component subgroups, H occurring ``times`` times;
         mu is the sum of the group's Möbius values, and groups whose sum is
         0 are left out.  Groups come in the order of their first set in
-        ``sets``.  Empty for a bottomless lattice."""
+        ``masks``.  Empty for a bottomless lattice."""
         sums: dict[tuple[frozenset[int], ...], int] = {}
-        for subset, subgroups in zip(self.sets, self.subgroups, strict=True):
-            sums[subgroups] = sums.get(subgroups, 0) + self.mobius_from_bottom.get(subset, 0)
+        for mu, subgroups in zip(self.mobius, self.subgroups):
+            sums[subgroups] = sums.get(subgroups, 0) + mu
         return tuple(
             (mu, tuple((h, len(list(run))) for h, run in groupby(subgroups)))
             for subgroups, mu in sums.items()
@@ -374,23 +420,30 @@ class ClosedSetLattice:
 
 
 # The most edges a graph may have for ``enumerate_closed_sets``, whose walk
-# visits all 2**m edge subsets; every lattice consumer is bounded by it.
+# may visit all 2**m edge subsets and keeps two tables of 2**m ints; every
+# lattice consumer is bounded by it.
 LATTICE_EDGE_LIMIT = 18
 
 
 def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
-    """Find the holonomy-closed sets in one walk over all edge subsets B,
+    """Find the holonomy-closed sets in one walk over the edge subsets B,
     reading the closure of each off the walk's level, and read off the
     Möbius values by Rota's crosscut identity mu(empty, A) = sum of
     (-1)**|B| over B with closure A.
 
-    The walk reaches every B | e before B, and e outside B lies in the
-    closure of B exactly when the level of B | e equals that of B (see
-    ``_EdgeWalk.run``).  For the first such e, B <= B | e <= cl(B) gives
-    cl(B) = cl(B | e), which is already known; with no such e, B is closed.
-    So a leaf compares stored levels and never looks up a vertex; a closed
-    set records the subgroup id of every root, in sorted order.  Graphs
-    with more than ``LATTICE_EDGE_LIMIT`` edges are refused before the walk.
+    The walk runs with ``keep_closed``: it drops the pairs of subsets that
+    differ by an edge e of the closure of the edges before e, except that it
+    walks the half with e at sign 0.  The dropped half holds no closed set,
+    and its crosscut terms cancel those of the half with e.  An edge e
+    outside B lies in the closure of B exactly when the level of B | e
+    equals that of B (see ``_EdgeWalk.run``), and a leaf B that is not
+    closed has such a B | e among the leaves before it.  For the first one,
+    B <= B | e <= cl(B) gives cl(B) = cl(B | e), which is already known;
+    with none, B is closed.  A dropped mask keeps level 0, which no leaf's
+    level equals, as each component adds |H| >= 1.  So a leaf compares
+    stored levels and never looks up a vertex; a closed set records the
+    subgroup id of every root, in sorted order.  Graphs with more than
+    ``LATTICE_EDGE_LIMIT`` edges are refused before the walk.
     """
     m = len(graph.edges)
     if m > LATTICE_EDGE_LIMIT:
@@ -399,7 +452,7 @@ def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
     parent, sub, members = walk.parent, walk.sub, walk.subgroups
     vertices = range(len(parent))
     bits = [1 << i for i in range(m)]
-    # per mask: its level, and the index in ``closed`` of its closure
+    # per leaf mask: its level, and the index in ``closed`` of its closure
     level = array("i", bytes(4 << m))
     where = array("i", bytes(4 << m))
     # per closed set: its mask and the sorted subgroup ids of its components
@@ -419,19 +472,18 @@ def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
         where[mask] = j
         mu[j] += sign
 
-    walk.run(leaf)
+    walk.run(leaf, keep_closed=True)
     # The walk meets sets of one size in the lexicographic order of their
     # sorted ids, as it includes an edge before it excludes it; so a stable
-    # sort by size puts them in the order of ``ClosedSetLattice.sets``.
+    # sort by size puts them in the order of ``ClosedSetLattice.masks``.
     order = sorted(range(len(closed)), key=lambda j: closed[j][0].bit_count())
-    sets = tuple(frozenset(compress(walk.ids, map(closed[j][0].__and__, bits))) for j in order)
     bottomless = closed[order[0]][0] != 0
-    mobius = {} if bottomless else {s: mu[j] for s, j in zip(sets, order)}
     # sets with equal ids share one tuple of subgroups
     named = {ids: tuple(members[h] for h in ids) for ids in {ids for _, ids in closed}}
     return ClosedSetLattice(
-        sets,
-        mobius,
+        walk.ids,
+        tuple(closed[j][0] for j in order),
+        () if bottomless else tuple(mu[j] for j in order),
         bottomless,
         graph.vertex_count - len(parent),
         tuple(named[closed[j][1]] for j in order),

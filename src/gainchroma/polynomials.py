@@ -357,4 +357,7 @@ def graph_chromatic(template: SimpleGraph) -> MultiPoly:
         merged = tuple((vmap(a), vmap(b)) for a, b in rest)
         return recurse(n, rest) - recurse(n - 1, merged)
 
-    return recurse(template.vertex_count, template.edges)
+    try:
+        return recurse(template.vertex_count, template.edges)
+    finally:
+        recurse = None  # break the closure's cycle through its own cell

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from gainchroma import (
+    ClosedSetLattice,
     Edge,
     GainGraph,
     HolonomyContext,
@@ -31,6 +32,7 @@ from gainchroma import (
     zero_free_colors,
 )
 from gainchroma.counting import _elim_order, _elim_pins
+from gainchroma.holonomy import _EdgeWalk
 
 
 def naive_count(graph: GainGraph, action: SpinAction) -> int:
@@ -357,3 +359,117 @@ def oracle_satisfied_closure(inst, state_cap=10**5, samples=100, rng=None, close
         if not verdicts[sat]:
             return False, f"state {state} satisfies non-closed set {sorted(sat)}"
     return True, ""
+
+
+def oracle_stabilizer_classes(action: SpinAction) -> tuple[tuple[int, ...], ...]:
+    """``stabilizer_classes`` with the stabilizer of every spin listed
+    element by element: the path the fixed-spin counts replaced."""
+    classes = {}
+    for q, row in enumerate(action.act):
+        stabilizer = tuple(g for g, x in enumerate(row) if x == q)
+        classes.setdefault(stabilizer, []).append(q)
+    return tuple(tuple(spins) for spins in classes.values())
+
+
+def oracle_full_walk(walk: _EdgeWalk, leaf) -> None:
+    """``_EdgeWalk.run`` without the pairs it drops: ``leaf(mask, sign,
+    level)`` is called for every one of the 2**m edge subsets, each edge
+    included before it is excluded, so every superset of a mask is a leaf
+    before the mask.  The path the paired-off walk replaced."""
+    edges, m = walk.edges, len(walk.edges)
+    parent, up, size, sub, orders = walk.parent, walk.up, walk.size, walk.sub, walk.orders
+    mul, inv = walk.graph.group.mul, walk.graph.group.inv
+    merge = walk.graph.group.order + 1
+
+    def descend(i, mask, sign, level):
+        if i == m:
+            leaf(mask, sign, level)
+            return
+        u, v, gain = edges[i]
+        ru, hu = walk.find(u)
+        rv, hv = walk.find(v)
+        t = mul[mul[hu][gain]][inv[hv]]
+        if ru == rv:
+            before = sub[ru]
+            sub[ru] = walk.join(before, t)
+            rise = orders[sub[ru]] - orders[before]
+        else:
+            if size[ru] < size[rv]:
+                ru, rv, t = rv, ru, inv[t]
+            before = h = sub[ru]
+            for y in walk._gens[sub[rv]]:
+                h = walk.join(h, mul[mul[t][y]][inv[t]])
+            parent[rv], up[rv], sub[ru] = ru, t, h
+            size[ru] += size[rv]
+            rise = merge + orders[h] - orders[before] - orders[sub[rv]]
+        descend(i + 1, mask | 1 << i, -sign, level + rise)
+        if ru != rv:
+            size[ru] -= size[rv]
+            parent[rv], up[rv] = rv, 0
+        sub[ru] = before
+        descend(i + 1, mask, sign, level)
+
+    descend(0, 0, 1, len(parent))
+
+
+def oracle_walk_inclexcl(graph: GainGraph, action: SpinAction) -> int:
+    """``count_inclexcl``'s value as a signed sum over every leaf of
+    ``oracle_full_walk``."""
+    walk = _EdgeWalk(graph)
+    total = 0
+
+    def leaf(mask, sign, level):
+        nonlocal total
+        term = sign
+        for r, p in enumerate(walk.parent):
+            if p == r:
+                term *= len(fixed_set(action, walk.subgroups[walk.sub[r]]))
+        total += term
+
+    oracle_full_walk(walk, leaf)
+    return total * action.size ** (graph.vertex_count - len(walk.parent))
+
+
+def oracle_walk_lattice(graph: GainGraph):
+    """``(lattice, terms)``: ``enumerate_closed_sets`` over every leaf of
+    ``oracle_full_walk``, each leaf finding its closure from the stored
+    level of a superset, and ``ClosedSetLattice.terms`` summed set by set."""
+    walk = _EdgeWalk(graph)
+    m = len(walk.ids)
+    level, where = {}, {}
+    closed, mu = [], []
+
+    def leaf(mask, sign, lv):
+        level[mask] = lv
+        for i in range(m):
+            if not mask >> i & 1 and level[mask | 1 << i] == lv:
+                j = where[mask | 1 << i]
+                break
+        else:
+            j = len(closed)
+            roots = sorted(walk.sub[r] for r, p in enumerate(walk.parent) if p == r)
+            closed.append((mask, tuple(walk.subgroups[h] for h in roots)))
+            mu.append(0)
+        where[mask] = j
+        mu[j] += sign
+
+    oracle_full_walk(walk, leaf)
+    order = sorted(range(len(closed)), key=lambda j: (bin(closed[j][0]).count("1"), j))
+    bottomless = closed[order[0]][0] != 0
+    lattice = ClosedSetLattice(
+        walk.ids,
+        tuple(closed[j][0] for j in order),
+        () if bottomless else tuple(mu[j] for j in order),
+        bottomless,
+        graph.vertex_count - len(walk.parent),
+        tuple(closed[j][1] for j in order),
+    )
+    sums = {}
+    for j in order:
+        sums[closed[j][1]] = sums.get(closed[j][1], 0) + (0 if bottomless else mu[j])
+    terms = tuple(
+        (weight, tuple((h, subgroups.count(h)) for h in dict.fromkeys(subgroups)))
+        for subgroups, weight in sums.items()
+        if weight
+    )
+    return lattice, terms

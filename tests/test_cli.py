@@ -185,6 +185,22 @@ class TestParsing:
 
 
 class TestCountCommand:
+    def test_all_methods_stats_are_pinned(self, tmp_path, capsys):
+        # the subset walk drops pairs, but the stats still report all 2**m
+        # subsets and every closed set
+        edges = [[0, 1, 1], [1, 2, 4], [2, 3, 0], [3, 4, 2], [4, 5, 5], [0, 1, 3],
+                 [2, 2, 1], [5, 0, 0], [1, 3, 2], [4, 4, 3], [0, 1, 1]]
+        payload = {
+            "group": {"kind": "symmetric", "d": 3},
+            "spins": [{"kind": "standard_colors", "k": 1}],
+            "graph": {"vertices": 6, "edges": edges},
+        }
+        assert main(["count", write(tmp_path, payload), "--method", "all", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["agree"] is True and report["mobius"]["value"] == 25446
+        assert report["inclexcl"]["stats"] == {"subsets": 2048}
+        assert report["mobius"]["stats"] == {"closed_sets": 667}
+
     def test_digon_all_methods(self, tmp_path, capsys):
         code = main(["count", write(tmp_path, DIGON), "--method", "all"])
         out = capsys.readouterr().out

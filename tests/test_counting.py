@@ -1,3 +1,5 @@
+import functools
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -28,8 +30,8 @@ from gainchroma import (
     verify_all,
     zero_free_colors,
 )
-from gainchroma import contract_link, counting, harness
-from helpers import naive_count, oracle_brute, oracle_delcon, oracle_elim, random_graph
+from gainchroma import SimpleGraph, contract_link, counting, harness, polynomials
+from helpers import naive_count, oracle_brute, oracle_delcon, oracle_elim, oracle_stabilizer_classes, random_graph
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -577,6 +579,21 @@ class TestElimination:
         assert len(stabilizer_classes(subset_action(3))) == 4  # each subset pairs with its complement
         assert len(stabilizer_classes(s3_on_three_points())) == 3
 
+    def test_classes_match_the_per_spin_oracle(self):
+        # every action the harness draws, S4's stock actions, and the pin
+        # actions, whose stabilizers are neither the whole group nor trivial
+        S4 = build_symmetric(4)
+        actions = list(PIN_ACTIONS) + [subset_action(3)]
+        for name, build in harness.GROUP_BUILDERS.items():
+            group = build()
+            actions += [regular_action(group)] + [trivial_action(group, size) for size in range(1, 5)]
+            for k in range(harness._STANDARD_K_CAP[name] + 1):
+                actions += [standard_colors(group, k), zero_free_colors(group, k)]
+        actions += [regular_action(S4)]
+        actions += [f(S4, k) for f in (standard_colors, zero_free_colors) for k in range(3)]
+        for action in actions:
+            assert stabilizer_classes(action) == oracle_stabilizer_classes(action)
+
     def test_pin_matches_brute_where_classes_span_orbits(self):
         rng = random.Random(44)
         for _ in range(80):
@@ -788,3 +805,40 @@ class TestCountAuto:
         assert result.stats["width"] == 3
         assert result.stats["peak_states"] <= 4**3
         assert count_auto(relabel_and_switch(rng, ring), action) == result.value
+
+
+class TestNoReferenceCycles:
+    """A counter or polynomial frees its tables when it returns, without
+    waiting for the cyclic garbage collector."""
+
+    @staticmethod
+    def _runs(g, a):
+        template = SimpleGraph(g.vertex_count, tuple((e.u, e.v) for e in g.edges))
+        parts = [regular_action(g.group), trivial_action(g.group, 1)]
+        runs = {name: functools.partial(run, g, a) for name, run in counting.COUNTERS.items()}
+        runs["chromatic"] = functools.partial(polynomials.chromatic_polynomial, g)
+        runs["zero_free"] = functools.partial(polynomials.zero_free_polynomial, g)
+        runs["grand"] = functools.partial(polynomials.grand_polynomial, g, parts)
+        runs["regular_plus_zeroes"] = functools.partial(polynomials.regular_plus_zeroes, g)
+        runs["graph_chromatic"] = functools.partial(polynomials.graph_chromatic, template)
+        return runs
+
+    @pytest.mark.parametrize("case", ["harness seed 5", "nonidentity loops"])
+    def test_runs_leave_no_cyclic_garbage(self, case):
+        if case == "harness seed 5":
+            inst = harness.random_instance(random.Random(5), max_vertices=6, max_edges=9)
+            g, a = inst.graph, inst.action
+        else:
+            # zero_free_polynomial builds a second lattice for this one
+            g = gain_graph(S3, 4, [(0, 1, 1), (1, 2, 3), (2, 0, 0), (2, 3, 5), (1, 1, 2), (3, 3, 4)])
+            a = standard_colors(S3, 1)
+        assert len(g.edges) >= 6
+        for name, run in self._runs(g, a).items():
+            run()  # first-use caches are not garbage
+            gc.collect()
+            gc.disable()
+            try:
+                run()
+                assert (name, gc.collect()) == (name, 0)
+            finally:
+                gc.enable()

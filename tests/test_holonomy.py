@@ -36,11 +36,21 @@ from gainchroma import (
     trivial_action,
     verify_group,
     walk_gain,
+    zero_free_colors,
     zero_free_polynomial,
 )
 from gainchroma import counting, harness, holonomy
 from gainchroma.cli import VERTEX_LIMIT
-from helpers import dfs_forest, oracle_closed_sets, oracle_inclexcl, powerset, random_graph
+from helpers import (
+    dfs_forest,
+    naive_count,
+    oracle_closed_sets,
+    oracle_inclexcl,
+    oracle_walk_inclexcl,
+    oracle_walk_lattice,
+    powerset,
+    random_graph,
+)
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -333,6 +343,70 @@ class TestSubsetWalk:
             assert (lat.sets, lat.mobius_from_bottom, lat.bottomless) == oracle_closed_sets(g)
 
 
+def _connected_multigraph(rng, group, n, m):
+    """A connected multigraph on n vertices with m edges, loops and parallel
+    edges allowed and no identity loop: a random spanning tree, then random
+    edges, shuffled (the shape of the benchmark's lattice workloads)."""
+    triples = [(rng.randrange(v), v, rng.randrange(group.order)) for v in range(1, n)]
+    while len(triples) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        triples.append((u, v, rng.randrange(1, group.order) if u == v else rng.randrange(group.order)))
+    rng.shuffle(triples)
+    return gain_graph(group, n, triples)
+
+
+def _assert_matches_the_full_walk(g, actions):
+    lattice = enumerate_closed_sets(g)
+    expected, terms = oracle_walk_lattice(g)
+    # the same masks in the same order, Möbius values and subgroup tuples
+    assert lattice == expected
+    assert lattice.terms == terms
+    for action in actions:
+        assert count_inclexcl(g, action).value == oracle_walk_inclexcl(g, action)
+
+
+class TestPairedWalk:
+    """The walk drops the pairs of subsets that differ by an edge of the
+    closure of the edges before it; the lattice and inclexcl must come out
+    as the full walk over all 2**m subsets gives them."""
+
+    def test_harness_seeds_match_the_full_walk(self):
+        for seed in range(2000):
+            inst = harness.random_instance(random.Random(seed), max_vertices=6, max_edges=10)
+            _assert_matches_the_full_walk(inst.graph, [inst.action])
+
+    def test_benchmark_shapes_match_the_full_walk(self):
+        rng = random.Random(73)
+        for i in range(24):
+            group = (Z3, S3)[i % 2]
+            g = _connected_multigraph(rng, group, 6, 10 + i % 3 // 2)
+            _assert_matches_the_full_walk(g, [standard_colors(group, 1), regular_action(group)])
+
+    def test_parallel_links_drop_leaves(self):
+        # a Z3 triangle with parallel links: once a link is in, its exact
+        # twin changes nothing, and so does any link inside a component
+        # whose holonomy is already all of Z3
+        g = gain_graph(Z3, 3, [(0, 1, 1), (0, 1, 1), (1, 2, 0), (1, 2, 2), (2, 0, 1), (0, 1, 0)])
+        leaves = []
+        holonomy._EdgeWalk(g).run(lambda mask, sign, level: leaves.append(mask))
+        assert len(leaves) == 20 < 2 ** len(g.edges)
+        for action in (standard_colors(Z3, 1), regular_action(Z3), trivial_action(Z3, 3)):
+            assert count_inclexcl(g, action).value == oracle_inclexcl(g, action) == naive_count(g, action)
+
+    @pytest.mark.parametrize("action", [zero_free_colors(Z3, 0), trivial_action(Z3, 1), regular_action(Z3)],
+                             ids=lambda a: f"{a.size} spins")
+    def test_lowest_edge_identity_loop_reaches_no_leaf(self, action):
+        # every subset pairs off at the first edge, so the sum is 0 times the
+        # factor of the untouched vertices, also when |Q| = 0
+        g = gain_graph(Z3, 5, [(1, 1, 0), (0, 1, 2), (1, 2, 1)])
+        leaves = []
+        holonomy._EdgeWalk(g).run(lambda mask, sign, level: leaves.append(mask))
+        assert leaves == []
+        assert count_inclexcl(g, action).value == 0 == naive_count(g, action)
+        assert count_inclexcl(gain_graph(Z3, 2, [(0, 0, 0)]), action).value == 0
+        assert enumerate_closed_sets(g).bottomless
+
+
 # Two groups given only by their tables: the Klein four-group as XOR, and S3
 # with its non-identity elements relabelled.
 KLEIN = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)], name="klein")
@@ -452,15 +526,34 @@ class TestUntouchedVertices:
         assert calls <= 2 * (2**m - 1)
 
     def test_the_walk_reaches_every_superset_first(self):
+        # With keep_closed each leaf comes once and after its supersets that
+        # are leaves; every closed set is a leaf, and a leaf B that is not
+        # closed comes after a leaf B | e with e in the closure of B, which
+        # the closed-set walk reads its closure from.  Without keep_closed
+        # the leaves are those of nonzero sign.
         g = self._graph()
         m = len(g.edges)
+        walk = holonomy._EdgeWalk(g)
         seen = []
-        holonomy._EdgeWalk(g).run(lambda mask, sign, level: seen.append(mask))
-        position = {mask: j for j, mask in enumerate(seen)}
-        assert sorted(position) == list(range(2**m))
+        walk.run(lambda mask, sign, level: seen.append((mask, sign)), keep_closed=True)
+        position = {mask: j for j, (mask, _) in enumerate(seen)}
+        assert len(position) == len(seen) < 2**m
+
+        def edge_set(mask):
+            return frozenset(walk.ids[i] for i in range(m) if mask >> i & 1)
+
+        closed = set(oracle_walk_lattice(g)[0].masks)
+        assert closed <= set(position)
         for mask, j in position.items():
-            for i in range(m):
-                assert position[mask | 1 << i] <= j
+            supersets = [mask | 1 << i for i in range(m) if not mask >> i & 1]
+            assert all(position[s] < j for s in supersets if s in position)
+            closure = holonomy_closure(g, edge_set(mask))
+            assert (closure == edge_set(mask)) == (mask in closed)
+            if mask not in closed:
+                assert any(s in position and edge_set(s) <= closure for s in supersets)
+        signed = []
+        holonomy._EdgeWalk(g).run(lambda mask, sign, level: signed.append((mask, sign)))
+        assert signed == [(mask, sign) for mask, sign in seen if sign]
 
     def test_delcon_recurses_on_touched_vertices_only(self, monkeypatch):
         g = self._graph()
