@@ -43,6 +43,8 @@ class CountResult:
 # Python's default recursion limit of 1000, whatever the caller's own depth.
 BRUTE_VERTEX_LIMIT = 400
 DELCON_LINK_LIMIT = 400
+# The most recursive calls count_delcon makes before it gives up.
+DELCON_CALL_LIMIT = 10**6
 
 
 def _spin_mask(spins, size: int) -> int:
@@ -147,7 +149,7 @@ def _contract(minor: Minor, i: int, group: FiniteGroup) -> Minor:
     return vertex_count - 1, tuple(contracted)
 
 
-def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountResult:
+def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     """Count by the deletion-contraction recursion on the lowest-id link.
 
     A minor is a vertex count and the (u, v, gain) triples of its edges in
@@ -158,7 +160,8 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     spins fixed by some loop gain there: the popcount of the OR of the
     loops' fixed-spin masks, each built once for a gain that occurs.  The
     recursion is as deep as the graph has links, so more than
-    ``DELCON_LINK_LIMIT`` are refused before the first call.  It runs on
+    ``DELCON_LINK_LIMIT`` are refused before the first call, and it gives
+    up past ``DELCON_CALL_LIMIT`` calls.  It runs on
     the vertices some edge touches, relabelled 0, 1, ... in increasing
     order with the edge ids kept; each other vertex takes any of the |Q|
     spins, a factor the result is multiplied by.
@@ -186,8 +189,8 @@ def count_delcon(g: GainGraph, a: SpinAction, max_calls: int = 10**6) -> CountRe
     def recurse(minor: Minor) -> int:
         nonlocal calls
         calls += 1
-        if calls > max_calls:
-            raise BoundExceeded(f"deletion-contraction exceeded {max_calls} calls")
+        if calls > DELCON_CALL_LIMIT:
+            raise BoundExceeded(f"deletion-contraction exceeded {DELCON_CALL_LIMIT} calls")
         vertex_count, edges = minor
         for i, (u, v, _) in enumerate(edges):
             if u != v:
@@ -249,15 +252,14 @@ def count_inclexcl(
     return CountResult(total, "inclexcl", {"subsets": 1 << m})
 
 
-def count_mobius(g: GainGraph, a: SpinAction, lattice: ClosedSetLattice | None = None) -> CountResult:
+def count_mobius(g: GainGraph, a: SpinAction) -> CountResult:
     """Count by Möbius inversion over the holonomy-closed edge sets.
 
     A bottomless lattice (the graph has an identity loop, which every state
     satisfies) has no terms, so it gives zero.
     """
     check_action(g, a)
-    if lattice is None:
-        lattice = enumerate_closed_sets(g)
+    lattice = enumerate_closed_sets(g)
     total = lattice_sum(lattice, lambda h: len(fixed_set(a, h)))
     return CountResult(total, "mobius", {"closed_sets": len(lattice.masks)})
 

@@ -142,26 +142,24 @@ class ComponentSplit(NamedTuple):
 
 
 def traverse(
-    g: GainGraph, subset: Iterable[int] | None = None, roots: Iterable[int] | None = None
+    g: GainGraph, subset: Iterable[int] | None = None
 ) -> tuple[ComponentSplit, frozenset[int], dict[int, int]]:
     """Breadth-first search over an edge subset, in edge-id order.
 
-    Each search starts from the smallest vertex of a component, or from each
-    of the given roots in turn; roots must meet every component.  Returns the
-    component split (components in start order, unreached vertices isolated),
-    the forest of tree edges, and ``psi``: the gain of the tree path from its
-    component's start to each reached vertex.
+    Each search starts from the smallest vertex of a component.  Returns the
+    component split (components by smallest vertex, vertices the subset
+    leaves uncovered isolated), the forest of tree edges, and ``psi``: the
+    gain of the tree path from its component's smallest vertex to each
+    covered vertex.
     """
     s = normalize_edge_subset(g, subset)
     by_id, incident = g._by_id, g._incident
     mul, inv = g.group.mul, g.group.inv
-    if roots is None:
-        roots = sorted({w for eid in s for w in (by_id[eid].u, by_id[eid].v)})
     psi: dict[int, int] = {}
     forest: set[int] = set()
     edge_sets = []
     vertex_sets = []
-    for root in roots:
+    for root in sorted({w for eid in s for w in (by_id[eid].u, by_id[eid].v)}):
         if root in psi:
             continue
         psi[root] = 0

@@ -9,7 +9,6 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Sequence
 
 # Hard default ceilings.  Every algorithm downstream is exponential, so the
@@ -153,6 +152,21 @@ def build_cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(mul, name=f"Z{n}")
 
 
+def factorials_within(limit: int, sizes: Iterable[int]) -> bool:
+    """True when the product of d! over ``sizes`` is at most ``limit``.
+
+    The product is multiplied up one factor at a time and given up as soon
+    as it passes the limit, so a huge size costs no more than a small one.
+    """
+    product = 1
+    for d in sizes:
+        for k in range(2, d + 1):
+            product *= k
+            if product > limit:
+                return False
+    return True
+
+
 def build_symmetric(d: int) -> FiniteGroup:
     """The symmetric group on d points, order d!.
 
@@ -162,9 +176,8 @@ def build_symmetric(d: int) -> FiniteGroup:
     """
     if d < 1:
         raise ValueError("symmetric group needs at least 1 point")
-    order = math.factorial(d)
-    if order > GROUP_ORDER_LIMIT:
-        raise BoundExceeded(f"symmetric group order {order} exceeds limit {GROUP_ORDER_LIMIT}")
+    if not factorials_within(GROUP_ORDER_LIMIT, [d]):
+        raise BoundExceeded(f"symmetric group on {d} points has order over the limit {GROUP_ORDER_LIMIT}")
     perms = tuple(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
     mul = [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]

@@ -10,6 +10,7 @@ balance checks get exercised.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -40,7 +41,7 @@ from .graphs import (
     SimpleGraph,
 )
 from .holonomy import LATTICE_EDGE_LIMIT, is_holonomy_closed
-from .counting import count_inclexcl, verify_all
+from .counting import MethodReport, count_inclexcl, verify_all
 from .polynomials import graph_chromatic
 
 GROUP_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
@@ -54,7 +55,9 @@ GROUP_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
 # that the spin count stays single digit and |Q|**5 stays enumerable.
 _STANDARD_K_CAP = {"Z2": 4, "Z3": 2, "Z4": 2, "S3": 1}
 
-# States drawn by ``check_satisfied_closure`` when |Q|**|V| passes its cap.
+# ``check_satisfied_closure`` walks every state when |Q|**|V| is at most
+# CLOSURE_STATE_CAP, and draws CLOSURE_SAMPLES states otherwise.
+CLOSURE_STATE_CAP = 10**5
 CLOSURE_SAMPLES = 100
 
 
@@ -136,10 +139,10 @@ class CheckResult:
     detail: str = ""
 
 
-def check_method_agreement(inst: Instance) -> CheckResult:
-    """Every counter that ran must give the same count; if they agree, any
-    counter over its bound raises ``BoundExceeded``, naming each one."""
-    report = verify_all(inst.graph, inst.action)
+def check_method_agreement(inst: Instance, report: MethodReport) -> CheckResult:
+    """Every counter that ran in ``report``, ``verify_all``'s report on the
+    instance, must give the same count; if they agree, any counter over its
+    bound raises ``BoundExceeded``, naming each one."""
     if not report.agree:
         values = {k: r.value for k, r in report.results.items()}
         return CheckResult("method_agreement", False, f"counts diverge: {values}")
@@ -173,13 +176,9 @@ def check_switching_invariance(inst: Instance, rng: random.Random, before: int) 
     return CheckResult("switching_invariance", True)
 
 
-def _satisfied_masks(g: GainGraph, act, q: int, ids: list[int], failing: frozenset[int] = frozenset()):
-    """Walk every state by the mask of the edges it satisfies (bit i for
-    ``ids[i]``).
-
-    Without ``failing``, return the set of distinct masks.  With it, return
-    the first state in ``itertools.product`` order whose mask is in
-    ``failing``, with that mask, or None.
+def _satisfied_masks(g: GainGraph, act, q: int, ids: list[int]) -> set[int]:
+    """The distinct masks of the edges some state satisfies (bit i for
+    ``ids[i]``), from a walk over every state.
 
     A depth-first search over vertices 0..n-1 that takes the q spins of a
     vertex at once: ``rows[d][s]`` is the mask of ``state[:d] + [s]``.  An
@@ -190,10 +189,7 @@ def _satisfied_masks(g: GainGraph, act, q: int, ids: list[int], failing: frozens
     """
     n = g.vertex_count
     if n == 0 or q == 0:  # the one empty state, which satisfies no edge, or no state at all
-        masks = {0} if n == 0 else set()
-        if failing:
-            return ((), 0) if masks & failing else None
-        return masks
+        return {0} if n == 0 else set()
     loops: list[list[int] | None] = [None] * n  # loops[d][s]: the loops at d that spin s satisfies
     closing: list[list[tuple]] = [[] for _ in range(n)]  # (earlier endpoint w, spins at d per spin at w, bit)
     for bit, eid in enumerate(ids):
@@ -227,16 +223,11 @@ def _satisfied_masks(g: GainGraph, act, q: int, ids: list[int], failing: frozens
             state[d] = 0
             d, mask = d + 1, row[0]
             continue
-        if not failing:
-            seen.update(row)
-        else:
-            for s, mask in enumerate(row):
-                if mask in failing:
-                    return (*state[:d], s), mask
+        seen.update(row)
         while d and state[d - 1] == q - 1:
             d -= 1
         if not d:
-            return None if failing else seen
+            return seen
         state[d - 1] += 1
         mask = rows[d - 1][state[d - 1]]
 
@@ -245,33 +236,31 @@ def _not_closed(state: tuple[int, ...], edges: frozenset[int]) -> CheckResult:
     return CheckResult("satisfied_closure", False, f"state {state} satisfies non-closed set {sorted(edges)}")
 
 
-def check_satisfied_closure(inst: Instance, state_cap: int = 10**5,
-                            rng: random.Random | None = None) -> CheckResult:
+def check_satisfied_closure(inst: Instance, rng: random.Random) -> CheckResult:
     """Every reachable satisfied-edge set must be holonomy closed.
 
-    When |Q|**|V| fits under ``state_cap``, one walk over every state
-    collects the distinct masks of satisfied edges, and each mask is tested
-    once; only if one fails does a second walk find the first state, in
-    ``itertools.product`` order, that satisfies it.  Otherwise
-    ``CLOSURE_SAMPLES`` states are drawn from ``rng`` (a fixed seed when
-    none is given), keyed by ``satisfied_edges``, and the first whose set
-    is not closed is reported.
+    When |Q|**|V| is at most ``CLOSURE_STATE_CAP``, one walk over every
+    state collects the distinct masks of satisfied edges, and each mask is
+    tested once; only if one fails are the states run through again, in
+    ``itertools.product`` order, to report the first whose
+    ``satisfied_edges`` set fails.  Otherwise ``CLOSURE_SAMPLES`` states are
+    drawn from ``rng``, keyed by ``satisfied_edges``, and the first whose
+    set is not closed is reported.
     """
     g, a = inst.graph, inst.action
     check_action(g, a)
     n, q = g.vertex_count, a.size
-    if q**n <= state_cap:
+    if q**n <= CLOSURE_STATE_CAP:
         ids = sorted(g.edge_ids)
-
-        def edge_set(mask: int) -> frozenset[int]:
-            return frozenset(eid for bit, eid in enumerate(ids) if mask >> bit & 1)
-
-        failing = frozenset(mask for mask in _satisfied_masks(g, a.act, q, ids) if not is_holonomy_closed(g, edge_set(mask)))
+        masks = _satisfied_masks(g, a.act, q, ids)
+        sets = (frozenset(eid for bit, eid in enumerate(ids) if mask >> bit & 1) for mask in masks)
+        failing = {edges for edges in sets if not is_holonomy_closed(g, edges)}
         if failing:
-            state, mask = _satisfied_masks(g, a.act, q, ids, failing)
-            return _not_closed(state, edge_set(mask))
+            for state in itertools.product(range(q), repeat=n):
+                sat = satisfied_edges(g, a, state)
+                if sat in failing:
+                    return _not_closed(state, sat)
         return CheckResult("satisfied_closure", True)
-    rng = rng or random.Random(0)
     verdicts: dict[frozenset[int], bool] = {}
     for _ in range(CLOSURE_SAMPLES):
         state = tuple(rng.randrange(q) for _ in range(n))
@@ -326,11 +315,16 @@ CHECKS = (
 
 
 def check_instance(inst: Instance, rng: random.Random) -> list[CheckResult]:
-    whole = count_inclexcl(inst.graph, inst.action).value  # shared by three checks
+    report = verify_all(inst.graph, inst.action)
+    # first, so that a counter over its bound raises before any other check
+    agreement = check_method_agreement(inst, report)
+    # shared by three checks; inclexcl's bound of 2**22 subsets is far above
+    # the 2**LATTICE_EDGE_LIMIT that ``run_suite`` allows, so it always ran
+    whole = report.results["inclexcl"].value
     return [
-        check_method_agreement(inst),
+        agreement,
         check_switching_invariance(inst, rng, whole),
-        check_satisfied_closure(inst, rng=rng),
+        check_satisfied_closure(inst, rng),
         check_deletion_contraction(inst, whole),
         check_balanced_evaluation(inst, whole),
     ]

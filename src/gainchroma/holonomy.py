@@ -6,7 +6,7 @@ The holonomy of a non-forest edge e: u->v in a connected edge set is
 psi(u) * gain(e) * psi(v)^-1 where psi is the tree-path gain from the
 component's base vertex.  Everything observable (the subgroup up to
 conjugacy, fixed-set sizes, closure membership) is independent of the forest
-and base choices; the defaults here are the breadth-first forest and the
+and base choices; the choices here are the breadth-first forest and the
 smallest vertex, purely for reproducibility.
 """
 
@@ -26,42 +26,17 @@ from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in t
 class HolonomyContext:
     """Forest, base vertices, and tree-path gains for one edge set.
 
-    ``forest`` and ``bases`` may be overridden (the observable results must
-    not change; tests rely on that to compare forest and basepoint choices).
-    ``psi[v]`` is the gain of the tree path from v's component base to v.
+    The forest is ``traverse``'s breadth-first one and each component's base
+    its smallest vertex.  ``psi[v]`` is the gain of the tree path from v's
+    component base to v.
     """
 
-    __slots__ = ("graph", "subset", "split", "forest", "bases", "psi", "comp_of")
+    __slots__ = ("graph", "split", "forest", "bases", "psi", "comp_of")
 
-    def __init__(
-        self,
-        graph: GainGraph,
-        subset: Iterable[int] | None,
-        forest: Iterable[int] | None = None,
-        bases: Iterable[int] | None = None,
-    ):
+    def __init__(self, graph: GainGraph, subset: Iterable[int] | None):
         self.graph = graph
-        self.subset = normalize_edge_subset(graph, subset)
-        self.split, self.forest, self.psi = traverse(graph, self.subset)
+        self.split, self.forest, self.psi = traverse(graph, subset)
         self.bases = tuple(min(verts) for verts in self.split.vertex_sets)
-        if forest is not None:
-            self.forest = frozenset(forest)
-            if not self.forest <= self.subset:
-                raise ValueError("forest must be a subset of the edge set")
-        if bases is not None:
-            self.bases = tuple(bases)
-            if len(self.bases) != len(self.split.edge_sets):
-                raise ValueError("need exactly one base vertex per component")
-            for base, verts in zip(self.bases, self.split.vertex_sets):
-                if base not in verts:
-                    raise ValueError(f"base {base} does not lie in its component")
-        if forest is not None or bases is not None:
-            _, tree, self.psi = traverse(graph, self.forest, self.bases)
-            # Every forest edge is a tree edge of the search, so the forest is
-            # cycle-free; with the rank of the edge set it is also maximal.
-            rank = sum(len(verts) - 1 for verts in self.split.vertex_sets)
-            if tree != self.forest or len(tree) != rank:
-                raise ValueError("forest is not maximal and cycle-free in the edge set")
         self.comp_of = {}
         for j, verts in enumerate(self.split.vertex_sets):
             for w in verts:

@@ -8,7 +8,6 @@ gain-graph machinery, so the two routes genuinely cross-check each other.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -20,6 +19,7 @@ from .groups import (
     SPIN_COUNT_LIMIT,
     SpinAction,
     build_symmetric,
+    factorials_within,
     regular_action,
     subset_action,
 )
@@ -147,9 +147,8 @@ def block_permutation_action(block_sizes: tuple[int, ...] | list[int]) -> SpinAc
     """
     if not block_sizes or any(b < 1 for b in block_sizes):
         raise ValueError("block sizes must be positive")
-    order = math.prod(math.factorial(b) for b in block_sizes)
-    if order > GROUP_ORDER_LIMIT:
-        raise BoundExceeded(f"group order {order} exceeds limit {GROUP_ORDER_LIMIT}")
+    if not factorials_within(GROUP_ORDER_LIMIT, block_sizes):
+        raise BoundExceeded(f"blocks {tuple(block_sizes)} give a group order over the limit {GROUP_ORDER_LIMIT}")
     size = sum(block_sizes)
     if size > SPIN_COUNT_LIMIT:
         raise BoundExceeded(f"spin count {size} exceeds limit {SPIN_COUNT_LIMIT}")

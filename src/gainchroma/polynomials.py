@@ -261,7 +261,7 @@ def leading_form(g: GainGraph, parts: Sequence[SpinAction]) -> MultiPoly:
     return total
 
 
-def regular_plus_zeroes(g: GainGraph, lattice: ClosedSetLattice | None = None) -> MultiPoly:
+def regular_plus_zeroes(g: GainGraph) -> MultiPoly:
     """Two-variable specialization from balance statistics alone.
 
     With one regular part and one fixed spin, a component's factor is
@@ -272,13 +272,11 @@ def regular_plus_zeroes(g: GainGraph, lattice: ClosedSetLattice | None = None) -
     polynomial.
     """
     order = g.group.order
-    if lattice is None:
-        lattice = enumerate_closed_sets(g)
     balanced_factor = MultiPoly.linear(2, [order, 1])
     k2 = MultiPoly.linear(2, [0, 1])
     # a component is balanced exactly when its holonomy group is trivial
     return lattice_sum(
-        lattice,
+        enumerate_closed_sets(g),
         lambda h: balanced_factor if len(h) == 1 else k2,
         zero=MultiPoly.zero(2),
     )

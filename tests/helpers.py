@@ -82,6 +82,47 @@ def dfs_forest(graph: GainGraph, subset) -> frozenset[int]:
     return frozenset(forest)
 
 
+def oracle_tree_gains(graph: GainGraph, forest, base: int) -> dict[int, int]:
+    """The gain of the path in ``forest`` from ``base`` to each vertex it
+    reaches, by a depth-first walk of the forest's edges: the potential
+    ``graphs.traverse`` computes, for any forest and any base."""
+    mul, inv = graph.group.mul, graph.group.inv
+    psi = {base: 0}
+    stack = [base]
+    while stack:
+        w = stack.pop()
+        for eid in forest:
+            e = graph.edge(eid)
+            if w not in (e.u, e.v):
+                continue
+            other, gain = (e.v, e.gain) if e.u == w else (e.u, inv[e.gain])
+            if other not in psi:
+                psi[other] = mul[psi[w]][gain]
+                stack.append(other)
+    return psi
+
+
+def oracle_holonomy_subgroup(graph: GainGraph, component, forest, base: int) -> frozenset[int]:
+    """The holonomy subgroup at ``base`` of a connected edge set, read
+    through ``forest``, any maximal forest of it: the closure under
+    multiplication of psi(u) * gain(e) * psi(v)**-1 over its other edges,
+    psi being ``oracle_tree_gains``.  ``HolonomyContext`` takes the
+    breadth-first forest and the smallest vertex; this takes any."""
+    component, forest = frozenset(component), frozenset(forest)
+    mul, inv = graph.group.mul, graph.group.inv
+    psi = oracle_tree_gains(graph, forest, base)
+    touched = {w for eid in component for w in (graph.edge(eid).u, graph.edge(eid).v)}
+    if not (forest <= component and set(psi) == touched and len(forest) == len(touched) - 1):
+        raise ValueError("not a maximal forest of a connected edge set through the base")
+    gens = {mul[mul[psi[e.u]][e.gain]][inv[psi[e.v]]] for e in map(graph.edge, component - forest)}
+    elements = {0}
+    while True:
+        grown = elements | {mul[x][y] for x in elements for y in gens}
+        if grown == elements:
+            return frozenset(elements)
+        elements = grown
+
+
 def random_graph(rng: random.Random, group, max_vertices=4, max_edges=6) -> GainGraph:
     n = rng.randint(1, max_vertices)
     m = rng.randint(0, max_edges)

@@ -241,6 +241,14 @@ class TestCountCommand:
             == EXIT_BOUND
         )
 
+    @pytest.mark.parametrize("spin", [{"kind": "regular"}, {"kind": "subsets"}])
+    def test_a_huge_symmetric_group_exits_3(self, spin, tmp_path, capsys):
+        huge = {**DIGON, "group": {"kind": "symmetric", "d": 10**9}, "spins": [spin]}
+        assert main(["count", write(tmp_path, huge)]) == EXIT_BOUND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: symmetric group on 1000000000 points has order over the limit 5040\n"
+
     @pytest.mark.parametrize("bound", [[], ["--max-states", "1000"]])
     def test_elim_bound_exits_3_without_traceback(self, bound, tmp_path, capsys):
         k12 = {
@@ -334,7 +342,7 @@ class TestCountCommand:
         # a deliberately broken counter must trip the agreement gate
         import gainchroma.counting as counting
 
-        def wrong(g, a, max_calls=10**6):
+        def wrong(g, a):
             return CountResult(12345, "delcon", {})
 
         monkeypatch.setattr(counting, "count_delcon", wrong)

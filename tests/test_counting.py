@@ -115,10 +115,11 @@ class TestDeletionContraction:
         g = gain_graph(Z2, 1, [(0, 0, 0)])
         assert count_delcon(g, regular_action(Z2)).value == 0
 
-    def test_call_budget(self):
+    def test_call_budget(self, monkeypatch):
+        monkeypatch.setattr(counting, "DELCON_CALL_LIMIT", 1)
         g = gain_graph(Z2, 3, [(0, 1, 0)] * 1)
-        with pytest.raises(BoundExceeded):
-            count_delcon(g, regular_action(Z2), max_calls=1)
+        with pytest.raises(BoundExceeded, match="exceeded 1 calls"):
+            count_delcon(g, regular_action(Z2))
 
     def test_link_bound_is_checked_before_the_first_call(self, monkeypatch):
         def no_minors(*args):

@@ -30,7 +30,7 @@ from gainchroma import (
 )
 from gainchroma import BoundExceeded, cli, graphs
 from gainchroma.graphs import traverse
-from helpers import naive_count, powerset, random_graph
+from helpers import naive_count, oracle_tree_gains, powerset, random_graph
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -274,14 +274,13 @@ class TestTraverse:
         for eid in forest:
             e = g.edge(eid)
             assert mul[psi[e.u]][e.gain] == psi[e.v]
-        # rerooted along the same forest, every gain is taken relative to the new root
-        roots = [max(verts) for verts in split.vertex_sets]
-        resplit, reforest, repsi = traverse(g, forest, roots)
-        assert reforest == forest
-        assert resplit.isolated == split.isolated
-        for root, verts in zip(roots, split.vertex_sets):
-            for v in verts:
-                assert repsi[v] == mul[inv[psi[root]]][psi[v]]
+        for verts in split.vertex_sets:
+            # the same gains by an independent walk of the forest
+            assert oracle_tree_gains(g, forest, min(verts)) == {v: psi[v] for v in verts}
+            # rerooted along the same forest, every gain is taken relative to the new root
+            root = max(verts)
+            repsi = oracle_tree_gains(g, forest, root)
+            assert repsi == {v: mul[inv[psi[root]]][psi[v]] for v in verts}
 
 
 class TestWalkGain:

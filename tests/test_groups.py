@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,6 +99,13 @@ class TestBuildSymmetric:
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             build_symmetric(8)
+
+    def test_a_huge_degree_is_refused_before_its_order_is_computed(self):
+        # 10**9! has billions of digits; the bound stops the product at 8!
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match="symmetric group on 1000000000 points"):
+            build_symmetric(10**9)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestVerifyGroup:

@@ -10,7 +10,7 @@ import pytest
 
 from gainchroma import cli, counting, graphs, groups, harness, holonomy, models, polynomials
 
-BUDGETS = {"max_states", "max_calls", "max_subsets"}
+BUDGETS = {"max_states", "max_subsets"}
 GENERATOR_SIZES = {"max_vertices", "max_edges"}
 BUDGETED = {"count_auto", "verify_all", "potts_satisfiable_count"}
 

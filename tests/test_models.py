@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,15 @@ class TestSetColoring:
             k = rng.randint(1, 3)
             direct = set_coloring_direct(template, k)
             assert set_coloring_count(template, k) == direct
+
+    def test_huge_blocks_are_refused_before_their_order_is_computed(self):
+        from gainchroma import BoundExceeded
+
+        for blocks in ((10**9,), (3, 10**9), (2,) * 10**5):
+            start = time.perf_counter()
+            with pytest.raises(BoundExceeded, match="over the limit"):
+                block_permutation_action(blocks)
+            assert time.perf_counter() - start < 0.1
 
     def test_k_bound(self):
         from gainchroma import BoundExceeded

@@ -560,23 +560,22 @@ class TestGroupedFold:
             [trivial_action(group, 2), standard_colors(group, 1), regular_action(group)],
         ]
         fast = [grand_polynomial(g, parts, lattice=lat) for parts in part_lists]
-        fast_balance = regular_plus_zeroes(g, lattice=lat)
+        fast_balance = regular_plus_zeroes(g)
         with monkeypatch.context() as m:
             m.setattr(polynomials, "lattice_sum", oracle_lattice_sum)
             slow = [grand_polynomial(g, parts, lattice=lat) for parts in part_lists]
-            slow_balance = regular_plus_zeroes(g, lattice=lat)
+            slow_balance = regular_plus_zeroes(g)
         assert [p.render() for p in fast] == [p.render() for p in slow]
         assert fast == slow and fast_balance == slow_balance
 
     @pytest.mark.parametrize("index", range(len(FOLD_GRAPHS)))
     def test_mobius_count_matches_the_per_set_fold(self, index, monkeypatch):
         g = FOLD_GRAPHS[index]
-        lat = enumerate_closed_sets(g)
         spins = _spin_sets(g.group)
-        fast = [count_mobius(g, a, lattice=lat) for a in spins]
+        fast = [count_mobius(g, a) for a in spins]
         with monkeypatch.context() as m:
             m.setattr(counting, "lattice_sum", oracle_lattice_sum)
-            slow = [count_mobius(g, a, lattice=lat) for a in spins]
+            slow = [count_mobius(g, a) for a in spins]
         assert fast == slow
 
 
