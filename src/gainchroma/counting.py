@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .groups import BoundExceeded, FiniteGroup, SpinAction, fixed_set, stabilizer_classes
-from .graphs import GainGraph, balanced_component_count, check_action
+from .graphs import GainGraph, balanced_component_count, check_action, touched_core
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, enumerate_closed_sets, signed_subset_sum
 
@@ -34,9 +34,13 @@ from .holonomy import ClosedSetLattice, enumerate_closed_sets, signed_subset_sum
 @dataclass(frozen=True)
 class CountResult:
     value: int
-    method: str
     stats: dict[str, int]
 
+
+# The default work budgets: the most states or elimination transitions
+# (brute, elim) and edge subsets (inclexcl) a counter takes on.
+STATE_BUDGET = 10**8
+SUBSET_BUDGET = 2**22
 
 # The most vertices count_brute and links count_delcon take on.  Brute
 # recurses once per vertex and delcon once per link, so both stay well under
@@ -56,7 +60,7 @@ def _spin_mask(spins, size: int) -> int:
     return int(digits, 2)
 
 
-def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountResult:
+def count_brute(g: GainGraph, a: SpinAction, max_states: int = STATE_BUDGET) -> CountResult:
     """Count states with no satisfied edge by backtracking enumeration.
 
     A partial state is abandoned as soon as any edge among the assigned
@@ -76,7 +80,7 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
     if m and n > BRUTE_VERTEX_LIMIT:
         raise BoundExceeded(f"{n} vertices exceed the brute-force depth limit {BRUTE_VERTEX_LIMIT}")
     if n == 0:
-        return CountResult(1, "brute", {"states_visited": 0})
+        return CountResult(1, {"states_visited": 0})
     act = a.act
     inv = g.group.inv
     loop_gains: list[set[int]] = [set() for _ in range(n)]
@@ -116,7 +120,7 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRe
         descend(0)
     finally:
         descend = None  # break the closure's cycle through its own cell
-    return CountResult(total, "brute", {"states_visited": visited})
+    return CountResult(total, {"states_visited": visited})
 
 
 # A minor in count_delcon's recursion: the vertex count and the (u, v, gain)
@@ -161,10 +165,10 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     loops' fixed-spin masks, each built once for a gain that occurs.  The
     recursion is as deep as the graph has links, so more than
     ``DELCON_LINK_LIMIT`` are refused before the first call, and it gives
-    up past ``DELCON_CALL_LIMIT`` calls.  It runs on
-    the vertices some edge touches, relabelled 0, 1, ... in increasing
-    order with the edge ids kept; each other vertex takes any of the |Q|
-    spins, a factor the result is multiplied by.
+    up past ``DELCON_CALL_LIMIT`` calls.  It starts from
+    ``graphs.touched_core``, the minor on the vertices some edge touches;
+    each other vertex takes any of the |Q| spins, a factor the result is
+    multiplied by.
     """
     check_action(g, a)
     links = sum(not e.is_loop for e in g.edges)
@@ -198,13 +202,12 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
                 return recurse(deleted) - recurse(_contract(minor, i, group))
         return loops_only_value(minor)
 
-    label = {v: i for i, v in enumerate(sorted({w for e in g.edges for w in (e.u, e.v)}))}
-    core = tuple((label[e.u], label[e.v], e.gain) for e in sorted(g.edges, key=lambda e: e.id))
+    core = touched_core(g)
     try:
-        value = recurse((len(label), core)) * m ** (g.vertex_count - len(label))
+        value = recurse(core) * m ** (g.vertex_count - core[0])
     finally:
         recurse = None  # break the closure's cycle through its own cell
-    return CountResult(value, "delcon", {"calls": calls})
+    return CountResult(value, {"calls": calls})
 
 
 def lattice_sum(lattice: ClosedSetLattice, factor: Callable[[frozenset[int]], Any], zero: Any = 0):
@@ -235,11 +238,7 @@ def lattice_sum(lattice: ClosedSetLattice, factor: Callable[[frozenset[int]], An
     return total
 
 
-def count_inclexcl(
-    g: GainGraph,
-    a: SpinAction,
-    max_subsets: int = 2**22,
-) -> CountResult:
+def count_inclexcl(g: GainGraph, a: SpinAction, max_subsets: int = SUBSET_BUDGET) -> CountResult:
     """Count by inclusion-exclusion over all edge subsets: each subset
     contributes (-1)**|A| times the product of holonomy fixed counts over its
     components, times |Q| per vertex it leaves isolated.
@@ -249,7 +248,7 @@ def count_inclexcl(
     if 2**m > max_subsets:
         raise BoundExceeded(f"2**{m} subsets exceed the inclusion-exclusion limit {max_subsets}")
     total = signed_subset_sum(g, lambda h: len(fixed_set(a, h)))
-    return CountResult(total, "inclexcl", {"subsets": 1 << m})
+    return CountResult(total, {"subsets": 1 << m})
 
 
 def count_mobius(g: GainGraph, a: SpinAction) -> CountResult:
@@ -261,7 +260,7 @@ def count_mobius(g: GainGraph, a: SpinAction) -> CountResult:
     check_action(g, a)
     lattice = enumerate_closed_sets(g)
     total = lattice_sum(lattice, lambda h: len(fixed_set(a, h)))
-    return CountResult(total, "mobius", {"closed_sets": len(lattice.masks)})
+    return CountResult(total, {"closed_sets": len(lattice.masks)})
 
 
 def _elim_order(g: GainGraph) -> tuple[list[tuple[int, set[int]]], list[int]]:
@@ -367,7 +366,7 @@ def _elim_pins(steps: list[tuple[int, set[int]]], sizes: list[int], q: int) -> s
     return pins
 
 
-def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountResult:
+def count_elim(g: GainGraph, a: SpinAction, max_states: int = STATE_BUDGET) -> CountResult:
     """Count by a transfer matrix along ``_elim_order``'s vertex order.
 
     The table maps the spins of the frontier (placed vertices with an
@@ -504,33 +503,29 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = 10**8) -> CountRes
         table = new
         peak = max(peak, len(table))
     stats = {"width": width, "peak_states": peak, "transitions": transitions}
-    return CountResult(table.get(0, 0), "elim", stats)
+    return CountResult(table.get(0, 0), stats)
 
 
-def count_auto(
-    g: GainGraph,
-    a: SpinAction,
-    max_states: int = 10**8,
-    max_subsets: int = 2**22,
-) -> int:
+def count_auto(g: GainGraph, a: SpinAction) -> int:
     """Count with elim, or with brute or inclexcl when elim is over its
-    bounds, and return the bare value.
+    bounds, and return the bare value.  The budgets are ``STATE_BUDGET``
+    and ``SUBSET_BUDGET``, read at each call.
 
     Elim comes first: its table after each step holds the distinct frontier
     spins of the partial states that brute, placing vertices in the same
     order, would hold at that depth, so it never visits more.
     """
     try:
-        return count_elim(g, a, max_states=max_states).value
+        return count_elim(g, a, max_states=STATE_BUDGET).value
     except BoundExceeded:
         pass
     brute_cost = a.size ** g.vertex_count
     subset_cost = 2 ** len(g.edges)
-    if brute_cost <= min(subset_cost, max_states):
-        return count_brute(g, a, max_states=max_states).value
-    if subset_cost <= max_subsets:
-        return count_inclexcl(g, a, max_subsets=max_subsets).value
-    return count_brute(g, a, max_states=max_states).value
+    if brute_cost <= min(subset_cost, STATE_BUDGET):
+        return count_brute(g, a, max_states=STATE_BUDGET).value
+    if subset_cost <= SUBSET_BUDGET:
+        return count_inclexcl(g, a, max_subsets=SUBSET_BUDGET).value
+    return count_brute(g, a, max_states=STATE_BUDGET).value
 
 
 def theta(g: GainGraph, a: SpinAction) -> Fraction:
@@ -565,15 +560,15 @@ class MethodReport:
 # call looks count_* up in this module's globals, where perfbench's tracer
 # rebinds them.
 COUNTERS = {
-    "brute": lambda g, a, max_states=10**8, **_: count_brute(g, a, max_states=max_states),
+    "brute": lambda g, a, max_states=STATE_BUDGET, **_: count_brute(g, a, max_states=max_states),
     "delcon": lambda g, a, **_: count_delcon(g, a),
-    "inclexcl": lambda g, a, max_subsets=2**22, **_: count_inclexcl(g, a, max_subsets=max_subsets),
+    "inclexcl": lambda g, a, max_subsets=SUBSET_BUDGET, **_: count_inclexcl(g, a, max_subsets=max_subsets),
     "mobius": lambda g, a, **_: count_mobius(g, a),
-    "elim": lambda g, a, max_states=10**8, **_: count_elim(g, a, max_states=max_states),
+    "elim": lambda g, a, max_states=STATE_BUDGET, **_: count_elim(g, a, max_states=max_states),
 }
 
 
-def verify_all(g: GainGraph, a: SpinAction, max_states: int = 10**8, max_subsets: int = 2**22) -> MethodReport:
+def verify_all(g: GainGraph, a: SpinAction, max_states: int = STATE_BUDGET, max_subsets: int = SUBSET_BUDGET) -> MethodReport:
     """Run every counter in ``COUNTERS`` and report agreement; counters
     that overrun their bounds are recorded instead of raising."""
     report = MethodReport()

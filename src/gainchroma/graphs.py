@@ -124,6 +124,15 @@ def gain_graph(
     return GainGraph(group, vertex_count, edges)
 
 
+def touched_core(g: GainGraph) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The number of vertices some edge touches, and the (u, v, gain) triple
+    of each edge in edge-id order, with the touched vertices relabelled
+    0, 1, ... in increasing order."""
+    edges = sorted(g.edges, key=lambda e: e.id)
+    label = {v: i for i, v in enumerate(sorted({w for e in edges for w in (e.u, e.v)}))}
+    return len(label), tuple((label[e.u], label[e.v], e.gain) for e in edges)
+
+
 def normalize_edge_subset(g: GainGraph, subset: Iterable[int] | None) -> frozenset[int]:
     """Validate an edge-id collection against the graph; None means all edges."""
     if subset is None:

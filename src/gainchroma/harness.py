@@ -141,12 +141,12 @@ class CheckResult:
 
 def check_method_agreement(inst: Instance, report: MethodReport) -> CheckResult:
     """Every counter that ran in ``report``, ``verify_all``'s report on the
-    instance, must give the same count; if they agree, any counter over its
-    bound raises ``BoundExceeded``, naming each one."""
-    if not report.agree:
+    instance, must give the same count; if they agree, or none ran, any
+    counter over its bound raises ``BoundExceeded``, naming each one."""
+    if report.results and not report.agree:
         values = {k: r.value for k, r in report.results.items()}
         return CheckResult("method_agreement", False, f"counts diverge: {values}")
-    if report.errors:
+    if report.errors or not report.results:
         raise BoundExceeded("; ".join(f"{name}: {error}" for name, error in report.errors.items()))
     return CheckResult("method_agreement", True)
 
@@ -318,8 +318,9 @@ def check_instance(inst: Instance, rng: random.Random) -> list[CheckResult]:
     report = verify_all(inst.graph, inst.action)
     # first, so that a counter over its bound raises before any other check
     agreement = check_method_agreement(inst, report)
-    # shared by three checks; inclexcl's bound of 2**22 subsets is far above
-    # the 2**LATTICE_EDGE_LIMIT that ``run_suite`` allows, so it always ran
+    # shared by three checks; inclexcl's budget of ``SUBSET_BUDGET`` subsets
+    # is at least the 2**LATTICE_EDGE_LIMIT that ``run_suite`` allows, so it
+    # always ran
     whole = report.results["inclexcl"].value
     return [
         agreement,

@@ -19,7 +19,7 @@ from itertools import compress, groupby
 from typing import Callable, Iterable
 
 from .groups import BoundExceeded, SpinAction, fixed_set, generate_subgroup
-from .graphs import GainGraph, check_action, normalize_edge_subset, traverse
+from .graphs import GainGraph, check_action, normalize_edge_subset, touched_core, traverse
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 
 
@@ -152,8 +152,8 @@ class _EdgeWalk:
     component, taken at r.  Every vertex starts as a root with the trivial
     group, so a vertex the subset leaves isolated is a component with
     trivial holonomy.  The state covers only the vertices some edge touches,
-    relabelled 0, 1, ... in increasing order; every other vertex is isolated
-    in every subset.
+    as ``graphs.touched_core`` relabels them; every other vertex is
+    isolated in every subset.
 
     Subgroups get ids as the walk meets them: ``subgroups[h]`` holds the
     elements of subgroup h and ``orders[h]`` their number.  Joining a
@@ -164,10 +164,7 @@ class _EdgeWalk:
     def __init__(self, graph: GainGraph):
         self.graph = graph
         self.ids = tuple(sorted(graph.edge_ids))
-        edges = tuple(map(graph.edge, self.ids))
-        label = {v: i for i, v in enumerate(sorted({w for e in edges for w in (e.u, e.v)}))}
-        self.edges = tuple((label[e.u], label[e.v], e.gain) for e in edges)
-        n = len(label)
+        n, self.edges = touched_core(graph)
         self.parent = list(range(n))
         self.up = [0] * n
         self.size = [1] * n

@@ -24,7 +24,7 @@ from .groups import (
     subset_action,
 )
 from .graphs import GainGraph, SimpleGraph, gain_graph, group_expansion
-from .counting import count_brute
+from .counting import STATE_BUDGET, count_brute
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,20 @@ def potts_direct_count(signed: SignedGraph, spin_count: int) -> int:
     return _count_states(signed.vertex_count, spin_count, constraints)
 
 
-def potts_satisfiable_count(
-    signed: SignedGraph, group: FiniteGroup, max_states: int = 10**8
-) -> int:
-    """Number of satisfied Potts states, counted through the gain-graph
-    encoding and verified against the direct evaluator."""
+def potts_routes(signed: SignedGraph, group: FiniteGroup, max_states: int = STATE_BUDGET) -> tuple[int, int]:
+    """The number of satisfied Potts states through the gain-graph encoding,
+    counted by brute force within ``max_states``, and the number the direct
+    evaluator gives."""
     phi = potts_gain_graph(signed, group)
-    value = count_brute(phi, regular_action(group), max_states=max_states).value
-    direct = potts_direct_count(signed, group.order)
+    encoded = count_brute(phi, regular_action(group), max_states=max_states).value
+    return encoded, potts_direct_count(signed, group.order)
+
+
+def potts_satisfiable_count(signed: SignedGraph, group: FiniteGroup) -> int:
+    """Number of satisfied Potts states, counted through the gain-graph
+    encoding and verified against the direct evaluator, as ``potts_routes``
+    gives them."""
+    value, direct = potts_routes(signed, group)
     if value != direct:
         raise AssertionError(
             f"Potts encodings disagree: gain graph {value}, direct {direct}"

@@ -293,6 +293,24 @@ class TestCountCommand:
         out = capsys.readouterr().out
         assert "elim: bound exceeded (7**9 frontier states" in out
 
+    def test_no_agreement_is_claimed_when_every_counter_refuses(self, tmp_path, capsys, monkeypatch):
+        # nothing ran, so there is nothing to agree or disagree: no agree
+        # line or key, and the refusal's exit code
+        import gainchroma.counting as counting
+
+        def refuse(*args, **kw):
+            raise BoundExceeded("over a bound")
+
+        for name in COUNTERS:
+            monkeypatch.setattr(counting, f"count_{name}", refuse)
+        path = write(tmp_path, DIGON)
+        assert main(["count", path]) == EXIT_BOUND
+        assert capsys.readouterr().out == "".join(f"{name}: bound exceeded (over a bound)\n" for name in COUNTERS)
+        assert main(["count", path, "--json"]) == EXIT_BOUND
+        payload = json.loads(capsys.readouterr().out)
+        assert "agree" not in payload
+        assert all(payload[name] == {"error": "over a bound"} for name in COUNTERS)
+
     def test_long_cycle_counts_by_elim_and_delcon_exits_3(self, tmp_path, capsys):
         # delcon recurses once per link; over its link bound it refuses
         # instead of running into the recursion limit
@@ -343,7 +361,7 @@ class TestCountCommand:
         import gainchroma.counting as counting
 
         def wrong(g, a):
-            return CountResult(12345, "delcon", {})
+            return CountResult(12345, {})
 
         monkeypatch.setattr(counting, "count_delcon", wrong)
         code = main(["count", write(tmp_path, DIGON), "--method", "all"])
@@ -631,7 +649,7 @@ class TestVerifyCommand:
 
         def wrong(g, a, **kwargs):
             result = original(g, a, **kwargs)
-            return CountResult(result.value + 1, "mobius", result.stats)
+            return CountResult(result.value + 1, result.stats)
 
         monkeypatch.setattr(counting, "count_mobius", wrong)
         code = main(["verify", "--max-vertices", "40", "--count", "3"])
@@ -648,7 +666,7 @@ class TestVerifyCommand:
 
         def wrong(g, a, **kwargs):
             result = original(g, a, **kwargs)
-            return CountResult(result.value + 1, "mobius", result.stats)
+            return CountResult(result.value + 1, result.stats)
 
         monkeypatch.setattr(counting, "count_mobius", wrong)
         code = main(["verify", "--seed", "1", "--count", "4"])

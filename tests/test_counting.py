@@ -203,7 +203,7 @@ class TestAgainstTheGraphRecordPaths:
         assert [(e.u, e.v, e.gain) for e in g.edges] == [(1, 2, 3), (2, 1, 4), (1, 1, 2), (0, 2, 0), (2, 0, 5), (1, 0, 5)]
         assert count_brute(g, a).value == 160
         assert oracle_delcon(g, a) == (160, {"calls": 27})
-        assert count_delcon(g, a) == counting.CountResult(160, "delcon", {"calls": 27})
+        assert count_delcon(g, a) == counting.CountResult(160, {"calls": 27})
 
 
 class TestInclusionExclusion:
@@ -775,25 +775,33 @@ class TestCountAuto:
         k10 = gain_graph(Z3, 10, [(u, v, 0) for u in range(10) for v in range(u + 1, 10)])
         assert count_auto(k10, trivial_action(Z3, 5)) == 0
         assert chosen == ["elim", "brute"]
-        chosen.clear()
-        # ten vertices and two edges: elim's work passes max_states = 10,
-        # brute's 4**10 states too, and inclexcl's 4 subsets do not
+        # ten vertices and two edges: elim's work passes a STATE_BUDGET of
+        # 10, brute's 4**10 states too, and inclexcl's 4 subsets do not
         sparse = gain_graph(Z3, 10, [(0, 1, 1), (2, 3, 2)])
         action = standard_colors(Z3, 1)
-        assert count_auto(sparse, action, max_states=10) == count_brute(sparse, action).value
+        expected = count_brute(sparse, action).value
+        monkeypatch.setattr(counting, "STATE_BUDGET", 10)
+        chosen.clear()
+        assert count_auto(sparse, action) == expected
         assert chosen == ["elim", "inclexcl"]
 
-    def test_raises_only_when_every_counter_is_over_its_bound(self):
+    def test_raises_only_when_every_counter_is_over_its_bound(self, monkeypatch):
         k12 = gain_graph(S3, 12, [(u, v, (u + v) % 6) for u in range(12) for v in range(u + 1, 12)])
         with pytest.raises(BoundExceeded):
             count_auto(k12, standard_colors(S3, 1))
         small = gain_graph(Z3, 6, [(v, (v + 1) % 6, 1) for v in range(6)])
         action = standard_colors(Z3, 1)
         expected = count_brute(small, action).value
+
+        def auto(states, subsets):
+            monkeypatch.setattr(counting, "STATE_BUDGET", states)
+            monkeypatch.setattr(counting, "SUBSET_BUDGET", subsets)
+            return count_auto(small, action)
+
         with pytest.raises(BoundExceeded):
-            count_auto(small, action, max_states=1, max_subsets=1)
-        assert count_auto(small, action, max_states=1, max_subsets=2**6) == expected
-        assert count_auto(small, action, max_states=4**6, max_subsets=1) == expected
+            auto(1, 1)
+        assert auto(1, 2**6) == expected
+        assert auto(4**6, 1) == expected
 
     def test_counts_the_twenty_vertex_ring(self):
         # 4**20 states and 2**26 subsets are both over the default bounds

@@ -115,6 +115,22 @@ class TestSuiteRunner:
         with pytest.raises(BoundExceeded, match="over a bound"):
             run_suite(1, 3)
 
+    def test_a_report_where_no_counter_ran_is_a_refusal(self, monkeypatch):
+        # with every counter over its bound there is nothing to compare, so
+        # the agreement check raises instead of reporting a divergence
+        def refuse(*args, **kwargs):
+            raise BoundExceeded("over a bound")
+
+        for name in counting.COUNTERS:
+            monkeypatch.setattr(counting, f"count_{name}", refuse)
+        inst = random_instance(random.Random(1))
+        report = counting.verify_all(inst.graph, inst.action)
+        assert report.results == {} and set(report.errors) == set(counting.COUNTERS)
+        with pytest.raises(BoundExceeded, match="brute: over a bound; delcon: over a bound"):
+            harness.check_method_agreement(inst, report)
+        with pytest.raises(BoundExceeded, match="elim: over a bound"):
+            check_instance(inst, random.Random(1))
+
     def test_each_instance_graph_is_counted_by_inclexcl_once(self, monkeypatch):
         # among verify_all's counters, whose count the three checks that
         # need it share

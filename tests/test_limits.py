@@ -1,8 +1,11 @@
 """Every size limit lives in one module constant.  The only ``max_*``
 keywords a caller may set are the counters' work budgets and the sizes of
-the harness's random instances."""
+the harness's random instances, and the budgets' defaults are written once,
+in ``counting.STATE_BUDGET`` and ``counting.SUBSET_BUDGET``."""
 
+import ast
 import inspect
+import pathlib
 import time
 import tracemalloc
 
@@ -12,7 +15,7 @@ from gainchroma import cli, counting, graphs, groups, harness, holonomy, models,
 
 BUDGETS = {"max_states", "max_subsets"}
 GENERATOR_SIZES = {"max_vertices", "max_edges"}
-BUDGETED = {"count_auto", "verify_all", "potts_satisfiable_count"}
+BUDGETED = {"verify_all", "potts_routes"}
 
 
 def _callables():
@@ -53,6 +56,58 @@ def test_only_budgets_and_generator_sizes_are_keywords():
         if extra:
             found[qualified] = sorted(extra)
     assert found == {}
+
+
+BUDGET_CONSTANTS = {"STATE_BUDGET", "SUBSET_BUDGET"}
+
+
+def budget_literals(source: str) -> list[int]:
+    """The line of every ``10**8``, ``2**22``, ``100000000`` or ``4194304``
+    in the source, except in the value of an assignment to one of
+    ``BUDGET_CONSTANTS``."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in BUDGET_CONSTANTS for t in node.targets):
+            exempt.update(map(id, ast.walk(node.value)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            pair = (getattr(node.left, "value", None), getattr(node.right, "value", None))
+            if pair in ((10, 8), (2, 22)):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Constant) and type(node.value) is int and node.value in (10**8, 2**22):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_budget_walk_sees_every_spelling():
+    source = "STATE_BUDGET = 10**8\nSUBSET_BUDGET = 2**22\nx = 10**8\ny = f(2 ** 22)\nz = 100000000\nw = [4194304]\nv = 10**9\n"
+    assert budget_literals(source) == [3, 4, 5, 6]
+
+
+def test_the_budget_defaults_are_written_once():
+    package = pathlib.Path(counting.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {"cli.py", "counting.py", "models.py"} <= {path.name for path in modules}
+    found = {path.name: budget_literals(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_command_line_budgets_default_to_the_constants():
+    parser = cli.build_parser()
+    count = parser.parse_args(["count", "instance.json"])
+    potts = parser.parse_args(["potts", "instance.json"])
+    assert (count.max_states, count.max_subsets) == (counting.STATE_BUDGET, counting.SUBSET_BUDGET)
+    assert potts.max_states == counting.STATE_BUDGET
+
+
+def test_inclexcl_runs_on_every_suite_instance():
+    # harness.check_instance reads inclexcl's count from verify_all's report,
+    # which holds it only when the suite's largest edge set is within budget
+    assert 2**holonomy.LATTICE_EDGE_LIMIT <= counting.SUBSET_BUDGET
 
 
 @pytest.mark.parametrize("count", [counting.count_brute, counting.count_delcon], ids=["brute", "delcon"])
