@@ -5,7 +5,9 @@ group; a state assigns each vertex a spin from a set the group acts on, and
 an edge is frustrated when its equation s_v * gain != s_w holds.  This
 package counts states in which every edge is frustrated, by five mutually
 cross-checking methods, and reads exact multivariate and univariate
-polynomials of the counts off the lattice of holonomy-closed edge sets.
+polynomials of the counts off Zaslavsky's balanced expansion over the edge
+subsets, which equals the Möbius sum over the lattice of holonomy-closed
+edge sets.
 """
 
 from .groups import (
@@ -52,6 +54,7 @@ from .holonomy import (
     ClosedSetLattice,
     HolonomyCache,
     HolonomyContext,
+    SubsetTerms,
     component_subgroup,
     enumerate_closed_sets,
     h_fixed_count,
@@ -59,6 +62,7 @@ from .holonomy import (
     holonomy_generators,
     holonomy_group,
     is_holonomy_closed,
+    subset_terms,
 )
 from .counting import (
     CountResult,

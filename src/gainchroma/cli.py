@@ -51,11 +51,11 @@ from .groups import (
 from .graphs import VERTEX_LIMIT, GainGraph, SimpleGraph, gain_graph
 from .holonomy import (
     HolonomyContext,
-    enumerate_closed_sets,
     holonomy_closure,
     holonomy_generators,
+    subset_terms,
 )
-from .counting import COUNTERS, STATE_BUDGET, SUBSET_BUDGET, verify_all
+from .counting import COUNTERS, verify_all
 from .polynomials import (
     check_parts,
     chromatic_polynomial,
@@ -323,13 +323,13 @@ def cmd_poly(args) -> int:
                 raise InstanceError(f"--parts index {i} out of range")
         parts = [parts[i] for i in indices]
     check_parts(inst.graph, parts)
-    lattice = enumerate_closed_sets(inst.graph)
-    polys = {"grand": grand_polynomial(inst.graph, parts, lattice=lattice)}
+    terms = subset_terms(inst.graph)
+    polys = {"grand": grand_polynomial(inst.graph, parts, source=terms)}
     if args.chromatic:
-        polys["chromatic"] = chromatic_polynomial(inst.graph, lattice=lattice)
+        polys["chromatic"] = chromatic_polynomial(inst.graph, source=terms)
     if args.zero_free:
         try:
-            polys["zero_free"] = zero_free_polynomial(inst.graph, lattice=lattice)
+            polys["zero_free"] = zero_free_polynomial(inst.graph, source=terms)
         except ArithmeticError as exc:  # its loop-deletion check failed
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIVERGE
@@ -480,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--mults", default="", help="comma list of part multiplicities")
-    p.add_argument("--max-states", type=int, default=STATE_BUDGET, dest="max_states")
-    p.add_argument("--max-subsets", type=int, default=SUBSET_BUDGET, dest="max_subsets")
+    # None: the counters read counting's budgets when they run
+    p.add_argument("--max-states", type=int, default=None, dest="max_states")
+    p.add_argument("--max-subsets", type=int, default=None, dest="max_subsets")
     add_json(p)
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.set_defaults(run=cmd_count)
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potts", help="count satisfied Potts states")
     p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=STATE_BUDGET, dest="max_states")
+    p.add_argument("--max-states", type=int, default=None, dest="max_states")
     add_json(p)
     p.set_defaults(run=cmd_potts)
 

@@ -13,8 +13,10 @@ The counters are deliberately independent routes to the same number:
 
 ``count_auto`` runs elim when it is within its bounds, and brute or
 inclexcl otherwise.  ``lattice_sum`` is mobius's fold over the closed-set
-lattice, which the polynomials in ``polynomials`` share with polynomial
-factors.  All arithmetic is exact integer arithmetic.
+lattice; the polynomials in ``polynomials`` run the same fold, with
+polynomial factors, over ``holonomy.subset_terms``, which groups the edge
+subsets as the lattice groups the closed sets.  All arithmetic is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Any, Callable
 from .groups import BoundExceeded, FiniteGroup, SpinAction, fixed_set, stabilizer_classes
 from .graphs import GainGraph, balanced_component_count, check_action, touched_core
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
-from .holonomy import ClosedSetLattice, enumerate_closed_sets, signed_subset_sum
+from .holonomy import ClosedSetLattice, SubsetTerms, enumerate_closed_sets, signed_subset_sum
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,8 @@ class CountResult:
 
 
 # The default work budgets: the most states or elimination transitions
-# (brute, elim) and edge subsets (inclexcl) a counter takes on.
+# (brute, elim) and edge subsets (inclexcl) a counter takes on.  A budget
+# keyword left at None reads them at call time.
 STATE_BUDGET = 10**8
 SUBSET_BUDGET = 2**22
 
@@ -60,7 +63,7 @@ def _spin_mask(spins, size: int) -> int:
     return int(digits, 2)
 
 
-def count_brute(g: GainGraph, a: SpinAction, max_states: int = STATE_BUDGET) -> CountResult:
+def count_brute(g: GainGraph, a: SpinAction, max_states: int | None = None) -> CountResult:
     """Count states with no satisfied edge by backtracking enumeration.
 
     A partial state is abandoned as soon as any edge among the assigned
@@ -73,6 +76,8 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int = STATE_BUDGET) -> 
     per vertex, so ``BRUTE_VERTEX_LIMIT`` caps the vertices.
     """
     check_action(g, a)
+    if max_states is None:
+        max_states = STATE_BUDGET
     n = g.vertex_count
     m = a.size
     if m**n > max_states:
@@ -210,16 +215,18 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     return CountResult(value, {"calls": calls})
 
 
-def lattice_sum(lattice: ClosedSetLattice, factor: Callable[[frozenset[int]], Any], zero: Any = 0):
+def lattice_sum(lattice: ClosedSetLattice | SubsetTerms, factor: Callable[[frozenset[int]], Any], zero: Any = 0):
     """The sum, over the closed sets of a lattice, of the set's Möbius
     value times ``factor(H)`` per component, where H is the component's
     holonomy subgroup and a vertex the set leaves isolated is a component
     with H trivial; ``zero`` for a bottomless lattice, which has no terms.
+    Over a graph's ``subset_terms`` it gives the same sum, as (-1)**|B|
+    over all edge subsets B.
 
     The summand depends only on the multiset of subgroups, so the sum runs
-    over ``lattice.terms``, one product per group of closed sets, and the
-    vertices no edge touches multiply every product by the same power of
-    the trivial group's factor.  ``factor`` is called once per distinct
+    over ``lattice.terms``, one product per multiset, and the vertices no
+    edge touches multiply every product by the same power of the trivial
+    group's factor.  ``factor`` is called once per distinct
     subgroup, and each power of a factor is computed once.  The values may
     be ints or ``MultiPoly``; ``zero`` is the empty sum, and a product with
     a factor equal to it is skipped without multiplying.
@@ -238,17 +245,22 @@ def lattice_sum(lattice: ClosedSetLattice, factor: Callable[[frozenset[int]], An
     return total
 
 
-def count_inclexcl(g: GainGraph, a: SpinAction, max_subsets: int = SUBSET_BUDGET) -> CountResult:
+def count_inclexcl(g: GainGraph, a: SpinAction, max_subsets: int | None = None) -> CountResult:
     """Count by inclusion-exclusion over all edge subsets: each subset
     contributes (-1)**|A| times the product of holonomy fixed counts over its
     components, times |Q| per vertex it leaves isolated.
+
+    ``stats["subsets"]`` reports all 2**m subsets, and ``stats["leaves"]``
+    those the walk reached, the others cancelling in pairs.
     """
     check_action(g, a)
+    if max_subsets is None:
+        max_subsets = SUBSET_BUDGET
     m = len(g.edges)
     if 2**m > max_subsets:
         raise BoundExceeded(f"2**{m} subsets exceed the inclusion-exclusion limit {max_subsets}")
-    total = signed_subset_sum(g, lambda h: len(fixed_set(a, h)))
-    return CountResult(total, {"subsets": 1 << m})
+    total, leaves = signed_subset_sum(g, lambda h: len(fixed_set(a, h)))
+    return CountResult(total, {"subsets": 1 << m, "leaves": leaves})
 
 
 def count_mobius(g: GainGraph, a: SpinAction) -> CountResult:
@@ -366,7 +378,7 @@ def _elim_pins(steps: list[tuple[int, set[int]]], sizes: list[int], q: int) -> s
     return pins
 
 
-def count_elim(g: GainGraph, a: SpinAction, max_states: int = STATE_BUDGET) -> CountResult:
+def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> CountResult:
     """Count by a transfer matrix along ``_elim_order``'s vertex order.
 
     The table maps the spins of the frontier (placed vertices with an
@@ -403,6 +415,8 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int = STATE_BUDGET) -> C
     over the steps, and ``stats["peak_states"]`` the largest table.
     """
     check_action(g, a)
+    if max_states is None:
+        max_states = STATE_BUDGET
     n = g.vertex_count
     q = a.size
     steps, sizes = _elim_order(g)
@@ -516,16 +530,16 @@ def count_auto(g: GainGraph, a: SpinAction) -> int:
     order, would hold at that depth, so it never visits more.
     """
     try:
-        return count_elim(g, a, max_states=STATE_BUDGET).value
+        return count_elim(g, a).value
     except BoundExceeded:
         pass
     brute_cost = a.size ** g.vertex_count
     subset_cost = 2 ** len(g.edges)
     if brute_cost <= min(subset_cost, STATE_BUDGET):
-        return count_brute(g, a, max_states=STATE_BUDGET).value
+        return count_brute(g, a).value
     if subset_cost <= SUBSET_BUDGET:
-        return count_inclexcl(g, a, max_subsets=SUBSET_BUDGET).value
-    return count_brute(g, a, max_states=STATE_BUDGET).value
+        return count_inclexcl(g, a).value
+    return count_brute(g, a).value
 
 
 def theta(g: GainGraph, a: SpinAction) -> Fraction:
@@ -556,21 +570,22 @@ class MethodReport:
 
 
 # Counter name -> runner, in report order.  A runner takes the graph, the
-# action and verify_all's budget keywords.  The runners are lambdas so that each
-# call looks count_* up in this module's globals, where perfbench's tracer
-# rebinds them.
+# action and verify_all's budget keywords, None for the module's budgets.
+# The runners are lambdas so that each call looks count_* up in this
+# module's globals, where perfbench's tracer rebinds them.
 COUNTERS = {
-    "brute": lambda g, a, max_states=STATE_BUDGET, **_: count_brute(g, a, max_states=max_states),
+    "brute": lambda g, a, max_states=None, **_: count_brute(g, a, max_states=max_states),
     "delcon": lambda g, a, **_: count_delcon(g, a),
-    "inclexcl": lambda g, a, max_subsets=SUBSET_BUDGET, **_: count_inclexcl(g, a, max_subsets=max_subsets),
+    "inclexcl": lambda g, a, max_subsets=None, **_: count_inclexcl(g, a, max_subsets=max_subsets),
     "mobius": lambda g, a, **_: count_mobius(g, a),
-    "elim": lambda g, a, max_states=STATE_BUDGET, **_: count_elim(g, a, max_states=max_states),
+    "elim": lambda g, a, max_states=None, **_: count_elim(g, a, max_states=max_states),
 }
 
 
-def verify_all(g: GainGraph, a: SpinAction, max_states: int = STATE_BUDGET, max_subsets: int = SUBSET_BUDGET) -> MethodReport:
+def verify_all(g: GainGraph, a: SpinAction, max_states: int | None = None, max_subsets: int | None = None) -> MethodReport:
     """Run every counter in ``COUNTERS`` and report agreement; counters
-    that overrun their bounds are recorded instead of raising."""
+    that overrun their bounds are recorded instead of raising.  A budget
+    left at None is the module's, read when each counter runs."""
     report = MethodReport()
     for name, run in COUNTERS.items():
         try:

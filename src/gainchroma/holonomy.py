@@ -1,6 +1,7 @@
 """Holonomy of edge sets: fundamental-walk gains through a maximal forest,
-the subgroups they generate, fixed-spin counts, holonomy closure, and the
-Möbius function of the family of closed sets.
+the subgroups they generate, fixed-spin counts, holonomy closure, the
+Möbius function of the family of closed sets, and the signed sum over all
+edge subsets grouped by their component subgroups.
 
 The holonomy of a non-forest edge e: u->v in a connected edge set is
 psi(u) * gain(e) * psi(v)^-1 where psi is the tree-path gain from the
@@ -194,15 +195,6 @@ class _EdgeWalk:
             self._joins[key] = got
         return got
 
-    def find(self, v: int) -> tuple[int, int]:
-        """The root of v and the gain of the tree path from the root to v."""
-        parent, up, mul = self.parent, self.up, self.graph.group.mul
-        h = 0
-        while parent[v] != v:
-            h = mul[up[v]][h]
-            v = parent[v]
-        return v, h
-
     def run(self, leaf: Callable[[int, int, int], None], keep_closed: bool = False):
         """Call ``leaf(mask, sign, level)`` for the edge subsets B the walk
         reaches, with the state describing B, sign = (-1)**|B| or 0 (below)
@@ -237,16 +229,23 @@ class _EdgeWalk:
         edges, m = self.edges, len(self.edges)
         parent, up, size, sub, orders = self.parent, self.up, self.size, self.sub, self.orders
         mul, inv = self.graph.group.mul, self.graph.group.inv
-        join, gens, find = self.join, self._gens, self.find
+        join, gens = self.join, self._gens
         merge = self.graph.group.order + 1
 
         # the last edge calls the leaves itself, which saves a call per leaf
         last = m - 1
 
         def descend(i: int, mask: int, sign: int, level: int):
-            u, v, gain = edges[i]
-            ru, hu = find(u)
-            rv, hv = find(v)
+            ru, rv, gain = edges[i]
+            # climb from each end to its root; hu and hv are the gains of
+            # the tree paths from the roots down to the ends
+            hu = hv = 0
+            while parent[ru] != ru:
+                hu = mul[up[ru]][hu]
+                ru = parent[ru]
+            while parent[rv] != rv:
+                hv = mul[up[rv]][hv]
+                rv = parent[rv]
             # the holonomy of the edge, or the gain from ru to rv through it
             t = mul[mul[hu][gain]][inv[hv]]
             if ru == rv:
@@ -297,27 +296,29 @@ class _EdgeWalk:
             descend = None
 
 
-def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int]) -> int:
+def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int]) -> tuple[int, int]:
     """Sum over all edge subsets of (-1)**|subset| times the product of
     ``factor(H)`` over the subset's components, H being the component's
     holonomy subgroup; a vertex the subset leaves isolated is a component
     with H trivial.  H is taken at some base vertex of its component, so
     ``factor`` must not change under conjugation.  It is called once per
-    distinct subgroup, the trivial one always.
+    distinct subgroup, the trivial one always.  Returns the sum and the
+    number of leaves the walk reached.
 
     The walk drops the pairs of subsets that differ by an edge of the
-    closure of the edges before it, whose terms cancel; when the lowest
-    edge is an identity loop every subset pairs off and the sum is 0.  The
-    leaves visit only the vertices some edge touches; the others are
-    isolated in every subset, so their factors multiply the total once."""
+    closure of the edges before it, whose terms cancel; when the graph has
+    an identity loop every subset pairs off and the sum is 0.  The leaves
+    visit only the vertices some edge touches; the others are isolated in
+    every subset, so their factors multiply the total once."""
     walk = _EdgeWalk(graph)
     parent, sub, members = walk.parent, walk.sub, walk.subgroups
     vertices = range(len(parent))
     factors = [factor(members[0])]
-    total = 0
+    total = leaves = 0
 
     def leaf(mask: int, sign: int, _level: int):
-        nonlocal total
+        nonlocal total, leaves
+        leaves += 1
         while len(factors) < len(members):
             factors.append(factor(members[len(factors)]))
         term = sign
@@ -327,7 +328,23 @@ def signed_subset_sum(graph: GainGraph, factor: Callable[[frozenset[int]], int])
         total += term
 
     walk.run(leaf)
-    return total * factors[0] ** (graph.vertex_count - len(parent))
+    return total * factors[0] ** (graph.vertex_count - len(parent)), leaves
+
+
+# One ``(mu, ((H, times), ...))`` per multiset of component subgroups, H
+# occurring ``times`` times: the shape that ``counting.lattice_sum`` folds.
+Terms = tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]
+
+
+def _group_terms(sums: dict[tuple[frozenset[int], ...], int]) -> Terms:
+    """``sums`` as ``Terms``, in its order, leaving out the multisets whose
+    mu is 0.  A key lists one subgroup per component, equal subgroups next
+    to each other."""
+    return tuple(
+        (mu, tuple((h, len(list(run))) for h, run in groupby(subgroups)))
+        for subgroups, mu in sums.items()
+        if mu
+    )
 
 
 @dataclass(frozen=True)
@@ -375,7 +392,7 @@ class ClosedSetLattice:
         return dict(zip(self.sets, self.mobius))
 
     @cached_property
-    def terms(self) -> tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]:
+    def terms(self) -> Terms:
         """One ``(mu, ((H, times), ...))`` per group of closed sets with the
         same multiset of component subgroups, H occurring ``times`` times;
         mu is the sum of the group's Möbius values, and groups whose sum is
@@ -384,17 +401,67 @@ class ClosedSetLattice:
         sums: dict[tuple[frozenset[int], ...], int] = {}
         for mu, subgroups in zip(self.mobius, self.subgroups):
             sums[subgroups] = sums.get(subgroups, 0) + mu
-        return tuple(
-            (mu, tuple((h, len(list(run))) for h, run in groupby(subgroups)))
-            for subgroups, mu in sums.items()
-            if mu
-        )
+        return _group_terms(sums)
 
 
 # The most edges a graph may have for ``enumerate_closed_sets``, whose walk
-# may visit all 2**m edge subsets and keeps two tables of 2**m ints; every
-# lattice consumer is bounded by it.
+# may visit all 2**m edge subsets and keeps two tables of 2**m ints, and for
+# ``subset_terms``, whose walk may visit as many; every consumer of either
+# is bounded by it.
 LATTICE_EDGE_LIMIT = 18
+
+
+def _check_edge_limit(graph: GainGraph):
+    m = len(graph.edges)
+    if m > LATTICE_EDGE_LIMIT:
+        raise BoundExceeded(f"{m} edges exceed the closed-set enumeration limit {LATTICE_EDGE_LIMIT}")
+
+
+@dataclass(frozen=True)
+class SubsetTerms:
+    """Zaslavsky's balanced expansion of a graph, grouped as
+    ``ClosedSetLattice.terms`` groups the closed sets: ``terms`` holds one
+    ``(mu, ((H, times), ...))`` per multiset of component subgroups over
+    the touched vertices, mu being the sum of (-1)**|B| over the edge
+    subsets B with that multiset, and ``untouched`` counts the vertices no
+    edge touches.
+
+    A subset and its holonomy closure have the same components and the same
+    subgroups, so by Rota's crosscut identity mu is also the sum of the
+    Möbius values of the closed sets with that multiset.  Each subgroup is
+    taken at some base vertex, so the two agree up to conjugacy, which no
+    factor sees: ``counting.lattice_sum`` folds either one to the same
+    value.
+    """
+
+    terms: Terms
+    untouched: int
+
+
+def subset_terms(graph: GainGraph) -> SubsetTerms:
+    """Group the leaves of one walk over the edge subsets by the multiset
+    of their component subgroups, adding up their signs.
+
+    The walk drops the pairs of subsets that differ by an edge of the
+    closure of the edges before it; both have the same multiset and
+    opposite signs, so no sum changes.  With an identity loop every subset
+    pairs off and there are no terms, as for a bottomless lattice.  Graphs
+    with more than ``LATTICE_EDGE_LIMIT`` edges are refused before the walk.
+    """
+    _check_edge_limit(graph)
+    walk = _EdgeWalk(graph)
+    parent, sub, members = walk.parent, walk.sub, walk.subgroups
+    vertices = range(len(parent))
+    # keyed by the sorted subgroup ids of the roots
+    sums: dict[tuple[int, ...], int] = {}
+
+    def leaf(mask: int, sign: int, _level: int):
+        key = tuple(sorted([sub[r] for r in vertices if parent[r] == r]))
+        sums[key] = sums.get(key, 0) + sign
+
+    walk.run(leaf)
+    named = {tuple(members[h] for h in ids): mu for ids, mu in sums.items()}
+    return SubsetTerms(_group_terms(named), graph.vertex_count - len(parent))
 
 
 def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
@@ -417,9 +484,8 @@ def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
     subgroup id of every root, in sorted order.  Graphs with more than
     ``LATTICE_EDGE_LIMIT`` edges are refused before the walk.
     """
+    _check_edge_limit(graph)
     m = len(graph.edges)
-    if m > LATTICE_EDGE_LIMIT:
-        raise BoundExceeded(f"{m} edges exceed the closed-set enumeration limit {LATTICE_EDGE_LIMIT}")
     walk = _EdgeWalk(graph)
     parent, sub, members = walk.parent, walk.sub, walk.subgroups
     vertices = range(len(parent))

@@ -24,7 +24,7 @@ from .groups import (
     subset_action,
 )
 from .graphs import GainGraph, SimpleGraph, gain_graph, group_expansion
-from .counting import STATE_BUDGET, count_brute
+from .counting import count_brute
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,10 @@ def potts_direct_count(signed: SignedGraph, spin_count: int) -> int:
     return _count_states(signed.vertex_count, spin_count, constraints)
 
 
-def potts_routes(signed: SignedGraph, group: FiniteGroup, max_states: int = STATE_BUDGET) -> tuple[int, int]:
+def potts_routes(signed: SignedGraph, group: FiniteGroup, max_states: int | None = None) -> tuple[int, int]:
     """The number of satisfied Potts states through the gain-graph encoding,
-    counted by brute force within ``max_states``, and the number the direct
-    evaluator gives."""
+    counted by brute force within ``max_states`` (``counting.STATE_BUDGET``
+    when None), and the number the direct evaluator gives."""
     phi = potts_gain_graph(signed, group)
     encoded = count_brute(phi, regular_action(group), max_states=max_states).value
     return encoded, potts_direct_count(signed, group.order)

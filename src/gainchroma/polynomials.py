@@ -8,11 +8,16 @@ part.  Specializing the parts recovers the univariate chromatic polynomial
 (one regular part), and the chromatic polynomial of the underlying graph
 (one trivial part).
 
-All of them are one fold over the closed-set lattice (``lattice_sum``):
-each closed set contributes its Möbius value times a polynomial factor per
-component, a vertex the set leaves isolated being a component with trivial
-holonomy.  For the univariate polynomials that is Zaslavsky's balanced
-expansion restricted to closed sets.
+The grand, chromatic and zero-free polynomials fold Zaslavsky's balanced
+expansion, grouped by ``holonomy.subset_terms``: each edge subset
+contributes (-1)**|subset| times a factor per component, a vertex the
+subset leaves isolated being a component with trivial holonomy.  A subset
+and its holonomy closure have the same components and subgroups, so by
+Rota's crosscut identity this equals the paper's Möbius sum over the
+closed sets; ``regular_plus_zeroes`` still folds over the closed-set
+lattice, a second route to the two-part grand polynomial.  The grand
+polynomial folds with ``lattice_sum`` in ``MultiPoly`` arithmetic; the
+univariate ones add int coefficients of powers of the spin count.
 
 Every polynomial here is a ``MultiPoly``; the univariate ones have arity 1,
 so they are evaluated as ``p.evaluate([x])`` and print in the spin count λ
@@ -28,7 +33,7 @@ from typing import Mapping, Sequence
 from .groups import BoundExceeded, SpinAction, fixed_set
 from .graphs import GainGraph, SimpleGraph, check_action
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
-from .holonomy import ClosedSetLattice, enumerate_closed_sets
+from .holonomy import ClosedSetLattice, SubsetTerms, enumerate_closed_sets, subset_terms
 from .counting import count_auto  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .counting import lattice_sum
 
@@ -218,23 +223,29 @@ def check_parts(g: GainGraph, parts: Sequence[SpinAction]):
         )
 
 
-def grand_polynomial(
-    g: GainGraph, parts: Sequence[SpinAction], lattice: ClosedSetLattice | None = None
-) -> MultiPoly:
+# What the polynomials fold: the graph's ``subset_terms`` or, with the
+# same terms, its closed-set lattice.
+Source = SubsetTerms | ClosedSetLattice
+
+
+def grand_polynomial(g: GainGraph, parts: Sequence[SpinAction], source: Source | None = None) -> MultiPoly:
     """The multivariate count polynomial in the part multiplicities.
 
-    Each holonomy-closed set contributes its Möbius value times one linear
-    factor per component: the sum over parts of ki times the part's fixed
-    count under the component's holonomy group.  A vertex the set leaves
-    isolated is a component with trivial holonomy, whose factor is the sum
-    of ki*|Qi|.  A bottomless lattice gives the zero polynomial.
+    Each edge subset contributes (-1)**|subset| times one linear factor per
+    component: the sum over parts of ki times the part's fixed count under
+    the component's holonomy group.  A vertex the subset leaves isolated is
+    a component with trivial holonomy, whose factor is the sum of ki*|Qi|.
+    A graph with an identity loop gives the zero polynomial.  ``source``,
+    when given, must be the graph's ``subset_terms`` or its closed-set
+    lattice; otherwise ``subset_terms`` is built, which refuses graphs over
+    ``LATTICE_EDGE_LIMIT`` edges.
     """
     check_parts(g, parts)
     p = len(parts)
-    if lattice is None:
-        lattice = enumerate_closed_sets(g)
+    if source is None:
+        source = subset_terms(g)
     return lattice_sum(
-        lattice,
+        source,
         lambda h: MultiPoly.linear(p, [len(fixed_set(part, h)) for part in parts]),
         zero=MultiPoly.zero(p),
     )
@@ -282,33 +293,45 @@ def regular_plus_zeroes(g: GainGraph) -> MultiPoly:
     )
 
 
-def _univariate(g: GainGraph, lattice: ClosedSetLattice | None, unbalanced: int) -> MultiPoly:
-    """The fold ``lattice_sum`` in one variable λ over the graph's lattice,
-    built when not given, as a ``MultiPoly`` of arity 1: each component
-    with trivial holonomy, an isolated vertex among them, contributes a
-    factor λ, and each other component the constant ``unbalanced``."""
-    if lattice is None:
-        lattice = enumerate_closed_sets(g)
-    lam = MultiPoly.linear(1, [1])
-    other = MultiPoly.constant(1, unbalanced)
-    return lattice_sum(lattice, lambda h: lam if len(h) == 1 else other, zero=MultiPoly.zero(1))
+def _univariate(g: GainGraph, source: Source | None, unbalanced: int) -> MultiPoly:
+    """The one-variable fold over the graph's terms, built when not given,
+    as a ``MultiPoly`` of arity 1 in λ: each component with trivial
+    holonomy, an isolated vertex among them, contributes a factor λ, and
+    each other component the constant ``unbalanced``.  So a term with b
+    factors λ and ``rest`` others adds mu * unbalanced**rest to the int
+    coefficient of λ**b; a term whose weight is 0 adds nothing, and its mu
+    takes part in no arithmetic."""
+    if source is None:
+        source = subset_terms(g)
+    coeffs: dict[tuple[int], int] = {}
+    for mu, parts in source.terms:
+        b, rest = source.untouched, 0
+        for h, times in parts:
+            if len(h) == 1:
+                b += times
+            else:
+                rest += times
+        weight = unbalanced**rest
+        if weight:
+            coeffs[(b,)] = coeffs.get((b,), 0) + mu * weight
+    return MultiPoly._unchecked(1, coeffs)
 
 
-def chromatic_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> MultiPoly:
+def chromatic_polynomial(g: GainGraph, source: Source | None = None) -> MultiPoly:
     """The count polynomial over spin sets made of k regular copies of the
     group plus one fixed spin, as a one-variable ``MultiPoly`` in the spin
     count λ = k*|G| + 1.
 
     A subgroup H fixes k*|G| + 1 = λ of those spins when it is trivial and
-    only the fixed spin otherwise, so the Möbius sum over the closed sets
-    gives each closed set mu * λ**b, where b counts its components with
-    trivial holonomy, a vertex the set leaves isolated being one such
-    component (Zaslavsky's balanced expansion restricted to closed sets).
-    ``lattice``, when given, must be the graph's closed-set lattice;
-    otherwise it is built, which refuses graphs over
-    ``enumerate_closed_sets``' edge limit.
+    only the fixed spin otherwise, so each edge subset contributes
+    (-1)**|subset| * λ**b, where b counts its components with trivial
+    holonomy, a vertex the subset leaves isolated being one such component
+    (Zaslavsky's balanced expansion).  ``source``, when given, must be the
+    graph's ``subset_terms`` or its closed-set lattice; otherwise
+    ``subset_terms`` is built, which refuses graphs over
+    ``LATTICE_EDGE_LIMIT`` edges.
     """
-    return _univariate(g, lattice, 1)
+    return _univariate(g, source, 1)
 
 
 def _without_nonidentity_loops(g: GainGraph) -> GainGraph:
@@ -316,18 +339,18 @@ def _without_nonidentity_loops(g: GainGraph) -> GainGraph:
     return GainGraph(g.group, g.vertex_count, keep)
 
 
-def zero_free_polynomial(g: GainGraph, lattice: ClosedSetLattice | None = None) -> MultiPoly:
+def zero_free_polynomial(g: GainGraph, source: Source | None = None) -> MultiPoly:
     """The count polynomial over spin sets made of k regular copies of the
     group, as a one-variable ``MultiPoly`` in the spin count λ = k*|G|.
 
     As ``chromatic_polynomial``, except that a nontrivial subgroup fixes no
-    regular spin, so closed sets with a component of nontrivial holonomy
-    drop out.  Deleting nonidentity loops must not change the polynomial;
-    that is verified before returning, with the stripped graph's own
-    lattice.  ``lattice``, when given, must be the graph's closed-set
-    lattice.
+    regular spin, so subsets with a component of nontrivial holonomy drop
+    out.  Deleting nonidentity loops must not change the polynomial; that
+    is verified before returning, with the stripped graph's own walk.
+    ``source``, when given, must be the graph's ``subset_terms`` or its
+    closed-set lattice.
     """
-    poly = _univariate(g, lattice, 0)
+    poly = _univariate(g, source, 0)
     stripped = _without_nonidentity_loops(g)
     if len(stripped.edges) != len(g.edges):
         if _univariate(stripped, None, 0) != poly:

@@ -412,6 +412,17 @@ def oracle_stabilizer_classes(action: SpinAction) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(spins) for spins in classes.values())
 
 
+def find(walk: _EdgeWalk, v: int) -> tuple[int, int]:
+    """The root of v in the walk's union-find and the gain of the tree path
+    from the root to v: the lookup the walk's step makes inline."""
+    parent, up, mul = walk.parent, walk.up, walk.graph.group.mul
+    h = 0
+    while parent[v] != v:
+        h = mul[up[v]][h]
+        v = parent[v]
+    return v, h
+
+
 def oracle_full_walk(walk: _EdgeWalk, leaf) -> None:
     """``_EdgeWalk.run`` without the pairs it drops: ``leaf(mask, sign,
     level)`` is called for every one of the 2**m edge subsets, each edge
@@ -427,8 +438,8 @@ def oracle_full_walk(walk: _EdgeWalk, leaf) -> None:
             leaf(mask, sign, level)
             return
         u, v, gain = edges[i]
-        ru, hu = walk.find(u)
-        rv, hv = walk.find(v)
+        ru, hu = find(walk, u)
+        rv, hv = find(walk, v)
         t = mul[mul[hu][gain]][inv[hv]]
         if ru == rv:
             before = sub[ru]

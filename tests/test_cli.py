@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gainchroma import BoundExceeded, CountResult, gain_graph
-from gainchroma import cli, harness, polynomials
+from gainchroma import cli, counting, harness, holonomy, polynomials
 from gainchroma.holonomy import LATTICE_EDGE_LIMIT
 from gainchroma.counting import COUNTERS
 from gainchroma.cli import (
@@ -186,8 +186,8 @@ class TestParsing:
 
 class TestCountCommand:
     def test_all_methods_stats_are_pinned(self, tmp_path, capsys):
-        # the subset walk drops pairs, but the stats still report all 2**m
-        # subsets and every closed set
+        # the subset walk drops pairs: the stats report all 2**m subsets,
+        # the leaves the walk reached, and every closed set
         edges = [[0, 1, 1], [1, 2, 4], [2, 3, 0], [3, 4, 2], [4, 5, 5], [0, 1, 3],
                  [2, 2, 1], [5, 0, 0], [1, 3, 2], [4, 4, 3], [0, 1, 1]]
         payload = {
@@ -198,7 +198,7 @@ class TestCountCommand:
         assert main(["count", write(tmp_path, payload), "--method", "all", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["agree"] is True and report["mobius"]["value"] == 25446
-        assert report["inclexcl"]["stats"] == {"subsets": 2048}
+        assert report["inclexcl"]["stats"] == {"subsets": 2048, "leaves": 826}
         assert report["mobius"]["stats"] == {"closed_sets": 667}
 
     def test_digon_all_methods(self, tmp_path, capsys):
@@ -481,7 +481,7 @@ class TestPolyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the lattice or its fold was started")
 
-        monkeypatch.setattr(cli, "enumerate_closed_sets", refuse)
+        monkeypatch.setattr(cli, "subset_terms", refuse)
         monkeypatch.setattr(polynomials, "lattice_sum", refuse)
         payload = {
             "group": {"kind": "symmetric", "d": 3},
@@ -508,6 +508,60 @@ class TestPolyCommand:
             f"chromatic: {oracle_chromatic(g).render(['λ'])}",
             f"zero_free: {oracle_zero_free(g).render(['λ'])}",
         ]
+
+
+class TestPolyGuards:
+    """``poly`` folds the subset walk's terms and builds no closed-set
+    lattice, and still refuses a graph over ``LATTICE_EDGE_LIMIT`` edges
+    before any walk starts."""
+
+    @staticmethod
+    def _refuse_lattices(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed-set lattice was built")
+
+        for module in (holonomy, counting, polynomials):
+            monkeypatch.setattr(module, "enumerate_closed_sets", refuse)
+
+    def test_poly_builds_no_lattice(self, tmp_path, capsys, monkeypatch):
+        # an S3 graph with a nonidentity loop, so the zero-free check walks
+        # the stripped graph too, and an untouched vertex
+        edges = [[0, 1, 1], [1, 2, 3], [2, 0, 5], [2, 3, 2], [3, 0, 4], [1, 1, 2], [0, 1, 1]]
+        payload = {
+            "group": {"kind": "symmetric", "d": 3},
+            "spins": [{"kind": "regular"}, {"kind": "trivial", "size": 1}],
+            "graph": {"vertices": 5, "edges": edges},
+        }
+        path = write(tmp_path, payload)
+        g = parse_instance(json.dumps(payload)).graph
+        self._refuse_lattices(monkeypatch)
+        assert main(["poly", path, "--chromatic", "--zero-free"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            f"chromatic: {oracle_chromatic(g).render(['λ'])}",
+            f"zero_free: {oracle_zero_free(g).render(['λ'])}",
+        ]
+        parts = parse_instance(json.dumps(payload)).spins
+        assert polynomials.grand_polynomial(g, parts).render() == lines[0].removeprefix("grand: ")
+        assert polynomials.chromatic_polynomial(g) == oracle_chromatic(g)
+        assert polynomials.zero_free_polynomial(g) == oracle_zero_free(g)
+
+    def test_nineteen_edges_exit_3_before_any_walk(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a subset walk was started")
+
+        self._refuse_lattices(monkeypatch)
+        monkeypatch.setattr(holonomy._EdgeWalk, "__init__", refuse)
+        edges = [[v, (v + 1) % 12, v % 6] for v in range(12)] + [[v, v + 2, 1] for v in range(7)]
+        payload = {
+            "group": {"kind": "symmetric", "d": 3},
+            "spins": [{"kind": "regular"}],
+            "graph": {"vertices": 12, "edges": edges},
+        }
+        assert main(["poly", write(tmp_path, payload), "--chromatic", "--zero-free"]) == EXIT_BOUND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: 19 edges exceed the closed-set enumeration limit {LATTICE_EDGE_LIMIT}\n"
 
 
 class TestLongAnswers:

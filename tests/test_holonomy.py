@@ -490,41 +490,63 @@ class TestUntouchedVertices:
         assert zero_free_polynomial(g) == zero_free_polynomial(core) * spare
         assert chromatic_polynomial(g).evaluate([4]) == count_elim(g, standard_colors(Z3, 1)).value
 
+    @staticmethod
+    def _watch_parents(monkeypatch, read):
+        """Make every walk's union-find parents a list that calls
+        ``read(v)`` on each lookup of vertex v."""
+
+        class Watched(list):
+            def __getitem__(self, v):
+                read(v)
+                return super().__getitem__(v)
+
+        init = holonomy._EdgeWalk.__init__
+
+        def watched_init(self, graph):
+            init(self, graph)
+            self.parent = Watched(self.parent)
+
+        monkeypatch.setattr(holonomy._EdgeWalk, "__init__", watched_init)
+
     def test_the_leaves_look_up_touched_vertices_only(self, monkeypatch):
         g = self._graph()
-        m = len(g.edges)
-        calls = 0
-        find = holonomy._EdgeWalk.find
-
-        def counted(self, v):
-            nonlocal calls
-            calls += 1
-            if calls > 2**m * 2 * m:
-                raise AssertionError("the walk looks up untouched vertices")
-            return find(self, v)
-
-        monkeypatch.setattr(holonomy._EdgeWalk, "find", counted)
+        looked_up = set()
+        self._watch_parents(monkeypatch, looked_up.add)
         lattice = enumerate_closed_sets(g)
-        assert calls <= 2**m * 2 * m
-        assert lattice.untouched == VERTEX_LIMIT - 8
+        terms = holonomy.subset_terms(g)
+        assert looked_up == set(range(8))
+        assert lattice.untouched == terms.untouched == VERTEX_LIMIT - 8
         assert all(len(subgroups) <= 8 for subgroups in lattice.subgroups)
+        assert all(sum(times for _, times in parts) <= 8 for _, parts in terms.terms)
 
     def test_the_closed_set_leaves_look_up_no_vertex(self, monkeypatch):
-        # two lookups per include step, one include step per inner node of
-        # the walk's tree, and none at a leaf
+        # the steps climb to the roots; a leaf reads each touched vertex's
+        # parent once when it records a closed set, and otherwise none
         g = self._graph()
-        m = len(g.edges)
-        calls = 0
-        find = holonomy._EdgeWalk.find
+        in_leaf = False
+        reads = 0
 
-        def counted(self, v):
-            nonlocal calls
-            calls += 1
-            return find(self, v)
+        def read(v):
+            nonlocal reads
+            reads += in_leaf
 
-        monkeypatch.setattr(holonomy._EdgeWalk, "find", counted)
-        enumerate_closed_sets(g)
-        assert calls <= 2 * (2**m - 1)
+        self._watch_parents(monkeypatch, read)
+        run = holonomy._EdgeWalk.run
+
+        def watched_run(self, leaf, keep_closed=False):
+            def watched_leaf(*args):
+                nonlocal in_leaf
+                in_leaf = True
+                try:
+                    leaf(*args)
+                finally:
+                    in_leaf = False
+
+            return run(self, watched_leaf, keep_closed)
+
+        monkeypatch.setattr(holonomy._EdgeWalk, "run", watched_run)
+        lattice = enumerate_closed_sets(g)
+        assert reads == 8 * len(lattice.masks) > 0
 
     def test_the_walk_reaches_every_superset_first(self):
         # With keep_closed each leaf comes once and after its supersets that

@@ -96,12 +96,46 @@ def test_the_budget_defaults_are_written_once():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def test_the_command_line_budgets_default_to_the_constants():
+def test_the_command_line_budgets_default_to_the_constants(tmp_path, capsys, monkeypatch):
+    # the options default to None, and the counters read the constants
+    # when they run, so a patched constant reaches the command line
     parser = cli.build_parser()
     count = parser.parse_args(["count", "instance.json"])
     potts = parser.parse_args(["potts", "instance.json"])
-    assert (count.max_states, count.max_subsets) == (counting.STATE_BUDGET, counting.SUBSET_BUDGET)
-    assert potts.max_states == counting.STATE_BUDGET
+    assert (count.max_states, count.max_subsets, potts.max_states) == (None, None, None)
+    path = tmp_path / "instance.json"
+    path.write_text(
+        '{"group": {"kind": "cyclic", "n": 3}, "spins": [{"kind": "regular"}],'
+        ' "graph": {"vertices": 2, "edges": [[0, 1, 1]]},'
+        ' "signed_graph": {"vertices": 2, "edges": [[0, 1, "-"]]}}'
+    )
+    assert cli.main(["count", str(path), "--method", "brute"]) == 0
+    assert cli.main(["count", str(path), "--method", "inclexcl"]) == 0
+    assert cli.main(["potts", str(path)]) == 0
+    monkeypatch.setattr(counting, "STATE_BUDGET", 8)
+    monkeypatch.setattr(counting, "SUBSET_BUDGET", 1)
+    capsys.readouterr()
+    assert cli.main(["count", str(path), "--method", "brute"]) == cli.EXIT_BOUND
+    assert "3**2 states exceed the brute-force limit 8" in capsys.readouterr().err
+    assert cli.main(["count", str(path), "--method", "inclexcl"]) == cli.EXIT_BOUND
+    assert "2**1 subsets exceed the inclusion-exclusion limit 1" in capsys.readouterr().err
+    assert cli.main(["potts", str(path)]) == cli.EXIT_BOUND
+    assert "limit 8" in capsys.readouterr().err
+
+
+def test_a_patched_budget_reaches_every_budgeted_counter(monkeypatch):
+    g = graphs.gain_graph(groups.build_cyclic(3), 4, [(0, 1, 1), (1, 2, 2), (2, 3, 0)])
+    action = groups.regular_action(g.group)
+    assert counting.verify_all(g, action).errors == {}
+    monkeypatch.setattr(counting, "STATE_BUDGET", 1)
+    report = counting.verify_all(g, action)
+    assert sorted(report.errors) == ["brute", "elim"]
+    assert "limit 1" in report.errors["brute"] and "limit 1" in report.errors["elim"]
+    assert report.agree and sorted(report.results) == ["delcon", "inclexcl", "mobius"]
+    monkeypatch.setattr(counting, "SUBSET_BUDGET", 4)
+    assert sorted(counting.verify_all(g, action).errors) == ["brute", "elim", "inclexcl"]
+    # an explicit budget still wins over the constant
+    assert sorted(counting.verify_all(g, action, max_states=10**3, max_subsets=8).errors) == []
 
 
 def test_inclexcl_runs_on_every_suite_instance():

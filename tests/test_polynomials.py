@@ -13,9 +13,11 @@ from gainchroma import (
     build_cyclic,
     build_symmetric,
     chromatic_polynomial,
+    components,
     count_mobius,
     disjoint_union_action,
     enumerate_closed_sets,
+    fixed_set,
     gain_graph,
     grand_polynomial,
     graph_chromatic,
@@ -28,7 +30,7 @@ from gainchroma import (
     zero_free_colors,
     zero_free_polynomial,
 )
-from gainchroma import counting, holonomy, polynomials
+from gainchroma import counting, harness, holonomy, polynomials
 from helpers import (
     naive_count,
     oracle_chromatic,
@@ -376,9 +378,9 @@ class TestZeroFreePolynomial:
         calls = []
         original = polynomials.zero_free_polynomial
 
-        def watched(g, lattice=None):
+        def watched(g, source=None):
             calls.append(g)
-            return original(g, lattice)
+            return original(g, source)
 
         monkeypatch.setattr(polynomials, "zero_free_polynomial", watched)
         g = gain_graph(Z3, 2, [(0, 1, 1), (0, 0, 2)])
@@ -559,11 +561,11 @@ class TestGroupedFold:
             [regular_action(group), trivial_action(group, 1)],
             [trivial_action(group, 2), standard_colors(group, 1), regular_action(group)],
         ]
-        fast = [grand_polynomial(g, parts, lattice=lat) for parts in part_lists]
+        fast = [grand_polynomial(g, parts, source=lat) for parts in part_lists]
         fast_balance = regular_plus_zeroes(g)
         with monkeypatch.context() as m:
             m.setattr(polynomials, "lattice_sum", oracle_lattice_sum)
-            slow = [grand_polynomial(g, parts, lattice=lat) for parts in part_lists]
+            slow = [grand_polynomial(g, parts, source=lat) for parts in part_lists]
             slow_balance = regular_plus_zeroes(g)
         assert [p.render() for p in fast] == [p.render() for p in slow]
         assert fast == slow and fast_balance == slow_balance
@@ -595,9 +597,9 @@ UNIVARIATE_GRAPHS = FOLD_GRAPHS + _six_vertex_s3_graphs()
 
 
 class TestUnivariateFold:
-    """The chromatic and zero-free polynomials, one fold over the closed-set
-    lattice each, against the route they replaced: interpolation through
-    counts at |V| + 1 spin sets."""
+    """The chromatic and zero-free polynomials, one fold each over the
+    subset walk's terms or the closed-set lattice, against the route they
+    replaced: interpolation through counts at |V| + 1 spin sets."""
 
     def test_the_graphs_cover_the_edge_cases(self):
         # FOLD_GRAPHS has the rest; see TestGroupedFold
@@ -612,30 +614,30 @@ class TestUnivariateFold:
     def test_interpolation_points_of_the_chromatic_polynomials(self):
         for g in UNIVARIATE_GRAPHS:
             lat = enumerate_closed_sets(g)
-            assert chromatic_polynomial(g) == chromatic_polynomial(g, lattice=lat) == oracle_chromatic(g)
-            assert zero_free_polynomial(g) == zero_free_polynomial(g, lattice=lat) == oracle_zero_free(g)
+            assert chromatic_polynomial(g) == chromatic_polynomial(g, source=lat) == oracle_chromatic(g)
+            assert zero_free_polynomial(g) == zero_free_polynomial(g, source=lat) == oracle_zero_free(g)
 
-    def test_the_zero_free_fold_multiplies_no_zero_polynomial(self, monkeypatch):
-        # a component with nontrivial holonomy contributes the zero
-        # polynomial, which ends its product before any multiplication
-        operands = []
-        mul = MultiPoly.__mul__
+    def test_the_zero_free_fold_multiplies_no_zero_polynomial(self):
+        # a term with a component of nontrivial holonomy has weight
+        # 0**rest = 0 in the zero-free fold, which skips it without touching
+        # its mu; the chromatic fold, where the weight is 1, must use it
+        class Untouchable(int):
+            def __mul__(self, other):
+                raise AssertionError("a term with a nontrivial component contributed")
 
-        def watched(self, other):
-            operands.append((self, other))
-            return mul(self, other)
+            __rmul__ = __add__ = __radd__ = __mul__
 
         graphs = _six_vertex_s3_graphs()
-        polys = []
-        with monkeypatch.context() as m:
-            m.setattr(MultiPoly, "__mul__", watched)
-            m.setattr(MultiPoly, "__rmul__", watched)
-            for g in graphs:
-                operands.clear()
-                polys.append(zero_free_polynomial(g))
-                assert operands
-                assert not [pair for pair in operands if any(x == 0 or x == MultiPoly.zero(1) for x in pair)]
-        assert polys == [oracle_zero_free(g) for g in graphs]
+        for g in graphs:
+            terms = holonomy.subset_terms(g)
+            poisoned = tuple(
+                (mu if all(len(h) == 1 for h, _ in parts) else Untouchable(mu), parts) for mu, parts in terms.terms
+            )
+            assert any(isinstance(mu, Untouchable) for mu, _ in poisoned)
+            source = holonomy.SubsetTerms(poisoned, terms.untouched)
+            assert zero_free_polynomial(g, source=source) == zero_free_polynomial(g) == oracle_zero_free(g)
+            with pytest.raises(AssertionError, match="nontrivial component"):
+                chromatic_polynomial(g, source=source)
 
     def test_refuses_nineteen_edges_before_counting(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -672,3 +674,84 @@ class TestUnivariateFold:
         report = verify_all(g, regular_action(S3))
         assert list(report.errors) == ["mobius"] and "limit 3" in report.errors["mobius"]
         assert report.agree and "mobius" not in report.results
+
+
+def _route_graphs():
+    """The graphs of 300 harness seeds (up to 6 vertices and 10 edges, with
+    identity loops, untouched vertices and several components among them),
+    then the four 6-vertex S3 graphs of the poly_lattice benchmark's size."""
+    graphs = [harness.random_instance(random.Random(seed), max_vertices=6, max_edges=10).graph for seed in range(300)]
+    return graphs + _six_vertex_s3_graphs()
+
+
+ROUTE_GRAPHS = _route_graphs()
+
+
+def _up_to_conjugacy(group, terms):
+    """``terms`` summed per multiset of conjugacy classes of subgroups, the
+    sums of 0 left out: the two walks take each subgroup at a base vertex
+    of their own, so they agree up to conjugacy."""
+
+    def cls(h):
+        return min(tuple(sorted(group.mul[group.mul[x][y]][group.inv[x]] for y in h)) for x in range(group.order))
+
+    sums = {}
+    for mu, parts in terms:
+        key = tuple(sorted(cls(h) for h, times in parts for _ in range(times)))
+        sums[key] = sums.get(key, 0) + mu
+    return {key: mu for key, mu in sums.items() if mu}
+
+
+class TestSubsetTermsRoute:
+    """The polynomials fold the subset walk's terms; the closed-set lattice,
+    folded by ``lattice_sum`` and set by set by ``oracle_lattice_sum``, is
+    their oracle."""
+
+    def test_the_graphs_cover_the_edge_cases(self):
+        def touched(g):
+            return {w for e in g.edges for w in (e.u, e.v)}
+
+        assert sum(any(e.is_loop and e.gain == 0 for e in g.edges) for g in ROUTE_GRAPHS) >= 30
+        assert sum(len(touched(g)) < g.vertex_count for g in ROUTE_GRAPHS if g.edges) >= 30
+        assert sum(len(components(g).edge_sets) >= 2 for g in ROUTE_GRAPHS) >= 30
+        assert sum(g.group.order == 6 for g in ROUTE_GRAPHS) >= 50
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_the_walk_terms_fold_as_the_lattice(self, chunk):
+        lam = MultiPoly.linear(1, [1])
+        one, zero = MultiPoly.constant(1, 1), MultiPoly.zero(1)
+        for g in ROUTE_GRAPHS[chunk::8]:
+            group = g.group
+            terms = holonomy.subset_terms(g)
+            lat = enumerate_closed_sets(g)
+            assert terms.untouched == lat.untouched
+            assert _up_to_conjugacy(group, terms.terms) == _up_to_conjugacy(group, lat.terms)
+            # one term per multiset, each subgroup listed once with its count
+            assert all(mu for mu, _ in terms.terms)
+            assert all(len({h for h, _ in parts}) == len(parts) for _, parts in terms.terms)
+            assert len({frozenset(parts) for _, parts in terms.terms}) == len(terms.terms)
+            for parts in (
+                [regular_action(group)],
+                [regular_action(group), trivial_action(group, 1)],
+                [trivial_action(group, 2), standard_colors(group, 1), regular_action(group)],
+            ):
+                p = len(parts)
+
+                def linear(h):
+                    return MultiPoly.linear(p, [len(fixed_set(part, h)) for part in parts])
+
+                walked = grand_polynomial(g, parts)
+                assert walked == grand_polynomial(g, parts, source=terms)
+                assert walked == counting.lattice_sum(lat, linear, zero=MultiPoly.zero(p))
+                assert walked == oracle_lattice_sum(lat, linear, zero=MultiPoly.zero(p))
+                if p == 2:
+                    assert walked == regular_plus_zeroes(g)
+            for poly, other in ((chromatic_polynomial, one), (zero_free_polynomial, zero)):
+
+                def factor(h):
+                    return lam if len(h) == 1 else other
+
+                walked = poly(g)
+                assert walked == poly(g, source=terms) == poly(g, source=lat)
+                assert walked == counting.lattice_sum(lat, factor, zero=zero)
+                assert walked == oracle_lattice_sum(lat, factor, zero=zero)
