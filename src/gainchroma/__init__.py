@@ -16,7 +16,6 @@ from .groups import (
     SpinAction,
     build_cyclic,
     build_symmetric,
-    conjugate_subgroup,
     disjoint_union_action,
     fixed_set,
     generate_subgroup,
@@ -38,17 +37,13 @@ from .graphs import (
     components,
     contract_link,
     delete_edge,
-    frame_rank,
     gain_graph,
-    graphic_closure,
     group_expansion,
     is_balanced,
-    oriented_gain,
     satisfied_edges,
     spanning_forest,
     switch,
     switch_state,
-    walk_gain,
 )
 from .holonomy import (
     ClosedSetLattice,
@@ -57,7 +52,6 @@ from .holonomy import (
     SubsetTerms,
     component_subgroup,
     enumerate_closed_sets,
-    h_fixed_count,
     holonomy_closure,
     holonomy_generators,
     holonomy_group,
@@ -87,13 +81,8 @@ from .polynomials import (
 )
 from .models import (
     SignedGraph,
-    block_permutation_action,
-    equivalence_direct_count,
-    equivalence_expansion,
     potts_direct_count,
     potts_gain_graph,
-    potts_satisfiable_count,
-    set_coloring_count,
     set_coloring_direct,
 )
 

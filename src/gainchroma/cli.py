@@ -276,13 +276,24 @@ def _int_list(text: str) -> list[int]:
         raise InstanceError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _budget(option: str, value: int | None) -> int | None:
+    """The value of a work budget option; a negative budget is an invalid
+    argument."""
+    if value is not None and value < 0:
+        raise ValueError(f"{option} must be at least 0, got {value}")
+    return value
+
+
 def cmd_count(args) -> int:
+    bounds = {
+        "max_states": _budget("--max-states", args.max_states),
+        "max_subsets": _budget("--max-subsets", args.max_subsets),
+    }
     inst = load_instance(args.file)
     action = _combined_action(inst, _int_list(args.mults) if args.mults else None)
     with _any_length_ints():
         report: dict = {"command": "count", "method": args.method, "spins": action.size}
         lines = []
-        bounds = {"max_states": args.max_states, "max_subsets": args.max_subsets}
         started = time.perf_counter()
         if args.method == "all":
             outcome = verify_all(inst.graph, action, **bounds)
@@ -409,10 +420,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_potts(args) -> int:
+    max_states = _budget("--max-states", args.max_states)
     inst = load_instance(args.file)
     if inst.signed is None:
         raise InstanceError("instance: missing 'signed_graph' block required by potts")
-    encoded, direct = potts_routes(inst.signed, inst.group, max_states=args.max_states)
+    encoded, direct = potts_routes(inst.signed, inst.group, max_states=max_states)
     agree = encoded == direct
     report = {
         "command": "potts",

@@ -209,21 +209,6 @@ def spanning_forest(g: GainGraph, subset: Iterable[int] | None = None) -> frozen
     return traverse(g, subset)[1]
 
 
-def oriented_gain(g: GainGraph, eid: int, tail: int) -> int:
-    """Gain of an edge read from the given endpoint.
-
-    Returns the stored gain when read u->v and its inverse when read v->u.
-    For a loop the stored gain is returned; callers that care about loop
-    orientation use both the gain and its inverse.
-    """
-    e = g.edge(eid)
-    if tail == e.u:
-        return e.gain
-    if tail == e.v:
-        return g.group.inv[e.gain]
-    raise ValueError(f"vertex {tail} is not an endpoint of edge {eid}")
-
-
 def switch(g: GainGraph, eta: Sequence[int]) -> GainGraph:
     """Regauge all gains by a vertex-indexed group function:
     the gain of e: u->v becomes eta[u]^-1 * gain * eta[v]."""
@@ -314,36 +299,6 @@ def contract_link(g: GainGraph, eid: int) -> GainGraph:
     return GainGraph(g.group, g.vertex_count - 1, new_edges)
 
 
-def walk_gain(g: GainGraph, walk: Sequence[int]) -> int:
-    """Ordered product of oriented gains along an alternating
-    vertex, edge, vertex, ... sequence.  An empty or single-vertex walk has
-    identity gain."""
-    seq = list(walk)
-    if not seq:
-        return 0
-    if len(seq) % 2 == 0:
-        raise ValueError("walk must alternate vertex, edge, ..., vertex")
-    if not 0 <= seq[0] < g.vertex_count:
-        raise ValueError(f"{seq[0]} is not a vertex")
-    mul = g.group.mul
-    acc = 0
-    for i in range(1, len(seq), 2):
-        prev_v, eid, next_v = seq[i - 1], seq[i], seq[i + 1]
-        e = g.edge(eid)
-        if e.is_loop:
-            if prev_v != e.u or next_v != e.u:
-                raise ValueError(f"loop {eid} does not sit at vertex {prev_v}")
-            step = e.gain
-        elif (prev_v, next_v) == (e.u, e.v):
-            step = e.gain
-        elif (prev_v, next_v) == (e.v, e.u):
-            step = g.group.inv[e.gain]
-        else:
-            raise ValueError(f"edge {eid} does not join {prev_v} and {next_v}")
-        acc = mul[acc][step]
-    return acc
-
-
 def is_balanced(g: GainGraph, subset: Iterable[int] | None = None) -> bool:
     """True when every simple closed walk inside the subset has identity gain.
 
@@ -367,37 +322,6 @@ def balanced_component_count(g: GainGraph, subset: Iterable[int] | None = None) 
     """
     split, _, psi = traverse(g, subset)
     return len(split.isolated) + sum(_keeps_potential(g, psi, comp) for comp in split.edge_sets)
-
-
-def frame_rank(g: GainGraph, subset: Iterable[int] | None = None) -> int:
-    """Rank of an edge set in the frame matroid: |V| minus the number of
-    balanced components of the restriction."""
-    return g.vertex_count - balanced_component_count(g, subset)
-
-
-def graphic_closure(g: GainGraph, subset: Iterable[int] | None = None) -> frozenset[int]:
-    """The subset plus every edge whose endpoints are already connected in it.
-
-    A loop's endpoints are trivially connected, so every loop of the graph
-    belongs to every closure, including the closure of the empty set.
-    """
-    s = normalize_edge_subset(g, subset)
-    split = components(g, s)
-    comp_of: dict[int, int] = {}
-    for j, verts in enumerate(split.vertex_sets):
-        for w in verts:
-            comp_of[w] = j
-    out = set(s)
-    for e in g.edges:
-        if e.id in s:
-            continue
-        if e.is_loop:
-            out.add(e.id)
-        else:
-            ju = comp_of.get(e.u)
-            if ju is not None and ju == comp_of.get(e.v):
-                out.add(e.id)
-    return frozenset(out)
 
 
 EXPANSION_EDGE_LIMIT = 4096

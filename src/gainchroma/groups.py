@@ -63,10 +63,6 @@ class FiniteGroup:
         self.inv = tuple(inverses)
         self.name = name
 
-    def conjugate(self, g: int, by: int) -> int:
-        """Return by^-1 * g * by."""
-        return self.mul[self.mul[self.inv[by]][g]][by]
-
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, FiniteGroup) and self.mul == other.mul)
 
@@ -396,7 +392,3 @@ def generate_subgroup(group: FiniteGroup, gens: Iterable[int]) -> frozenset[int]
                 frontier.append(y)
     return frozenset(elems)
 
-
-def conjugate_subgroup(group: FiniteGroup, subgroup: Iterable[int], by: int) -> frozenset[int]:
-    """The conjugate subgroup by^-1 * H * by."""
-    return frozenset(group.conjugate(g, by) for g in subgroup)

@@ -1,7 +1,7 @@
 """Holonomy of edge sets: fundamental-walk gains through a maximal forest,
-the subgroups they generate, fixed-spin counts, holonomy closure, the
-Möbius function of the family of closed sets, and the signed sum over all
-edge subsets grouped by their component subgroups.
+the subgroups they generate, holonomy closure, the Möbius function of the
+family of closed sets, and the signed sum over all edge subsets grouped by
+their component subgroups.
 
 The holonomy of a non-forest edge e: u->v in a connected edge set is
 psi(u) * gain(e) * psi(v)^-1 where psi is the tree-path gain from the
@@ -19,8 +19,8 @@ from functools import cached_property
 from itertools import compress, groupby
 from typing import Callable, Iterable
 
-from .groups import BoundExceeded, SpinAction, fixed_set, generate_subgroup
-from .graphs import GainGraph, check_action, normalize_edge_subset, touched_core, traverse
+from .groups import BoundExceeded, generate_subgroup
+from .graphs import GainGraph, normalize_edge_subset, touched_core, traverse
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 
 
@@ -96,16 +96,6 @@ class HolonomyCache:
             got = component_subgroup(self.graph, conn)
             self._subgroups[conn] = got
         return got
-
-
-def h_fixed_count(graph: GainGraph, action: SpinAction, conn: Iterable[int]) -> int:
-    """Number of spins fixed by the holonomy group of a connected edge set.
-
-    For the empty set (an isolated vertex) the group is trivial and the
-    answer is the whole spin count.
-    """
-    check_action(graph, action)
-    return len(fixed_set(action, component_subgroup(graph, conn)))
 
 
 def holonomy_closure(graph: GainGraph, subset: Iterable[int] | None = None) -> frozenset[int]:
@@ -358,8 +348,8 @@ class ClosedSetLattice:
     ``masks[j]``.  When the empty set is not closed (the graph has an
     identity loop) the lattice is flagged bottomless and carries no Möbius
     values; every state satisfies an identity loop, so all counting built
-    on this lattice is zero.  ``sets`` and ``mobius_from_bottom`` give the
-    same as frozensets of edge ids, built on first use.
+    on this lattice is zero.  ``sets`` gives the masks as frozensets of edge
+    ids, built on first use.
 
     A vertex is touched when some edge of the graph has it as an end.
     ``untouched`` counts the other vertices, which every set leaves
@@ -385,11 +375,6 @@ class ClosedSetLattice:
         """The closed sets as frozensets of edge ids, in the order of ``masks``."""
         bits = [1 << i for i in range(len(self.ids))]
         return tuple(frozenset(compress(self.ids, map(mask.__and__, bits))) for mask in self.masks)
-
-    @cached_property
-    def mobius_from_bottom(self) -> dict[frozenset[int], int]:
-        """The Möbius value of each closed set; empty for a bottomless lattice."""
-        return dict(zip(self.sets, self.mobius))
 
     @cached_property
     def terms(self) -> Terms:

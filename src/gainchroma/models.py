@@ -1,5 +1,4 @@
-"""Application encodings: the Potts model on signed graphs, set coloring,
-and equivalence-class coloring.
+"""Application encodings: the Potts model on signed graphs and set coloring.
 
 Each encoding ships with a direct evaluator that never touches the
 gain-graph machinery, so the two routes genuinely cross-check each other.
@@ -12,17 +11,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .groups import (
-    BoundExceeded,
-    FiniteGroup,
-    GROUP_ORDER_LIMIT,
-    SPIN_COUNT_LIMIT,
-    SpinAction,
-    build_symmetric,
-    factorials_within,
-    regular_action,
-    subset_action,
-)
+from .groups import BoundExceeded, FiniteGroup, build_symmetric, regular_action, subset_action
 from .graphs import GainGraph, SimpleGraph, gain_graph, group_expansion
 from .counting import count_brute
 
@@ -89,18 +78,6 @@ def potts_routes(signed: SignedGraph, group: FiniteGroup, max_states: int | None
     return encoded, potts_direct_count(signed, group.order)
 
 
-def potts_satisfiable_count(signed: SignedGraph, group: FiniteGroup) -> int:
-    """Number of satisfied Potts states, counted through the gain-graph
-    encoding and verified against the direct evaluator, as ``potts_routes``
-    gives them."""
-    value, direct = potts_routes(signed, group)
-    if value != direct:
-        raise AssertionError(
-            f"Potts encodings disagree: gain graph {value}, direct {direct}"
-        )
-    return value
-
-
 def set_coloring_direct(template: SimpleGraph, k: int) -> int:
     """Assignments of subsets of a k-set such that across every edge no
     permutation carries one endpoint's subset onto the other's, by plain
@@ -131,71 +108,3 @@ def set_coloring_routes(template: SimpleGraph, k: int) -> tuple[int, int]:
         raise BoundExceeded(f"set coloring limited to k <= {SET_COLORING_K_LIMIT}")
     expansion = group_expansion(template, build_symmetric(k))
     return count_brute(expansion, subset_action(k)).value, set_coloring_direct(template, k)
-
-
-def set_coloring_count(template: SimpleGraph, k: int) -> int:
-    """Count proper set colorations through the symmetric-group expansion and
-    verify against the direct enumerator."""
-    value, direct = set_coloring_routes(template, k)
-    if value != direct:
-        raise AssertionError(
-            f"set-coloring routes disagree: expansion {value}, direct {direct}"
-        )
-    return value
-
-
-def block_permutation_action(block_sizes: tuple[int, ...] | list[int]) -> SpinAction:
-    """The direct product of symmetric groups on disjoint blocks, acting on
-    the union of the blocks.
-
-    Elements are tuples of one permutation per block, enumerated in product
-    order with the identity first; spins are the block members, block-major.
-    """
-    if not block_sizes or any(b < 1 for b in block_sizes):
-        raise ValueError("block sizes must be positive")
-    if not factorials_within(GROUP_ORDER_LIMIT, block_sizes):
-        raise BoundExceeded(f"blocks {tuple(block_sizes)} give a group order over the limit {GROUP_ORDER_LIMIT}")
-    size = sum(block_sizes)
-    if size > SPIN_COUNT_LIMIT:
-        raise BoundExceeded(f"spin count {size} exceeds limit {SPIN_COUNT_LIMIT}")
-    per_block = [list(itertools.permutations(range(b))) for b in block_sizes]
-    elements = list(itertools.product(*per_block))
-    index = {el: i for i, el in enumerate(elements)}
-    mul = [
-        [
-            index[tuple(tuple(q[x] for x in p) for p, q in zip(a, b))]
-            for b in elements
-        ]
-        for a in elements
-    ]
-    group = FiniteGroup(mul, name="x".join(f"S{b}" for b in block_sizes))
-    offsets = []
-    off = 0
-    for b in block_sizes:
-        offsets.append(off)
-        off += b
-    rows = []
-    for i, b in enumerate(block_sizes):
-        for x in range(b):
-            rows.append(tuple(offsets[i] + el[i][x] for el in elements))
-    return SpinAction(group, rows, name=f"blocks{tuple(block_sizes)}")
-
-
-def equivalence_expansion(
-    template: SimpleGraph, block_sizes: tuple[int, ...] | list[int]
-) -> tuple[GainGraph, SpinAction]:
-    """Gain graph and action whose totally frustrated states are exactly the
-    colorings of the template with inequivalent (different-block) spins on
-    adjacent vertices."""
-    action = block_permutation_action(tuple(block_sizes))
-    graph = group_expansion(template, action.group)
-    return graph, action
-
-
-def equivalence_direct_count(
-    template: SimpleGraph, block_sizes: tuple[int, ...] | list[int]
-) -> int:
-    """Colorings with adjacent spins in different blocks, by enumeration."""
-    block_of = [i for i, b in enumerate(block_sizes) for _ in range(b)]
-    constraints = [(u, v, lambda s, t: block_of[s] != block_of[t]) for u, v in template.edges]
-    return _count_states(template.vertex_count, len(block_of), constraints)

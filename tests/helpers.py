@@ -12,11 +12,14 @@ import random
 from fractions import Fraction
 
 from gainchroma import (
+    BoundExceeded,
     ClosedSetLattice,
     Edge,
+    FiniteGroup,
     GainGraph,
     HolonomyContext,
     MultiPoly,
+    SimpleGraph,
     SpinAction,
     component_subgroup,
     components,
@@ -25,6 +28,7 @@ from gainchroma import (
     delete_edge,
     fixed_set,
     gain_graph,
+    group_expansion,
     holonomy_group,
     is_holonomy_closed,
     stabilizer_classes,
@@ -32,6 +36,8 @@ from gainchroma import (
     zero_free_colors,
 )
 from gainchroma.counting import _elim_order, _elim_pins
+from gainchroma.graphs import normalize_edge_subset
+from gainchroma.groups import GROUP_ORDER_LIMIT, SPIN_COUNT_LIMIT, factorials_within
 from gainchroma.holonomy import _EdgeWalk
 
 
@@ -153,9 +159,10 @@ def oracle_inclexcl(graph: GainGraph, action: SpinAction) -> int:
 
 
 def oracle_closed_sets(graph: GainGraph):
-    """``(sets, mobius_from_bottom, bottomless)`` as the subset walk must
-    give them, from a per-subset split, a holonomy context per component and
-    the recursion mu(A) = -sum of mu(B) over closed B strictly inside A."""
+    """``(sets, mobius, bottomless)`` as the subset walk must give them,
+    ``mobius`` mapping each closed set to its Möbius value, from a
+    per-subset split, a holonomy context per component and the recursion
+    mu(A) = -sum of mu(B) over closed B strictly inside A."""
     mul, inv = graph.group.mul, graph.group.inv
     identity_loops = [e for e in graph.edges if e.is_loop and e.gain == 0]
 
@@ -194,10 +201,11 @@ def oracle_lattice_sum(lattice, factor, zero=0):
     vertex no edge touches is a component with trivial holonomy.  A
     bottomless lattice has no Möbius values, so its sum is ``zero``."""
     factors = {}
+    mobius = dict(zip(lattice.sets, lattice.mobius))
     untouched = factor(frozenset({0})) ** lattice.untouched
     total = zero
     for subset, subgroups in zip(lattice.sets, lattice.subgroups, strict=True):
-        weight = lattice.mobius_from_bottom.get(subset, 0)
+        weight = mobius.get(subset, 0)
         if weight == 0:
             continue
         term = weight * untouched
@@ -525,3 +533,143 @@ def oracle_walk_lattice(graph: GainGraph):
         if weight
     )
     return lattice, terms
+
+
+def walk_gain(g: GainGraph, walk) -> int:
+    """Ordered product of oriented gains along an alternating
+    vertex, edge, vertex, ... sequence.  An empty or single-vertex walk has
+    identity gain."""
+    seq = list(walk)
+    if not seq:
+        return 0
+    if len(seq) % 2 == 0:
+        raise ValueError("walk must alternate vertex, edge, ..., vertex")
+    if not 0 <= seq[0] < g.vertex_count:
+        raise ValueError(f"{seq[0]} is not a vertex")
+    mul = g.group.mul
+    acc = 0
+    for i in range(1, len(seq), 2):
+        prev_v, eid, next_v = seq[i - 1], seq[i], seq[i + 1]
+        e = g.edge(eid)
+        if e.is_loop:
+            if prev_v != e.u or next_v != e.u:
+                raise ValueError(f"loop {eid} does not sit at vertex {prev_v}")
+            step = e.gain
+        elif (prev_v, next_v) == (e.u, e.v):
+            step = e.gain
+        elif (prev_v, next_v) == (e.v, e.u):
+            step = g.group.inv[e.gain]
+        else:
+            raise ValueError(f"edge {eid} does not join {prev_v} and {next_v}")
+        acc = mul[acc][step]
+    return acc
+
+
+def graphic_closure(g: GainGraph, subset=None) -> frozenset[int]:
+    """The subset plus every edge whose endpoints are already connected in it.
+
+    A loop's endpoints are trivially connected, so every loop of the graph
+    belongs to every closure, including the closure of the empty set.  On a
+    balanced graph this is the holonomy closure.
+    """
+    s = normalize_edge_subset(g, subset)
+    split = components(g, s)
+    comp_of: dict[int, int] = {}
+    for j, verts in enumerate(split.vertex_sets):
+        for w in verts:
+            comp_of[w] = j
+    out = set(s)
+    for e in g.edges:
+        if e.id in s:
+            continue
+        if e.is_loop:
+            out.add(e.id)
+        else:
+            ju = comp_of.get(e.u)
+            if ju is not None and ju == comp_of.get(e.v):
+                out.add(e.id)
+    return frozenset(out)
+
+
+def conjugate_subgroup(group: FiniteGroup, subgroup, by: int) -> frozenset[int]:
+    """The conjugate subgroup by^-1 * H * by."""
+    mul = group.mul
+    return frozenset(mul[mul[group.inv[by]][g]][by] for g in subgroup)
+
+
+def block_permutation_action(block_sizes) -> SpinAction:
+    """The direct product of symmetric groups on disjoint blocks, acting on
+    the union of the blocks.
+
+    Elements are tuples of one permutation per block, enumerated in product
+    order with the identity first; spins are the block members, block-major.
+    """
+    if not block_sizes or any(b < 1 for b in block_sizes):
+        raise ValueError("block sizes must be positive")
+    if not factorials_within(GROUP_ORDER_LIMIT, block_sizes):
+        raise BoundExceeded(f"blocks {tuple(block_sizes)} give a group order over the limit {GROUP_ORDER_LIMIT}")
+    size = sum(block_sizes)
+    if size > SPIN_COUNT_LIMIT:
+        raise BoundExceeded(f"spin count {size} exceeds limit {SPIN_COUNT_LIMIT}")
+    per_block = [list(itertools.permutations(range(b))) for b in block_sizes]
+    elements = list(itertools.product(*per_block))
+    index = {el: i for i, el in enumerate(elements)}
+    mul = [
+        [
+            index[tuple(tuple(q[x] for x in p) for p, q in zip(a, b))]
+            for b in elements
+        ]
+        for a in elements
+    ]
+    group = FiniteGroup(mul, name="x".join(f"S{b}" for b in block_sizes))
+    offsets = []
+    off = 0
+    for b in block_sizes:
+        offsets.append(off)
+        off += b
+    rows = []
+    for i, b in enumerate(block_sizes):
+        for x in range(b):
+            rows.append(tuple(offsets[i] + el[i][x] for el in elements))
+    return SpinAction(group, rows, name=f"blocks{tuple(block_sizes)}")
+
+
+def equivalence_expansion(template: SimpleGraph, block_sizes) -> tuple[GainGraph, SpinAction]:
+    """Gain graph and action whose totally frustrated states are exactly the
+    colorings of the template with inequivalent (different-block) spins on
+    adjacent vertices."""
+    action = block_permutation_action(tuple(block_sizes))
+    return group_expansion(template, action.group), action
+
+
+def equivalence_direct_count(template: SimpleGraph, block_sizes) -> int:
+    """Colorings with adjacent spins in different blocks, by enumeration."""
+    block_of = [i for i, b in enumerate(block_sizes) for _ in range(b)]
+    return sum(
+        all(block_of[state[u]] != block_of[state[v]] for u, v in template.edges)
+        for state in itertools.product(range(len(block_of)), repeat=template.vertex_count)
+    )
+
+
+def oracle_forest_count(graph: GainGraph) -> int:
+    """Subsets of the graph's links (loops left out) that close no cycle,
+    by a union-find over every subset."""
+    links = [(e.u, e.v) for e in graph.edges if not e.is_loop]
+    total = 0
+    for chosen in itertools.product((False, True), repeat=len(links)):
+        parent = list(range(graph.vertex_count))
+
+        def root(v: int) -> int:
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for (u, v), keep in zip(links, chosen):
+            if keep:
+                ru, rv = root(u), root(v)
+                if ru == rv:
+                    break
+                parent[ru] = rv
+        else:
+            total += 1
+    return total

@@ -814,6 +814,28 @@ class TestInvalidArguments:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["count", "DIGON", "--max-subsets", "-1"], "--max-subsets"),
+            (["count", "DIGON", "--max-states=-1"], "--max-states"),
+            (["count", "DIGON", "--method", "brute", "--max-states", "-1"], "--max-states"),
+            (["count", "DIGON", "--method", "inclexcl", "--max-subsets", "-1"], "--max-subsets"),
+            (["potts", "POTTS", "--max-states", "-1"], "--max-states"),
+        ],
+    )
+    def test_negative_budget_exits_2_before_any_counter(self, argv, option, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a counter ran before the budget was checked")
+
+        monkeypatch.setattr(cli, "verify_all", refuse)
+        monkeypatch.setattr(cli, "potts_routes", refuse)
+        monkeypatch.setattr(cli, "COUNTERS", dict.fromkeys(COUNTERS, refuse))
+        files = {"DIGON": DIGON, "POTTS": POTTS}
+        argv = [write(tmp_path, files[a]) if a in files else a for a in argv]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {option} must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize(
         "changes",
         [
             {"group": {"kind": "cyclic", "n": 10**9}},

@@ -31,7 +31,15 @@ from gainchroma import (
     zero_free_colors,
 )
 from gainchroma import SimpleGraph, contract_link, counting, harness, polynomials
-from helpers import naive_count, oracle_brute, oracle_delcon, oracle_elim, oracle_stabilizer_classes, random_graph
+from helpers import (
+    naive_count,
+    oracle_brute,
+    oracle_delcon,
+    oracle_elim,
+    oracle_forest_count,
+    oracle_stabilizer_classes,
+    random_graph,
+)
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -131,6 +139,17 @@ class TestDeletionContraction:
         g = gain_graph(Z2, 3, [(0, 1, 0), (1, 2, 1), (2, 2, 1)])
         with pytest.raises(BoundExceeded, match="2 links"):
             count_delcon(g, regular_action(Z2))
+
+    def test_calls_are_twice_the_forests_less_one(self):
+        # the recursion branches once per link that is not yet a loop, so its
+        # leaves are the forests of the link multigraph, T_G(2, 1) of them
+        forests = set()
+        for seed in range(300):
+            inst = harness.random_instance(random.Random(seed), 5, 8)
+            f = oracle_forest_count(inst.graph)
+            forests.add(f)
+            assert count_delcon(inst.graph, inst.action).stats["calls"] == 2 * f - 1, inst.describe()
+        assert len(forests) > 20
 
     def test_long_cycle_is_refused_not_a_recursion_error(self):
         n = 1500

@@ -13,12 +13,9 @@ from gainchroma import (
     components,
     contract_link,
     delete_edge,
-    frame_rank,
     gain_graph,
-    graphic_closure,
     group_expansion,
     is_balanced,
-    oriented_gain,
     regular_action,
     satisfied_edges,
     spanning_forest,
@@ -26,11 +23,10 @@ from gainchroma import (
     switch,
     switch_state,
     trivial_action,
-    walk_gain,
 )
 from gainchroma import BoundExceeded, cli, graphs
 from gainchroma.graphs import traverse
-from helpers import naive_count, oracle_tree_gains, powerset, random_graph
+from helpers import graphic_closure, naive_count, oracle_tree_gains, powerset, random_graph, walk_gain
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -65,25 +61,6 @@ class TestConstruction:
         g = gain_graph(Z3, 3, [(1, 2, 0), (0, 1, 1), (0, 0, 2)])
         assert g.incident_ids(0) == (1, 2)
         assert g.incident_ids(1) == (0, 1)
-
-
-class TestOrientedGain:
-    def test_forward(self):
-        g = gain_graph(Z3, 2, [(0, 1, 1)])
-        assert oriented_gain(g, 0, 0) == 1
-
-    def test_reverse_inverts(self):
-        g = gain_graph(Z3, 2, [(0, 1, 1)])
-        assert oriented_gain(g, 0, 1) == 2
-
-    def test_identity_either_end(self):
-        g = gain_graph(Z3, 2, [(0, 1, 0)])
-        assert oriented_gain(g, 0, 0) == 0 == oriented_gain(g, 0, 1)
-
-    def test_not_an_endpoint(self):
-        g = gain_graph(Z3, 3, [(0, 1, 1)])
-        with pytest.raises(ValueError):
-            oriented_gain(g, 0, 2)
 
 
 class TestSwitching:
@@ -353,12 +330,13 @@ class TestBalance:
                 assert len(calls) == 1
 
     def test_frame_rank_examples(self):
+        # the frame-matroid rank is |V| minus the balanced components
         g = gain_graph(Z2, 4, [])
-        assert frame_rank(g) == 0
+        assert g.vertex_count - balanced_component_count(g) == 0
         unbal = gain_graph(Z2, 3, [(0, 1, 0), (1, 2, 0), (0, 2, 1)])
-        assert frame_rank(unbal) == 3
+        assert unbal.vertex_count - balanced_component_count(unbal) == 3
         bal = gain_graph(Z2, 3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
-        assert frame_rank(bal) == 2
+        assert bal.vertex_count - balanced_component_count(bal) == 2
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -373,7 +351,7 @@ class TestBalance:
     def test_frame_rank_is_a_matroid_rank(self):
         g = gain_graph(Z2, 3, [(0, 1, 0), (1, 2, 1), (0, 2, 0), (0, 0, 1), (1, 2, 0)])
         subsets = list(powerset(g.edge_ids))
-        rank = {s: frame_rank(g, s) for s in subsets}
+        rank = {s: g.vertex_count - balanced_component_count(g, s) for s in subsets}
         for a in subsets:
             assert 0 <= rank[a] <= len(a)  # subcardinal
             for b in subsets:

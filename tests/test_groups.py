@@ -11,7 +11,6 @@ from gainchroma import (
     SpinAction,
     build_cyclic,
     build_symmetric,
-    conjugate_subgroup,
     disjoint_union_action,
     fixed_set,
     generate_subgroup,
@@ -24,6 +23,7 @@ from gainchroma import (
     zero_free_colors,
 )
 from gainchroma import groups
+from helpers import conjugate_subgroup
 
 
 def assert_right_action(action: SpinAction):

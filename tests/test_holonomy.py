@@ -14,15 +14,14 @@ from gainchroma import (
     chromatic_polynomial,
     component_subgroup,
     components,
-    conjugate_subgroup,
     count_delcon,
     count_elim,
     count_inclexcl,
     count_mobius,
     enumerate_closed_sets,
+    fixed_set,
     gain_graph,
     generate_subgroup,
-    h_fixed_count,
     holonomy_closure,
     holonomy_generators,
     holonomy_group,
@@ -35,14 +34,15 @@ from gainchroma import (
     switch,
     trivial_action,
     verify_group,
-    walk_gain,
     zero_free_colors,
     zero_free_polynomial,
 )
 from gainchroma import counting, harness, holonomy
 from gainchroma.cli import VERTEX_LIMIT
 from helpers import (
+    conjugate_subgroup,
     dfs_forest,
+    graphic_closure,
     naive_count,
     oracle_closed_sets,
     oracle_holonomy_subgroup,
@@ -51,6 +51,7 @@ from helpers import (
     oracle_walk_lattice,
     powerset,
     random_graph,
+    walk_gain,
 )
 
 Z2 = build_cyclic(2)
@@ -119,18 +120,18 @@ class TestHolonomyGroup:
 class TestHFixedCount:
     def test_isolated_vertex_counts_all_spins(self):
         g = gain_graph(Z2, 1, [])
-        assert h_fixed_count(g, trivial_action(Z2, 5), frozenset()) == 5
+        assert len(fixed_set(trivial_action(Z2, 5), component_subgroup(g, frozenset()))) == 5
 
     def test_unbalanced_digon_regular(self):
-        assert h_fixed_count(digon(), regular_action(Z2), frozenset({0, 1})) == 0
+        assert len(fixed_set(regular_action(Z2), component_subgroup(digon(), frozenset({0, 1})))) == 0
 
     def test_unbalanced_digon_standard(self):
-        assert h_fixed_count(digon(), standard_colors(Z2, 1), frozenset({0, 1})) == 1
+        assert len(fixed_set(standard_colors(Z2, 1), component_subgroup(digon(), frozenset({0, 1})))) == 1
 
     def test_disconnected_rejected(self):
         g = gain_graph(Z2, 4, [(0, 1, 0), (2, 3, 0)])
         with pytest.raises(ValueError):
-            h_fixed_count(g, regular_action(Z2), g.edge_ids)
+            fixed_set(regular_action(Z2), component_subgroup(g, g.edge_ids))
 
 
 class TestClosure:
@@ -197,25 +198,37 @@ class TestClosure:
         t = gain_graph(Z3, 2, [(0, 1, 1), (1, 1, 0), (1, 1, 1), (1, 1, 2)])
         assert holonomy_closure(t, frozenset({0})) == frozenset({0, 1})
 
+    def test_balanced_graphs_close_graphically(self):
+        # every walk of a balanced graph has identity gain, so an edge joins
+        # exactly when its ends are connected, and every loop joins
+        rng = random.Random(43)
+        subsets = 0
+        for i in range(300):
+            g = harness.random_gain_graph(rng, (Z2, Z3, S3)[i % 3], balanced=True)
+            for s in powerset(g.edge_ids):
+                assert holonomy_closure(g, s) == graphic_closure(g, s)
+                subsets += 1
+        assert subsets > 5000
+
 
 class TestLattice:
     def test_digon_lattice(self):
         lat = enumerate_closed_sets(digon())
         assert [sorted(s) for s in lat.sets] == [[], [0], [1], [0, 1]]
-        assert [lat.mobius_from_bottom[s] for s in lat.sets] == [1, -1, -1, 1]
+        assert lat.mobius == (1, -1, -1, 1)
         assert not lat.bottomless
 
     def test_single_identity_edge(self):
         g = gain_graph(Z2, 2, [(0, 1, 0)])
         lat = enumerate_closed_sets(g)
         assert [sorted(s) for s in lat.sets] == [[], [0]]
-        assert [lat.mobius_from_bottom[s] for s in lat.sets] == [1, -1]
+        assert lat.mobius == (1, -1)
 
     def test_identity_loop_bottomless(self):
         g = gain_graph(Z2, 2, [(0, 1, 1), (0, 0, 0)])
         lat = enumerate_closed_sets(g)
         assert lat.bottomless
-        assert lat.mobius_from_bottom == {}
+        assert lat.mobius == ()
 
     def test_bottomless_lattice_has_no_terms(self):
         g = gain_graph(Z3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, 0), (1, 1, 0)])
@@ -231,10 +244,9 @@ class TestLattice:
             lat = enumerate_closed_sets(g)
             if lat.bottomless:
                 continue
+            mobius = dict(zip(lat.sets, lat.mobius))
             for a in lat.sets:
-                total = sum(
-                    lat.mobius_from_bottom[b] for b in lat.sets if b <= a
-                )
+                total = sum(mobius[b] for b in lat.sets if b <= a)
                 assert total == (1 if not a else 0)
 
     def test_membership_matches_direct_filter(self):
@@ -293,7 +305,7 @@ class TestSubsetWalk:
             lat = enumerate_closed_sets(g)
             sets, mobius, bottomless = oracle_closed_sets(g)
             assert lat.sets == sets
-            assert lat.mobius_from_bottom == mobius
+            assert dict(zip(lat.sets, lat.mobius)) == mobius
             assert lat.bottomless == bottomless
             touched = {w for e in g.edges for w in (e.u, e.v)}
             assert lat.untouched == g.vertex_count - len(touched)
@@ -328,11 +340,12 @@ class TestSubsetWalk:
             for b in powerset(g.edge_ids):
                 sums[holonomy_closure(g, b)] += (-1) ** len(b)
             lat = enumerate_closed_sets(g)
+            mobius = dict(zip(lat.sets, lat.mobius))
             for a in powerset(g.edge_ids):
                 if lat.bottomless or not is_holonomy_closed(g, a):
                     assert sums[a] == 0
                 else:
-                    assert sums[a] == lat.mobius_from_bottom[a]
+                    assert sums[a] == mobius[a]
 
     def test_lattice_matches_the_oracle_on_harness_graphs(self):
         rng = random.Random(61)
@@ -341,7 +354,7 @@ class TestSubsetWalk:
         assert any(len(g.edges) == 9 for g in graphs)
         for g in graphs:
             lat = enumerate_closed_sets(g)
-            assert (lat.sets, lat.mobius_from_bottom, lat.bottomless) == oracle_closed_sets(g)
+            assert (lat.sets, dict(zip(lat.sets, lat.mobius)), lat.bottomless) == oracle_closed_sets(g)
 
 
 def _connected_multigraph(rng, group, n, m):
@@ -669,9 +682,7 @@ class TestChoiceIndependence:
                     conjugate_subgroup(S3, before, alpha) == after for alpha in range(6)
                 )
                 for action in actions:
-                    assert h_fixed_count(g, action, comp) == h_fixed_count(
-                        switched, action, comp
-                    )
+                    assert len(fixed_set(action, before)) == len(fixed_set(action, after))
             # closure membership is switching invariant
             ids = sorted(g.edge_ids)
             a = frozenset(e for e in ids if rng.random() < 0.5)

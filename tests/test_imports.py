@@ -1,6 +1,7 @@
 """No module of the package imports a private name from another: a helper
-that a second module needs is public where it is defined.  Importing the
-package builds no command-line parser."""
+that a second module needs is public where it is defined.  Every name the
+package exports is used inside it, or is listed here with the reason it
+stays.  Importing the package builds no command-line parser."""
 
 import ast
 import os
@@ -38,6 +39,55 @@ def test_no_module_imports_a_private_name():
     assert {"cli.py", "counting.py", "harness.py", "polynomials.py"} <= {path.name for path in modules}
     found = {path.name: private_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# Exported names that no module of the package uses, and why each stays.
+UNUSED_EXPORTS = {
+    "components": "perfbench-pinned: the tracer hooks it and perfbench's tests call it",
+    "spanning_forest": "perfbench-pinned: the tracer hooks it",
+    "HolonomyCache": "perfbench-pinned: the tracer hooks its subgroup method",
+    "theta": "README quickstart",
+    "leading_form": "ROADMAP-kept: the README and the acceptance tests use it",
+    "regular_plus_zeroes": "ROADMAP-kept: the acceptance tests use it",
+}
+
+
+def exported_names(source: str) -> list[str]:
+    """The names that the relative ``from ... import`` lines of the source
+    bring in."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+
+
+def used_names(source: str) -> set[str]:
+    """Every name the source reads; a ``def``, ``class`` or import line
+    names its name without reading it."""
+    return {
+        node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_the_export_walk_sees_uses_not_definitions():
+    source = "from .a import f\nimport json\ndef g(y):\n    return h(y.k)\nclass C:\n    z = g\n"
+    assert used_names(source) == {"h", "y", "g"}
+    assert exported_names("from .a import f, g\nfrom os import path\nimport json\n") == ["f", "g"]
+
+
+def test_every_export_is_used_in_the_package_or_listed():
+    exported = exported_names((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert {"count_auto", "GainGraph", "theta"} <= set(exported)
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= used_names(path.read_text(encoding="utf-8"))
+    # a listed name that the package comes to use leaves the list
+    assert {name for name in exported if name not in used} == set(UNUSED_EXPORTS)
 
 
 def test_importing_the_package_builds_no_argument_parser():

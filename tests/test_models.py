@@ -7,24 +7,20 @@ import pytest
 from gainchroma import (
     SignedGraph,
     SimpleGraph,
-    block_permutation_action,
     build_cyclic,
     contract_link,
     count_brute,
-    equivalence_direct_count,
-    equivalence_expansion,
     gain_graph,
     group_expansion,
     potts_direct_count,
     potts_gain_graph,
-    potts_satisfiable_count,
-    set_coloring_count,
     set_coloring_direct,
     subset_action,
     verify_group,
     zero_free_polynomial,
 )
-from helpers import naive_count
+from gainchroma.models import potts_routes, set_coloring_routes
+from helpers import block_permutation_action, equivalence_direct_count, equivalence_expansion, naive_count
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -59,14 +55,14 @@ class TestPottsEncoding:
 
 class TestPottsCounts:
     def test_negative_k2_z3(self):
-        assert potts_satisfiable_count(SignedGraph(2, ((0, 1, -1),)), Z3) == 6
+        assert potts_routes(SignedGraph(2, ((0, 1, -1),)), Z3) == (6, 6)
 
     def test_positive_k2_z2(self):
-        assert potts_satisfiable_count(SignedGraph(2, ((0, 1, 1),)), Z2) == 2
+        assert potts_routes(SignedGraph(2, ((0, 1, 1),)), Z2) == (2, 2)
 
     def test_positive_triangle_z2(self):
         signed = SignedGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
-        assert potts_satisfiable_count(signed, Z2) == 2
+        assert potts_routes(signed, Z2) == (2, 2)
 
     def test_direct_evaluator_basics(self):
         # hand enumeration for a path +- over 2 spins: s0 == s1 != s2
@@ -78,8 +74,8 @@ class TestPottsCounts:
         for _ in range(50):
             signed = random_signed(rng)
             group = rng.choice([Z2, Z3])
-            value = potts_satisfiable_count(signed, group)
-            assert value == potts_direct_count(signed, group.order)
+            value, direct = potts_routes(signed, group)
+            assert value == direct == potts_direct_count(signed, group.order)
 
     def test_zero_free_evaluation(self):
         # the satisfiable count is the zero-free polynomial at |G|
@@ -88,20 +84,21 @@ class TestPottsCounts:
             signed = random_signed(rng, max_vertices=4, max_edges=4)
             group = rng.choice([Z2, Z3])
             phi = potts_gain_graph(signed, group)
-            value = potts_satisfiable_count(signed, group)
+            value, direct = potts_routes(signed, group)
+            assert value == direct
             assert zero_free_polynomial(phi).evaluate([group.order]) == value
 
 
 class TestSetColoring:
     def test_k2_k1(self):
-        assert set_coloring_count(SimpleGraph(2, ((0, 1),)), 1) == 2
+        assert set_coloring_routes(SimpleGraph(2, ((0, 1),)), 1) == (2, 2)
 
     def test_k2_k2(self):
-        assert set_coloring_count(SimpleGraph(2, ((0, 1),)), 2) == 10
+        assert set_coloring_routes(SimpleGraph(2, ((0, 1),)), 2) == (10, 10)
 
     def test_edgeless(self):
         for n, k in [(1, 2), (2, 2), (3, 1)]:
-            assert set_coloring_count(SimpleGraph(n, ()), k) == 2 ** (k * n)
+            assert set_coloring_routes(SimpleGraph(n, ()), k) == (2 ** (k * n),) * 2
 
     def test_direct_matches_expansion_route(self):
         rng = random.Random(73)
@@ -113,7 +110,7 @@ class TestSetColoring:
             template = SimpleGraph(n, edges)
             k = rng.randint(1, 3)
             direct = set_coloring_direct(template, k)
-            assert set_coloring_count(template, k) == direct
+            assert set_coloring_routes(template, k) == (direct, direct)
 
     def test_huge_blocks_are_refused_before_their_order_is_computed(self):
         from gainchroma import BoundExceeded
@@ -128,7 +125,7 @@ class TestSetColoring:
         from gainchroma import BoundExceeded
 
         with pytest.raises(BoundExceeded):
-            set_coloring_count(SimpleGraph(1, ()), 5)
+            set_coloring_routes(SimpleGraph(1, ()), 5)
 
     def test_deletion_contraction_on_expansion(self):
         # counting set colorations through the expansion obeys the link rule
@@ -151,8 +148,9 @@ class TestSetColoring:
     def test_not_polynomial_in_any_natural_variable(self):
         # fit a degree-2 polynomial through the first three points in each of
         # k, 2**k, k!, then check the fourth point refutes every fit
-        points = {k: set_coloring_count(SimpleGraph(2, ((0, 1),)), k) for k in (1, 2, 3, 4)}
-        assert points == {1: 2, 2: 10, 3: 44, 4: 186}
+        routes = {k: set_coloring_routes(SimpleGraph(2, ((0, 1),)), k) for k in (1, 2, 3, 4)}
+        assert routes == {1: (2, 2), 2: (10, 10), 3: (44, 44), 4: (186, 186)}
+        points = {k: value for k, (value, _) in routes.items()}
 
         def quadratic_through(xs, ys):
             # Lagrange, exact
