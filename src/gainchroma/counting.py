@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .groups import BoundExceeded, FiniteGroup, SpinAction, fixed_set, stabilizer_classes
-from .graphs import GainGraph, balanced_component_count, check_action, touched_core
+from .graphs import GainGraph, balanced_component_count, check_action, loop_domains, touched_core
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, SubsetTerms, enumerate_closed_sets, signed_subset_sum
 
@@ -54,22 +54,14 @@ DELCON_LINK_LIMIT = 400
 DELCON_CALL_LIMIT = 10**6
 
 
-def _spin_mask(spins, size: int) -> int:
-    """The int with bit q set for each spin q, built in one pass over a
-    string of ``size`` digits rather than by adding ``size`` shifted ints."""
-    digits = bytearray(b"0" * (size + 1))
-    for q in spins:
-        digits[size - q] = 49  # ord("1")
-    return int(digits, 2)
-
-
 def count_brute(g: GainGraph, a: SpinAction, max_states: int | None = None) -> CountResult:
     """Count states with no satisfied edge by backtracking enumeration.
 
     A partial state is abandoned as soon as any edge among the assigned
     vertices is satisfied, so only the bound |Q|**|V| is checked up front.
-    At each search node the spins that the edges back to assigned vertices
-    forbid are one int bitmask, and the last vertex is counted, not
+    Each vertex tries only its ``graphs.loop_domains`` spins.  At each
+    search node the spins that the edges back to assigned vertices forbid
+    are one int bitmask, and the last vertex is counted, not
     descended into: the popcount of its allowed spins minus the forbidden
     ones.  ``stats["states_visited"]`` still counts every spin tried at
     every vertex, the last one included.  With any spin it recurses once
@@ -88,21 +80,15 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int | None = None) -> C
         return CountResult(1, {"states_visited": 0})
     act = a.act
     inv = g.group.inv
-    loop_gains: list[set[int]] = [set() for _ in range(n)]
+    allowed = loop_domains(g, a)
     constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in g.edges:
-        if e.is_loop:
-            loop_gains[e.u].add(e.gain)
-        elif e.u < e.v:
+        if e.u < e.v:
             constraints[e.v].append((e.u, e.gain))
-        else:
+        elif e.u > e.v:
             constraints[e.u].append((e.v, inv[e.gain]))
-    allowed = [
-        [q for q in range(m) if all(act[q][h] != q for h in loop_gains[v])]
-        for v in range(n)
-    ]
     last = n - 1
-    last_mask = _spin_mask(allowed[last], m)
+    last_mask = sum(1 << q for q in allowed[last])
     assigned = [0] * n
     total = 0
     visited = 0
@@ -182,7 +168,7 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     m = a.size
     act = a.act
     group = g.group
-    fixed_mask = functools.cache(lambda h: _spin_mask((q for q in range(m) if act[q][h] == q), m))
+    fixed_mask = functools.cache(lambda h: sum(1 << q for q in range(m) if act[q][h] == q))
     calls = 0
 
     def loops_only_value(minor: Minor) -> int:
@@ -383,10 +369,11 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> Co
 
     The table maps the spins of the frontier (placed vertices with an
     unplaced neighbour) to the number of frustrated partial states that
-    extend them.  Each placed vertex takes the spins its loops leave it,
-    except those its edges to placed vertices would satisfy.  A table holds
-    at most |Q|**width keys, where width is the largest frontier, and the
-    work is at most the sum over steps of |Q|**(frontier + 1).  Before any
+    extend them.  Each placed vertex takes its ``graphs.loop_domains``
+    spins, except those its edges to placed vertices would satisfy.  A
+    table holds at most |Q|**width keys, where width is the largest
+    frontier, and the work is at most the sum over steps of
+    |Q|**(frontier + 1).  Before any
     table is built, the first is checked against ``ELIM_TABLE_LIMIT`` and
     the second against ``max_states``, the same budget as brute's |Q|**|V|.
 
@@ -430,12 +417,10 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> Co
     class_size = {spins[0]: len(spins) for spins in stabilizer_classes(a)} if pins else {}
     act = a.act
     inv = g.group.inv
-    loop_gains: list[set[int]] = [set() for _ in range(n)]
+    domains = loop_domains(g, a)
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (other end, gain oriented towards v)
     for e in g.edges:
-        if e.is_loop:
-            loop_gains[e.u].add(e.gain)
-        else:
+        if not e.is_loop:
             into[e.v].append((e.u, e.gain))
             into[e.u].append((e.v, inv[e.gain]))
     b = max(q - 1, 1).bit_length()
@@ -475,7 +460,7 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> Co
                 slots[shift // b] = None
                 drop |= digit << shift
         keep = ~drop
-        domain = [s for s in range(q) if all(act[s][h] != s for h in loop_gains[v])]
+        domain = domains[v]
         pinned = v in pins
         if pinned:
             domain = [s for s in domain if s in class_size]
@@ -483,7 +468,7 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> Co
         new: dict[int, int] = {}
         cache: dict[int, Any] = {}
         if v in gone:
-            allowed = _spin_mask(domain, q)
+            allowed = sum(1 << s for s in domain)
             for key, count in table.items():
                 pattern = key & back_mask
                 free = cache.get(pattern)

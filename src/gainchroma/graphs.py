@@ -257,6 +257,17 @@ def satisfied_edges(g: GainGraph, action: SpinAction, state: Sequence[int]) -> f
     return frozenset(e.id for e in g.edges if act[state[e.u]][e.gain] == state[e.v])
 
 
+def loop_domains(g: GainGraph, action: SpinAction) -> list[list[int]]:
+    """For each vertex, in increasing order, the spins that no loop at it
+    fixes: the spins a totally frustrated state may give it."""
+    loop_gains: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for e in g.edges:
+        if e.is_loop:
+            loop_gains[e.u].add(e.gain)
+    act = action.act
+    return [[q for q in range(action.size) if all(act[q][h] != q for h in hs)] for hs in loop_gains]
+
+
 def delete_edge(g: GainGraph, eid: int) -> GainGraph:
     """Remove one edge; everything else, including ids, is unchanged."""
     g.edge(eid)

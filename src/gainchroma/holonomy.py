@@ -80,8 +80,9 @@ def component_subgroup(graph: GainGraph, conn: Iterable[int]) -> frozenset[int]:
 class HolonomyCache:
     """Memo of holonomy subgroups per connected edge set of one fixed graph.
 
-    Purely an accelerator for repeated counting over the same graph; results
-    are identical with or without it.
+    No package code builds it.  It stays only because perfbench's tracer
+    hooks ``HolonomyCache.subgroup``; ROADMAP item 3 deletes it once
+    perfbench reads a trace from the package.
     """
 
     __slots__ = ("graph", "_subgroups")

@@ -31,7 +31,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .groups import BoundExceeded, SpinAction, fixed_set
-from .graphs import GainGraph, SimpleGraph, check_action
+from .graphs import GainGraph, SimpleGraph, check_action, loop_domains
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, SubsetTerms, enumerate_closed_sets, subset_terms
 from .counting import count_auto  # noqa: F401  perfbench's tracer rebinds it in this namespace
@@ -253,21 +253,13 @@ def grand_polynomial(g: GainGraph, parts: Sequence[SpinAction], source: Source |
 
 def leading_form(g: GainGraph, parts: Sequence[SpinAction]) -> MultiPoly:
     """The homogeneous degree-|V| product: one linear factor per vertex whose
-    part-i coefficient is |Qi| minus the spins fixed by some incident loop."""
+    part-i coefficient is the size of the vertex's ``graphs.loop_domains``
+    in part i, |Qi| minus the spins fixed by some incident loop."""
     check_parts(g, parts)
     p = len(parts)
-    loop_gains: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e in g.edges:
-        if e.is_loop:
-            loop_gains[e.u].append(e.gain)
+    sizes = [[len(domain) for domain in loop_domains(g, part)] for part in parts]
     total = MultiPoly.constant(p, 1)
-    for v in range(g.vertex_count):
-        coeffs = []
-        for part in parts:
-            banned: set[int] = set()
-            for gain in loop_gains[v]:
-                banned |= part.fixed(gain)
-            coeffs.append(part.size - len(banned))
+    for coeffs in zip(*sizes):
         total = total * MultiPoly.linear(p, coeffs)
     return total
 

@@ -24,8 +24,9 @@ from gainchroma import (
     switch_state,
     trivial_action,
 )
-from gainchroma import BoundExceeded, cli, graphs
-from gainchroma.graphs import traverse
+from gainchroma import BoundExceeded, cli, graphs, harness
+from gainchroma.graphs import loop_domains, traverse
+from gainchroma.groups import fixed_set
 from helpers import graphic_closure, naive_count, oracle_tree_gains, powerset, random_graph, walk_gain
 
 Z2 = build_cyclic(2)
@@ -126,6 +127,33 @@ class TestSatisfiedEdges:
             assert satisfied_edges(
                 switch(g, eta), action, switch_state(state, eta, action)
             ) == satisfied_edges(g, action, state)
+
+
+class TestLoopDomains:
+    def test_each_domain_is_the_spins_no_loop_gain_fixes(self):
+        partial = 0  # domains that some loop cuts short but not to nothing
+        for seed in range(300):
+            inst = harness.random_instance(random.Random(seed), 5, 8)
+            g, a = inst.graph, inst.action
+            domains = loop_domains(g, a)
+            assert len(domains) == g.vertex_count
+            for v, domain in enumerate(domains):
+                banned = set()
+                for e in g.edges:
+                    if e.u == e.v == v:
+                        banned |= fixed_set(a, {e.gain})
+                assert domain == sorted(set(range(a.size)) - banned)
+                partial += 0 < len(domain) < a.size
+        assert partial >= 10
+
+    def test_identity_loop_bans_every_spin_and_no_loop_none(self):
+        a = standard_colors(S3, 2)
+        g = gain_graph(S3, 3, [(0, 0, 0), (1, 1, 1), (0, 1, 2)])
+        domains = loop_domains(g, a)
+        assert domains[0] == []
+        assert domains[2] == list(range(a.size))
+        assert domains[1] == sorted(set(range(a.size)) - a.fixed(1))
+        assert 0 < len(domains[1]) < a.size
 
 
 class TestDeleteContract:
