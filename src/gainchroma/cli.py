@@ -305,7 +305,11 @@ def cmd_count(args) -> int:
                 lines.append(f"{name}: bound exceeded ({error})")
             if outcome.results:
                 report["agree"] = outcome.agree
-                lines.append(f"agree: {'yes' if outcome.agree else 'NO'}")
+                report["cross_checked"] = outcome.cross_checked
+                if outcome.cross_checked or not outcome.agree:
+                    lines.append(f"agree: {'yes' if outcome.agree else 'NO'}")
+                else:
+                    lines.append(f"agree: not cross-checked, only {', '.join(outcome.results)} ran")
                 exit_code = EXIT_OK if outcome.agree else EXIT_DIVERGE
             else:  # every counter refused, so there is nothing to compare
                 exit_code = EXIT_BOUND

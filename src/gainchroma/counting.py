@@ -11,12 +11,14 @@ The counters are deliberately independent routes to the same number:
 * elim: a transfer matrix along a vertex order, keyed by the spins of the
   placed vertices that still have unplaced neighbours.
 
-``count_auto`` runs elim when it is within its bounds, and brute or
-inclexcl otherwise.  ``lattice_sum`` is mobius's fold over the closed-set
-lattice; the polynomials in ``polynomials`` run the same fold, with
-polynomial factors, over ``holonomy.subset_terms``, which groups the edge
-subsets as the lattice groups the closed sets.  All arithmetic is exact
-integer arithmetic.
+``count_auto`` runs the first of elim, brute and inclexcl that is within
+its bounds.  ``FAMILY`` sorts the counters by the helpers they share, and
+``MethodReport.cross_checked`` asks for agreement across both families.
+``lattice_sum`` is mobius's fold over the closed-set lattice; the
+polynomials in ``polynomials`` run the same fold, with polynomial factors,
+over ``holonomy.subset_terms``, which groups the edge subsets as the
+lattice groups the closed sets.  All arithmetic is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -201,26 +203,29 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     return CountResult(value, {"calls": calls})
 
 
-def lattice_sum(lattice: ClosedSetLattice | SubsetTerms, factor: Callable[[frozenset[int]], Any], zero: Any = 0):
+def lattice_sum(lattice: ClosedSetLattice | SubsetTerms, factor: Callable[[frozenset[int]], Any]):
     """The sum, over the closed sets of a lattice, of the set's Möbius
     value times ``factor(H)`` per component, where H is the component's
     holonomy subgroup and a vertex the set leaves isolated is a component
-    with H trivial; ``zero`` for a bottomless lattice, which has no terms.
-    Over a graph's ``subset_terms`` it gives the same sum, as (-1)**|B|
-    over all edge subsets B.
+    with H trivial; 0 for a bottomless lattice, which has no terms.  Over a
+    graph's ``subset_terms`` it gives the same sum, as (-1)**|B| over all
+    edge subsets B.  ``count_mobius`` folds a lattice with int factors, and
+    the polynomials fold subset terms with ``MultiPoly`` factors.
 
     The summand depends only on the multiset of subgroups, so the sum runs
     over ``lattice.terms``, one product per multiset, and the vertices no
     edge touches multiply every product by the same power of the trivial
     group's factor.  ``factor`` is called once per distinct
-    subgroup, and each power of a factor is computed once.  The values may
-    be ints or ``MultiPoly``; ``zero`` is the empty sum, and a product with
-    a factor equal to it is skipped without multiplying.
+    subgroup, and each power of a factor is computed once.  The empty sum
+    is the trivial group's factor times 0, which is 0 for ints and the zero
+    polynomial of the factors' arity; a product with a factor equal to it
+    is skipped without multiplying.
     """
     factor = functools.cache(factor)
     factor_power = functools.cache(lambda subgroup, times: factor(subgroup) ** times)
-    untouched = factor(frozenset({0})) ** lattice.untouched
-    total = zero
+    trivial = factor(frozenset({0}))
+    untouched = trivial**lattice.untouched
+    total = zero = trivial * 0
     for weight, parts in lattice.terms:
         if any(factor(subgroup) == zero for subgroup, _ in parts):
             continue
@@ -506,25 +511,25 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> Co
 
 
 def count_auto(g: GainGraph, a: SpinAction) -> int:
-    """Count with elim, or with brute or inclexcl when elim is over its
-    bounds, and return the bare value.  The budgets are ``STATE_BUDGET``
-    and ``SUBSET_BUDGET``, read at each call.
+    """Count with the first of elim, brute and inclexcl that is within its
+    bounds, and return the bare value; brute goes before inclexcl when its
+    |Q|**|V| states are at most the 2**|E| subsets.  Each counter checks
+    its own bounds, and when all three refuse, the last refusal is raised.
 
     Elim comes first: its table after each step holds the distinct frontier
     spins of the partial states that brute, placing vertices in the same
     order, would hold at that depth, so it never visits more.
     """
-    try:
-        return count_elim(g, a).value
-    except BoundExceeded:
-        pass
-    brute_cost = a.size ** g.vertex_count
-    subset_cost = 2 ** len(g.edges)
-    if brute_cost <= min(subset_cost, STATE_BUDGET):
-        return count_brute(g, a).value
-    if subset_cost <= SUBSET_BUDGET:
-        return count_inclexcl(g, a).value
-    return count_brute(g, a).value
+    if a.size**g.vertex_count <= 2 ** len(g.edges):
+        order = ("elim", "brute", "inclexcl")
+    else:
+        order = ("elim", "inclexcl", "brute")
+    for name in order:
+        try:
+            return COUNTERS[name](g, a).value
+        except BoundExceeded as exc:
+            refusal = exc
+    raise refusal
 
 
 def theta(g: GainGraph, a: SpinAction) -> Fraction:
@@ -549,6 +554,12 @@ class MethodReport:
         return bool(self.results) and len(values) == 1
 
     @property
+    def cross_checked(self) -> bool:
+        """The counters that ran agree, and they come from both families
+        of ``FAMILY``."""
+        return self.agree and {FAMILY[name] for name in self.results} == set(FAMILY.values())
+
+    @property
     def value(self) -> int | None:
         values = {r.value for r in self.results.values()}
         return values.pop() if len(values) == 1 else None
@@ -565,6 +576,12 @@ COUNTERS = {
     "mobius": lambda g, a, **_: count_mobius(g, a),
     "elim": lambda g, a, max_states=None, **_: count_elim(g, a, max_states=max_states),
 }
+
+# Counter name -> its family.  Brute and elim share ``graphs.loop_domains``,
+# and delcon, inclexcl and mobius share ``graphs.touched_core``, so a fault
+# in a shared helper can move a whole family alike: only counters of both
+# families that agree cross-check a count.
+FAMILY = {"brute": "states", "delcon": "subsets", "inclexcl": "subsets", "mobius": "subsets", "elim": "states"}
 
 
 def verify_all(g: GainGraph, a: SpinAction, max_states: int | None = None, max_subsets: int | None = None) -> MethodReport:

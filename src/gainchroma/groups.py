@@ -208,10 +208,6 @@ class SpinAction:
         self.act = rows
         self.name = name
 
-    def fixed(self, g: int) -> frozenset[int]:
-        """Spins fixed by a single group element."""
-        return frozenset(q for q in range(self.size) if self.act[q][g] == q)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SpinAction)

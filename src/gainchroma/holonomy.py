@@ -400,7 +400,7 @@ LATTICE_EDGE_LIMIT = 18
 def _check_edge_limit(graph: GainGraph):
     m = len(graph.edges)
     if m > LATTICE_EDGE_LIMIT:
-        raise BoundExceeded(f"{m} edges exceed the closed-set enumeration limit {LATTICE_EDGE_LIMIT}")
+        raise BoundExceeded(f"{m} edges exceed the edge-subset walk limit {LATTICE_EDGE_LIMIT}")
 
 
 @dataclass(frozen=True)

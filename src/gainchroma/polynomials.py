@@ -14,10 +14,9 @@ contributes (-1)**|subset| times a factor per component, a vertex the
 subset leaves isolated being a component with trivial holonomy.  A subset
 and its holonomy closure have the same components and subgroups, so by
 Rota's crosscut identity this equals the paper's Möbius sum over the
-closed sets; ``regular_plus_zeroes`` still folds over the closed-set
-lattice, a second route to the two-part grand polynomial.  The grand
-polynomial folds with ``lattice_sum`` in ``MultiPoly`` arithmetic; the
-univariate ones add int coefficients of powers of the spin count.
+closed sets.  The grand polynomial and ``regular_plus_zeroes`` fold with
+``lattice_sum`` in ``MultiPoly`` arithmetic; the univariate ones add int
+coefficients of powers of the spin count.
 
 Every polynomial here is a ``MultiPoly``; the univariate ones have arity 1,
 so they are evaluated as ``p.evaluate([x])`` and print in the spin count λ
@@ -33,7 +32,7 @@ from typing import Mapping, Sequence
 from .groups import BoundExceeded, SpinAction, fixed_set
 from .graphs import GainGraph, SimpleGraph, check_action, loop_domains
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
-from .holonomy import ClosedSetLattice, SubsetTerms, enumerate_closed_sets, subset_terms
+from .holonomy import SubsetTerms, subset_terms
 from .counting import count_auto  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .counting import lattice_sum
 
@@ -223,12 +222,7 @@ def check_parts(g: GainGraph, parts: Sequence[SpinAction]):
         )
 
 
-# What the polynomials fold: the graph's ``subset_terms`` or, with the
-# same terms, its closed-set lattice.
-Source = SubsetTerms | ClosedSetLattice
-
-
-def grand_polynomial(g: GainGraph, parts: Sequence[SpinAction], source: Source | None = None) -> MultiPoly:
+def grand_polynomial(g: GainGraph, parts: Sequence[SpinAction], source: SubsetTerms | None = None) -> MultiPoly:
     """The multivariate count polynomial in the part multiplicities.
 
     Each edge subset contributes (-1)**|subset| times one linear factor per
@@ -236,19 +230,14 @@ def grand_polynomial(g: GainGraph, parts: Sequence[SpinAction], source: Source |
     the component's holonomy group.  A vertex the subset leaves isolated is
     a component with trivial holonomy, whose factor is the sum of ki*|Qi|.
     A graph with an identity loop gives the zero polynomial.  ``source``,
-    when given, must be the graph's ``subset_terms`` or its closed-set
-    lattice; otherwise ``subset_terms`` is built, which refuses graphs over
-    ``LATTICE_EDGE_LIMIT`` edges.
+    when given, must be the graph's ``subset_terms``; otherwise it is
+    built, which refuses graphs over ``LATTICE_EDGE_LIMIT`` edges.
     """
     check_parts(g, parts)
     p = len(parts)
     if source is None:
         source = subset_terms(g)
-    return lattice_sum(
-        source,
-        lambda h: MultiPoly.linear(p, [len(fixed_set(part, h)) for part in parts]),
-        zero=MultiPoly.zero(p),
-    )
+    return lattice_sum(source, lambda h: MultiPoly.linear(p, [len(fixed_set(part, h)) for part in parts]))
 
 
 def leading_form(g: GainGraph, parts: Sequence[SpinAction]) -> MultiPoly:
@@ -268,24 +257,20 @@ def regular_plus_zeroes(g: GainGraph) -> MultiPoly:
     """Two-variable specialization from balance statistics alone.
 
     With one regular part and one fixed spin, a component's factor is
-    k1*|G| + k2 when it is balanced and k2 otherwise, so each closed set
-    contributes mu * (k1*|G| + k2)**b * k2**(c - b) where c counts components
-    and b the balanced ones, a vertex the set leaves isolated being a
-    balanced component.  Must agree coefficientwise with the two-part grand
-    polynomial.
+    k1*|G| + k2 when it is balanced and k2 otherwise, so each edge subset
+    contributes (-1)**|subset| * (k1*|G| + k2)**b * k2**(c - b) where c
+    counts components and b the balanced ones, a vertex the subset leaves
+    isolated being a balanced component.  Must agree coefficientwise with
+    the two-part grand polynomial.
     """
     order = g.group.order
     balanced_factor = MultiPoly.linear(2, [order, 1])
     k2 = MultiPoly.linear(2, [0, 1])
     # a component is balanced exactly when its holonomy group is trivial
-    return lattice_sum(
-        enumerate_closed_sets(g),
-        lambda h: balanced_factor if len(h) == 1 else k2,
-        zero=MultiPoly.zero(2),
-    )
+    return lattice_sum(subset_terms(g), lambda h: balanced_factor if len(h) == 1 else k2)
 
 
-def _univariate(g: GainGraph, source: Source | None, unbalanced: int) -> MultiPoly:
+def _univariate(g: GainGraph, source: SubsetTerms | None, unbalanced: int) -> MultiPoly:
     """The one-variable fold over the graph's terms, built when not given,
     as a ``MultiPoly`` of arity 1 in λ: each component with trivial
     holonomy, an isolated vertex among them, contributes a factor λ, and
@@ -309,7 +294,7 @@ def _univariate(g: GainGraph, source: Source | None, unbalanced: int) -> MultiPo
     return MultiPoly._unchecked(1, coeffs)
 
 
-def chromatic_polynomial(g: GainGraph, source: Source | None = None) -> MultiPoly:
+def chromatic_polynomial(g: GainGraph, source: SubsetTerms | None = None) -> MultiPoly:
     """The count polynomial over spin sets made of k regular copies of the
     group plus one fixed spin, as a one-variable ``MultiPoly`` in the spin
     count λ = k*|G| + 1.
@@ -319,9 +304,8 @@ def chromatic_polynomial(g: GainGraph, source: Source | None = None) -> MultiPol
     (-1)**|subset| * λ**b, where b counts its components with trivial
     holonomy, a vertex the subset leaves isolated being one such component
     (Zaslavsky's balanced expansion).  ``source``, when given, must be the
-    graph's ``subset_terms`` or its closed-set lattice; otherwise
-    ``subset_terms`` is built, which refuses graphs over
-    ``LATTICE_EDGE_LIMIT`` edges.
+    graph's ``subset_terms``; otherwise it is built, which refuses graphs
+    over ``LATTICE_EDGE_LIMIT`` edges.
     """
     return _univariate(g, source, 1)
 
@@ -331,7 +315,7 @@ def _without_nonidentity_loops(g: GainGraph) -> GainGraph:
     return GainGraph(g.group, g.vertex_count, keep)
 
 
-def zero_free_polynomial(g: GainGraph, source: Source | None = None) -> MultiPoly:
+def zero_free_polynomial(g: GainGraph, source: SubsetTerms | None = None) -> MultiPoly:
     """The count polynomial over spin sets made of k regular copies of the
     group, as a one-variable ``MultiPoly`` in the spin count λ = k*|G|.
 
@@ -339,8 +323,7 @@ def zero_free_polynomial(g: GainGraph, source: Source | None = None) -> MultiPol
     regular spin, so subsets with a component of nontrivial holonomy drop
     out.  Deleting nonidentity loops must not change the polynomial; that
     is verified before returning, with the stripped graph's own walk.
-    ``source``, when given, must be the graph's ``subset_terms`` or its
-    closed-set lattice.
+    ``source``, when given, must be the graph's ``subset_terms``.
     """
     poly = _univariate(g, source, 0)
     stripped = _without_nonidentity_loops(g)

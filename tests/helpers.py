@@ -21,6 +21,7 @@ from gainchroma import (
     MultiPoly,
     SimpleGraph,
     SpinAction,
+    build_cyclic,
     component_subgroup,
     components,
     contract_link,
@@ -195,15 +196,17 @@ def oracle_closed_sets(graph: GainGraph):
     return tuple(closed), mobius, bottomless
 
 
-def oracle_lattice_sum(lattice, factor, zero=0):
+def oracle_lattice_sum(lattice, factor):
     """``counting.lattice_sum`` folded over the closed sets one by one, each
     with its own Möbius value: the path the grouped terms replaced.  Each
     vertex no edge touches is a component with trivial holonomy.  A
-    bottomless lattice has no Möbius values, so its sum is ``zero``."""
+    bottomless lattice has no Möbius values, so its sum is the trivial
+    group's factor times 0."""
     factors = {}
     mobius = dict(zip(lattice.sets, lattice.mobius))
-    untouched = factor(frozenset({0})) ** lattice.untouched
-    total = zero
+    trivial = factor(frozenset({0}))
+    untouched = trivial**lattice.untouched
+    total = trivial * 0
     for subset, subgroups in zip(lattice.sets, lattice.subgroups, strict=True):
         weight = mobius.get(subset, 0)
         if weight == 0:
@@ -370,7 +373,7 @@ def oracle_delcon(graph: GainGraph, action: SpinAction):
         value = 1
         banned = [set() for _ in range(minor.vertex_count)]
         for e in minor.edges:
-            banned[e.u] |= action.fixed(e.gain)
+            banned[e.u] |= fixed_set(action, {e.gain})
         for v in range(minor.vertex_count):
             value *= m - len(banned[v])
         return value
@@ -595,6 +598,53 @@ def conjugate_subgroup(group: FiniteGroup, subgroup, by: int) -> frozenset[int]:
     """The conjugate subgroup by^-1 * H * by."""
     mul = group.mul
     return frozenset(mul[mul[group.inv[by]][g]][by] for g in subgroup)
+
+
+def z4_on_cosets_of_z2() -> SpinAction:
+    """Z4 acting on the two cosets of its subgroup {0, 2}: the cheapest
+    abelian action that is not nearly regular, as 2 fixes both spins and
+    1 and 3 fix none."""
+    return SpinAction(build_cyclic(4), [[(q + g) % 2 for g in range(4)] for q in range(2)], name="Z4/Z2")
+
+
+def nearly_regular_zeros(action: SpinAction) -> frozenset[int] | None:
+    """The set Z of spins that every non-identity element fixes, when each
+    one fixes exactly Z, so that the group acts freely off Z; None when the
+    action is not nearly regular in this sense."""
+    fixed = {fixed_set(action, {g}) for g in range(1, action.group.order)}
+    return fixed.pop() if len(fixed) == 1 else None
+
+
+def balance_counts(graph: GainGraph, subset) -> tuple[int, int]:
+    """The numbers of balanced and of unbalanced components of an edge
+    subset, a vertex it leaves isolated being a balanced component.  Each
+    component gets potentials psi along a search, psi(v) = psi(u) * gain
+    across an edge u->v, and is balanced when every edge agrees with them."""
+    mul, inv = graph.group.mul, graph.group.inv
+    chosen = [graph.edge(eid) for eid in subset]
+    psi: dict[int, int] = {}
+    balanced = unbalanced = 0
+    for root in range(graph.vertex_count):
+        if root in psi:
+            continue
+        psi[root] = 0
+        members, stack = {root}, [root]
+        while stack:
+            w = stack.pop()
+            for e in chosen:
+                if e.u == w and e.v not in psi:
+                    x, psi[e.v] = e.v, mul[psi[w]][e.gain]
+                elif e.v == w and e.u not in psi:
+                    x, psi[e.u] = e.u, mul[psi[w]][inv[e.gain]]
+                else:
+                    continue
+                members.add(x)
+                stack.append(x)
+        if all(mul[psi[e.u]][e.gain] == psi[e.v] for e in chosen if e.u in members):
+            balanced += 1
+        else:
+            unbalanced += 1
+    return balanced, unbalanced
 
 
 def block_permutation_action(block_sizes) -> SpinAction:

@@ -47,7 +47,15 @@ from gainchroma import (
 )
 from gainchroma.harness import Instance, random_instance
 from gainchroma.models import potts_routes, set_coloring_routes
-from helpers import dfs_forest, naive_count, oracle_holonomy_subgroup, univariate
+from helpers import (
+    balance_counts,
+    dfs_forest,
+    naive_count,
+    nearly_regular_zeros,
+    oracle_holonomy_subgroup,
+    univariate,
+    z4_on_cosets_of_z2,
+)
 
 SUITE_SEED = 93
 SUITE_SIZE = 320
@@ -104,7 +112,7 @@ def test_criterion_2_formula_fixtures():
             check(
                 f"loop gain {gain} under {action.name}",
                 (outcome.agree, outcome.value),
-                (True, action.size - len(action.fixed(gain))),
+                (True, action.size - len(fixed_set(action, {gain}))),
             )
 
     # two loop-decorated vertices joined by an identity link, for spin sets
@@ -121,13 +129,13 @@ def test_criterion_2_formula_fixtures():
     pairs.append((subset_action(3), swap_a, swap_b))
     for action, gg, hh in pairs:
         group = action.group
-        f = len(action.fixed(gg))
-        if f != len(action.fixed(hh)):
+        f = len(fixed_set(action, {gg}))
+        if f != len(fixed_set(action, {hh})):
             failures.append(("fixture pair has unequal fixed counts", action.name, (gg, hh)))
             continue
         g = gain_graph(group, 2, [(0, 0, gg), (1, 1, hh), (0, 1, 0)])
         q = action.size
-        expected = (q - f) * (q - f - 1) + len(action.fixed(hh) - action.fixed(gg))
+        expected = (q - f) * (q - f - 1) + len(fixed_set(action, {hh}) - fixed_set(action, {gg}))
         outcome = verify_all(g, action)
         check(
             f"two-loop link fixture under {action.name}",
@@ -413,3 +421,63 @@ def test_criterion_8_documented_exclusions():
         if disputed_holds_everywhere:
             failures.append((group.name, "oracle failed to refute the disputed form"))
     report(8, "documented exclusions and oracle-backed corrections", failures)
+
+
+def _edge_subsets(g):
+    ids = sorted(g.edge_ids)
+    return itertools.chain.from_iterable(itertools.combinations(ids, r) for r in range(len(ids) + 1))
+
+
+def test_criterion_9_nearly_regular_counts_follow_balance():
+    # An action is nearly regular when every non-identity element fixes
+    # the same spins Z.  Then a component's fixed count is |Q| when it is
+    # balanced and |Z| otherwise, so the count is the balance polynomial
+    # sum over S of (-1)**|S| |Q|**b(S) |Z|**u(S).
+    failures = []
+    regular = 0
+    for seed in range(400):
+        inst = random_instance(random.Random(seed), 4, 6)
+        g, action = inst.graph, inst.action
+        zeros = nearly_regular_zeros(action)
+        if zeros is None:
+            continue
+        regular += 1
+        expected = 0
+        for subset in _edge_subsets(g):
+            b, u = balance_counts(g, subset)
+            expected += (-1) ** len(subset) * action.size**b * len(zeros) ** u
+        got = count_brute(g, action).value
+        if got != expected:
+            failures.append((inst.describe(), got, expected))
+    if regular != 375:
+        failures.append(("nearly regular draws", regular))
+    report(9, "nearly regular counts follow balance", failures)
+
+
+def test_criterion_10_balance_does_not_fix_other_counts():
+    # Off the nearly regular actions balance is not enough: a vertex with
+    # loops h and k and one with loops h and h have the same balanced edge
+    # sets, only the empty one, but count |Q| - |Fix(h) | Fix(k)| and
+    # |Q| - |Fix(h)| states, which differ when Fix(k) is not inside Fix(h).
+    def balanced_sets(g):
+        return {subset for subset in _edge_subsets(g) if balance_counts(g, subset)[1] == 0}
+
+    failures = []
+    z4_cosets = z4_on_cosets_of_z2()
+    for action in (
+        subset_action(3),
+        z4_cosets,
+        disjoint_union_action([z4_cosets, regular_action(z4_cosets.group)], [1, 1]),
+    ):
+        if nearly_regular_zeros(action) is not None:
+            failures.append((action.name, "nearly regular"))
+            continue
+        others = range(1, action.group.order)
+        h, k = next(
+            (h, k) for h in others for k in others if not fixed_set(action, {k}) <= fixed_set(action, {h})
+        )
+        mixed = gain_graph(action.group, 1, [(0, 0, h), (0, 0, k)])
+        doubled = gain_graph(action.group, 1, [(0, 0, h), (0, 0, h)])
+        if balanced_sets(mixed) != balanced_sets(doubled) or count_brute(mixed, action) == count_brute(doubled, action):
+            failures.append((action.name, h, k))
+    report(10, "balance does not determine other counts", failures)

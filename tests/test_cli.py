@@ -328,6 +328,12 @@ class TestCountCommand:
         report = json.loads(captured.out)
         assert report["agree"] is True and report["elim"]["value"] == value
         assert "links exceed" in report["delcon"]["error"]
+        # elim ran alone, so nothing checked its count
+        assert report["cross_checked"] is False
+        assert main(["count", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "agree: yes" not in lines
+        assert lines[-1] == "agree: not cross-checked, only elim ran"
         assert "Traceback" not in captured.err
         assert main(["count", path, "--method", "delcon"]) == EXIT_BOUND
         captured = capsys.readouterr()
@@ -520,7 +526,7 @@ class TestPolyGuards:
         def refuse(*args, **kwargs):
             raise AssertionError("a closed-set lattice was built")
 
-        for module in (holonomy, counting, polynomials):
+        for module in (holonomy, counting):
             monkeypatch.setattr(module, "enumerate_closed_sets", refuse)
 
     def test_poly_builds_no_lattice(self, tmp_path, capsys, monkeypatch):
@@ -561,7 +567,7 @@ class TestPolyGuards:
         assert main(["poly", write(tmp_path, payload), "--chromatic", "--zero-free"]) == EXIT_BOUND
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: 19 edges exceed the closed-set enumeration limit {LATTICE_EDGE_LIMIT}\n"
+        assert captured.err == f"error: 19 edges exceed the edge-subset walk limit {LATTICE_EDGE_LIMIT}\n"
 
 
 class TestLongAnswers:

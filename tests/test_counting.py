@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from gainchroma import (
     BoundExceeded,
+    CountResult,
+    MethodReport,
     build_cyclic,
     build_symmetric,
     count_auto,
@@ -19,6 +21,7 @@ from gainchroma import (
     count_mobius,
     SpinAction,
     disjoint_union_action,
+    fixed_set,
     gain_graph,
     regular_action,
     stabilizer_classes,
@@ -39,6 +42,7 @@ from helpers import (
     oracle_forest_count,
     oracle_stabilizer_classes,
     random_graph,
+    z4_on_cosets_of_z2,
 )
 
 Z2 = build_cyclic(2)
@@ -109,7 +113,7 @@ class TestDeletionContraction:
             standard_colors(group, 1),
             subset_action(3) if group is S3 else trivial_action(group, 3),
         ):
-            expected = action.size - len(action.fixed(gain))
+            expected = action.size - len(fixed_set(action, {gain}))
             assert count_delcon(g, action).value == expected
 
     def test_two_loop_vertices_with_identity_link(self):
@@ -348,6 +352,13 @@ class TestVerifyAll:
         assert "brute" in report.errors
         assert report.agree  # the remaining methods still agree
 
+    def test_only_agreement_across_both_families_is_a_cross_check(self):
+        three = CountResult(3, {})
+        assert not MethodReport({"brute": three, "elim": three}).cross_checked
+        assert MethodReport({"brute": three, "delcon": three}).cross_checked
+        assert not MethodReport({"brute": three, "delcon": CountResult(4, {})}).cross_checked
+        assert not MethodReport().cross_checked
+
     def test_identity_loop_zeroes_every_method(self):
         g = gain_graph(Z2, 2, [(0, 1, 1), (1, 1, 0)])
         report = verify_all(g, regular_action(Z2))
@@ -397,11 +408,6 @@ def elim_actions(group):
     if group is S3:
         actions.append(subset_action(3))
     return actions
-
-
-def z4_on_cosets_of_z2():
-    """Z4 acting on the two cosets of its subgroup {0, 2}."""
-    return SpinAction(Z4, [[(q + g) % 2 for g in range(4)] for q in range(2)], name="Z4/Z2")
 
 
 def s3_on_three_points():

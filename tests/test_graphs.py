@@ -152,7 +152,7 @@ class TestLoopDomains:
         domains = loop_domains(g, a)
         assert domains[0] == []
         assert domains[2] == list(range(a.size))
-        assert domains[1] == sorted(set(range(a.size)) - a.fixed(1))
+        assert domains[1] == sorted(set(range(a.size)) - fixed_set(a, {1}))
         assert 0 < len(domains[1]) < a.size
 
 

@@ -220,8 +220,8 @@ class TestActions:
     def test_regular_fixed_point_free(self, builder):
         a = regular_action(builder())
         for g in range(1, a.group.order):
-            assert a.fixed(g) == frozenset()
-        assert a.fixed(0) == frozenset(range(a.size))
+            assert fixed_set(a, {g}) == frozenset()
+        assert fixed_set(a, {0}) == frozenset(range(a.size))
 
     def test_regular_size(self):
         assert regular_action(build_symmetric(3)).size == 6
@@ -229,10 +229,10 @@ class TestActions:
     def test_trivial_all_fixed(self):
         a = trivial_action(build_cyclic(2), 3)
         for g in range(2):
-            assert len(a.fixed(g)) == 3
+            assert len(fixed_set(a, {g})) == 3
         b = trivial_action(build_symmetric(3), 2)
         for g in range(6):
-            assert b.fixed(g) == frozenset({0, 1})
+            assert fixed_set(b, {g}) == frozenset({0, 1})
 
     def test_trivial_needs_a_spin(self):
         with pytest.raises(ValueError):
@@ -246,19 +246,19 @@ class TestActions:
     def test_standard_single_shared_fixed_spin(self):
         for group, k in [(build_cyclic(2), 1), (build_cyclic(4), 2), (build_symmetric(3), 1)]:
             a = standard_colors(group, k)
-            fixed_sets = {a.fixed(g) for g in range(1, group.order)}
+            fixed_sets = {fixed_set(a, {g}) for g in range(1, group.order)}
             assert len(fixed_sets) == 1
             (common,) = fixed_sets
             assert len(common) == 1
 
     def test_standard_k0_all_fixed(self):
         a = standard_colors(build_cyclic(3), 0)
-        assert all(a.fixed(g) == frozenset({0}) for g in range(3))
+        assert all(fixed_set(a, {g}) == frozenset({0}) for g in range(3))
 
     def test_zero_free(self):
         a = zero_free_colors(build_cyclic(2), 2)
         assert a.size == 4
-        assert all(a.fixed(g) == frozenset() for g in range(1, 2))
+        assert all(fixed_set(a, {g}) == frozenset() for g in range(1, 2))
         assert zero_free_colors(build_cyclic(5), 0).size == 0
 
     def test_zero_free_single_copy_is_the_regular_action(self):
@@ -271,7 +271,7 @@ class TestActions:
         assert a.act[1][1] == 2
         assert a.act[0][1] == 0 and a.act[3][1] == 3
         # oracle: enumerate the four subsets under the swap
-        assert len(a.fixed(1)) == 2
+        assert len(fixed_set(a, {1})) == 2
 
     def test_subset_action_d3_size(self):
         assert subset_action(3).size == 8
@@ -365,7 +365,7 @@ class TestDisjointUnion:
     def test_trivial_copies(self):
         a = disjoint_union_action([trivial_action(build_cyclic(3), 2)], [3])
         assert a.size == 6
-        assert all(a.fixed(g) == frozenset(range(6)) for g in range(3))
+        assert all(fixed_set(a, {g}) == frozenset(range(6)) for g in range(3))
 
     def test_rejects_mixed_groups(self):
         with pytest.raises(ValueError):
@@ -421,7 +421,7 @@ class TestSubgroups:
             sub = generate_subgroup(s3, gens)
             expected = frozenset(range(action.size))
             for g in gens:
-                expected &= action.fixed(g)
+                expected &= fixed_set(action, {g})
             assert fixed_set(action, sub) == expected
 
     def test_conjugation_preserves_fixed_size(self):

@@ -131,6 +131,20 @@ class TestSuiteRunner:
         with pytest.raises(BoundExceeded, match="elim: over a bound"):
             check_instance(inst, random.Random(1))
 
+    def test_diverging_counters_leave_no_count_for_the_other_checks(self, monkeypatch):
+        # the checks that need the instance's count get the one every
+        # counter agreed on; with none, only the divergence is reported
+        original = counting.count_delcon
+
+        def wrong(g, a):
+            result = original(g, a)
+            return counting.CountResult(result.value + 1, result.stats)
+
+        monkeypatch.setattr(counting, "count_delcon", wrong)
+        inst = random_instance(random.Random(1))
+        results = check_instance(inst, random.Random(1))
+        assert [(r.name, r.passed) for r in results] == [("method_agreement", False)]
+
     def test_each_instance_graph_is_counted_by_inclexcl_once(self, monkeypatch):
         # among verify_all's counters, whose count the three checks that
         # need it share

@@ -1,7 +1,8 @@
 """The counters check one another only while some counter avoids each
 helper that others share.  A plausible mutation of each shared helper must
-make ``verify_all`` report counters that disagree, and README's sharing
-table must name the counters that call each helper."""
+make ``verify_all`` report counters that disagree, README's sharing table
+must name the counters that call each helper, and ``FAMILY`` must group the
+counters as the table's shared helpers join them."""
 
 import pathlib
 import random
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 from gainchroma import counting, graphs, groups, harness, holonomy
-from gainchroma.counting import COUNTERS, verify_all
+from gainchroma.counting import COUNTERS, FAMILY, verify_all
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 SAMPLE = [harness.random_instance(random.Random(s), 5, 8) for s in range(60)]
@@ -126,3 +127,18 @@ def test_the_sharing_table_names_the_callers_of_each_helper(monkeypatch):
         assert exempt or avoiders, f"{name} feeds every counter, so no counter checks it"
     shared = {name for name, (callers, _, exempt) in table.items() if len(callers) >= 2 and not exempt}
     assert shared == set(MUTATIONS)
+
+
+def test_the_families_are_the_counters_joined_by_shared_helpers():
+    # the connected components of the counters, two being joined when a
+    # non-exempt row of the sharing table names both among its callers
+    joined = [{name} for name in COUNTERS]
+    for callers, _, exempt in sharing_table().values():
+        if callers and not exempt:
+            touching = [part for part in joined if part & callers]
+            joined = [part for part in joined if not part & callers] + [set().union(*touching)]
+    families: dict[str, set[str]] = {}
+    for name, family in FAMILY.items():
+        families.setdefault(family, set()).add(name)
+    assert set(FAMILY) == set(COUNTERS)
+    assert sorted(map(sorted, joined)) == sorted(map(sorted, families.values()))

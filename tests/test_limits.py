@@ -139,8 +139,9 @@ def test_a_patched_budget_reaches_every_budgeted_counter(monkeypatch):
 
 
 def test_inclexcl_runs_on_every_suite_instance():
-    # harness.check_instance reads inclexcl's count from verify_all's report,
-    # which holds it only when the suite's largest edge set is within budget
+    # the harness's switching and deletion-contraction checks count with
+    # inclexcl, which refuses unless the suite's largest edge set is within
+    # its budget
     assert 2**holonomy.LATTICE_EDGE_LIMIT <= counting.SUBSET_BUDGET
 
 

@@ -518,7 +518,8 @@ def _spin_sets(group):
 
 class TestGroupedFold:
     """The grouped fold against the per-closed-set fold it replaced, with the
-    same factors: the package function is run once as it is and once with
+    same factors: the package functions against ``oracle_lattice_sum`` over
+    the closed-set lattice, and ``count_mobius`` once as it is and once with
     its ``lattice_sum`` swapped for the oracle."""
 
     def test_the_graphs_cover_the_edge_cases(self):
@@ -553,7 +554,7 @@ class TestGroupedFold:
             assert mu == sum(mobius[a] for a in members)
 
     @pytest.mark.parametrize("index", range(len(FOLD_GRAPHS)))
-    def test_polynomials_match_the_per_set_fold(self, index, monkeypatch):
+    def test_polynomials_match_the_per_set_fold(self, index):
         g = FOLD_GRAPHS[index]
         group = g.group
         lat = enumerate_closed_sets(g)
@@ -562,14 +563,16 @@ class TestGroupedFold:
             [regular_action(group), trivial_action(group, 1)],
             [trivial_action(group, 2), standard_colors(group, 1), regular_action(group)],
         ]
-        fast = [grand_polynomial(g, parts, source=lat) for parts in part_lists]
-        fast_balance = regular_plus_zeroes(g)
-        with monkeypatch.context() as m:
-            m.setattr(polynomials, "lattice_sum", oracle_lattice_sum)
-            slow = [grand_polynomial(g, parts, source=lat) for parts in part_lists]
-            slow_balance = regular_plus_zeroes(g)
+
+        def linear(parts):
+            return lambda h: MultiPoly.linear(len(parts), [len(fixed_set(a, h)) for a in parts])
+
+        fast = [grand_polynomial(g, parts) for parts in part_lists]
+        slow = [oracle_lattice_sum(lat, linear(parts)) for parts in part_lists]
+        balanced, k2 = MultiPoly.linear(2, [group.order, 1]), MultiPoly.linear(2, [0, 1])
+        slow_balance = oracle_lattice_sum(lat, lambda h: balanced if len(h) == 1 else k2)
         assert [p.render() for p in fast] == [p.render() for p in slow]
-        assert fast == slow and fast_balance == slow_balance
+        assert fast == slow and regular_plus_zeroes(g) == slow_balance
 
     @pytest.mark.parametrize("index", range(len(FOLD_GRAPHS)))
     def test_mobius_count_matches_the_per_set_fold(self, index, monkeypatch):
@@ -614,9 +617,9 @@ class TestUnivariateFold:
 
     def test_interpolation_points_of_the_chromatic_polynomials(self):
         for g in UNIVARIATE_GRAPHS:
-            lat = enumerate_closed_sets(g)
-            assert chromatic_polynomial(g) == chromatic_polynomial(g, source=lat) == oracle_chromatic(g)
-            assert zero_free_polynomial(g) == zero_free_polynomial(g, source=lat) == oracle_zero_free(g)
+            terms = holonomy.subset_terms(g)
+            assert chromatic_polynomial(g) == chromatic_polynomial(g, source=terms) == oracle_chromatic(g)
+            assert zero_free_polynomial(g) == zero_free_polynomial(g, source=terms) == oracle_zero_free(g)
 
     def test_the_zero_free_fold_multiplies_no_zero_polynomial(self):
         # a term with a component of nontrivial holonomy has weight
@@ -670,7 +673,7 @@ class TestUnivariateFold:
             consume(small)
         g = gain_graph(S3, 3, [(0, 1, 1), (1, 2, 3), (2, 0, 2), (0, 1, 4)])
         for consume in consumers:
-            with pytest.raises(BoundExceeded, match="4 edges exceed the closed-set enumeration limit 3"):
+            with pytest.raises(BoundExceeded, match="4 edges exceed the edge-subset walk limit 3"):
                 consume(g)
         report = verify_all(g, regular_action(S3))
         assert list(report.errors) == ["mobius"] and "limit 3" in report.errors["mobius"]
@@ -743,8 +746,8 @@ class TestSubsetTermsRoute:
 
                 walked = grand_polynomial(g, parts)
                 assert walked == grand_polynomial(g, parts, source=terms)
-                assert walked == counting.lattice_sum(lat, linear, zero=MultiPoly.zero(p))
-                assert walked == oracle_lattice_sum(lat, linear, zero=MultiPoly.zero(p))
+                assert walked == counting.lattice_sum(lat, linear)
+                assert walked == oracle_lattice_sum(lat, linear)
                 if p == 2:
                     assert walked == regular_plus_zeroes(g)
             for poly, other in ((chromatic_polynomial, one), (zero_free_polynomial, zero)):
@@ -753,6 +756,6 @@ class TestSubsetTermsRoute:
                     return lam if len(h) == 1 else other
 
                 walked = poly(g)
-                assert walked == poly(g, source=terms) == poly(g, source=lat)
-                assert walked == counting.lattice_sum(lat, factor, zero=zero)
-                assert walked == oracle_lattice_sum(lat, factor, zero=zero)
+                assert walked == poly(g, source=terms)
+                assert walked == counting.lattice_sum(lat, factor)
+                assert walked == oracle_lattice_sum(lat, factor)
