@@ -15,7 +15,8 @@ sit at index 0 and the table is fully verified).  Spin kinds: ``regular``,
 ``trivial`` (size), ``standard_colors`` (k), ``zero_free`` (k), ``subsets``
 (symmetric groups only), ``table`` (act).  Graph edges are [from, to, gain]
 triples with the gain read in the from->to orientation.  The signed block is
-only needed by the ``potts`` command; signs are "+" or "-".
+only needed by the ``potts`` command; signs are "+" or "-", and "−" (U+2212,
+the minus sign) reads as "-".
 
 Exit codes: 0 success, 2 parse error or invalid argument, 3 bound exceeded,
 4 divergence or verification failure.

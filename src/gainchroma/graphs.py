@@ -54,7 +54,7 @@ class SimpleGraph:
 class GainGraph:
     """Immutable multigraph over a finite group, with one gain per edge."""
 
-    __slots__ = ("group", "vertex_count", "edges", "_by_id", "_incident", "_ids")
+    __slots__ = ("group", "vertex_count", "edges", "_by_id", "_ids")
 
     def __init__(self, group: FiniteGroup, vertex_count: int, edges: Iterable[Edge]):
         if vertex_count < 0:
@@ -63,7 +63,6 @@ class GainGraph:
             raise BoundExceeded(f"vertex count {vertex_count} exceeds limit {VERTEX_LIMIT}")
         edge_tuple = tuple(edges)
         by_id: dict[int, Edge] = {}
-        incident: list[list[int]] = [[] for _ in range(vertex_count)]
         for e in edge_tuple:
             if not isinstance(e, Edge):
                 raise TypeError("edges must be Edge records")
@@ -74,14 +73,10 @@ class GainGraph:
             if e.id in by_id:
                 raise ValueError(f"duplicate edge id {e.id}")
             by_id[e.id] = e
-            incident[e.u].append(e.id)
-            if e.v != e.u:
-                incident[e.v].append(e.id)
         self.group = group
         self.vertex_count = vertex_count
         self.edges = edge_tuple
         self._by_id = by_id
-        self._incident = tuple(tuple(sorted(ids)) for ids in incident)
         self._ids = frozenset(by_id)
 
     @property
@@ -93,10 +88,6 @@ class GainGraph:
             return self._by_id[eid]
         except KeyError:
             raise ValueError(f"no edge with id {eid}") from None
-
-    def incident_ids(self, v: int) -> tuple[int, ...]:
-        """Ids of edges touching v, ascending; loops appear once."""
-        return self._incident[v]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -162,31 +153,35 @@ def traverse(
     covered vertex.
     """
     s = normalize_edge_subset(g, subset)
-    by_id, incident = g._by_id, g._incident
+    by_id = g._by_id
     mul, inv = g.group.mul, g.group.inv
+    # the subset's edges at each vertex they touch, by ascending id; a loop once
+    incident: dict[int, list[Edge]] = {}
+    for eid in sorted(s):
+        e = by_id[eid]
+        incident.setdefault(e.u, []).append(e)
+        if e.v != e.u:
+            incident.setdefault(e.v, []).append(e)
     psi: dict[int, int] = {}
     forest: set[int] = set()
     edge_sets = []
     vertex_sets = []
-    for root in sorted({w for eid in s for w in (by_id[eid].u, by_id[eid].v)}):
+    for root in sorted(incident):
         if root in psi:
             continue
         psi[root] = 0
         comp_edges: set[int] = set()
         reached = [root]
         for w in reached:  # grows while iterated: a FIFO queue
-            for eid in incident[w]:
-                if eid not in s:
-                    continue
-                comp_edges.add(eid)
-                e = by_id[eid]
+            for e in incident[w]:
+                comp_edges.add(e.id)
                 if e.u == w:
                     other, gain = e.v, e.gain
                 else:
                     other, gain = e.u, inv[e.gain]
                 if other not in psi:
                     psi[other] = mul[psi[w]][gain]
-                    forest.add(eid)
+                    forest.add(e.id)
                     reached.append(other)
         edge_sets.append(frozenset(comp_edges))
         vertex_sets.append(frozenset(reached))

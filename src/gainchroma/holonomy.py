@@ -81,7 +81,7 @@ class HolonomyCache:
     """Memo of holonomy subgroups per connected edge set of one fixed graph.
 
     No package code builds it.  It stays only because perfbench's tracer
-    hooks ``HolonomyCache.subgroup``; ROADMAP item 3 deletes it once
+    hooks ``HolonomyCache.subgroup``; ROADMAP item 11 deletes it once
     perfbench reads a trace from the package.
     """
 
@@ -155,7 +155,6 @@ class _EdgeWalk:
 
     def __init__(self, graph: GainGraph):
         self.graph = graph
-        self.ids = tuple(sorted(graph.edge_ids))
         n, self.edges = touched_core(graph)
         self.parent = list(range(n))
         self.up = [0] * n
@@ -505,7 +504,7 @@ def enumerate_closed_sets(graph: GainGraph) -> ClosedSetLattice:
     # sets with equal ids share one tuple of subgroups
     named = {ids: tuple(members[h] for h in ids) for ids in {ids for _, ids in closed}}
     return ClosedSetLattice(
-        walk.ids,
+        tuple(sorted(e.id for e in graph.edges)),
         tuple(closed[j][0] for j in order),
         () if bottomless else tuple(mu[j] for j in order),
         bottomless,

@@ -69,10 +69,6 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, arity: int) -> "MultiPoly":
-        return cls(arity)
-
-    @classmethod
     def constant(cls, arity: int, value: int) -> "MultiPoly":
         return cls(arity, {(0,) * arity: value})
 
@@ -86,19 +82,6 @@ class MultiPoly:
             expo = tuple(1 if j == i else 0 for j in range(arity))
             terms[expo] = c
         return cls(arity, terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Largest exponent sum, or -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def homogeneous_part(self, degree: int) -> "MultiPoly":
-        return MultiPoly(
-            self.arity, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
 
     def evaluate(self, values: Sequence[int]) -> int:
         if len(values) != self.arity:
@@ -339,7 +322,7 @@ def graph_chromatic(template: SimpleGraph) -> MultiPoly:
 
     def recurse(n: int, edges: tuple[tuple[int, int], ...]) -> MultiPoly:
         if any(u == v for u, v in edges):
-            return MultiPoly.zero(1)
+            return MultiPoly(1)
         if not edges:
             return MultiPoly(1, {(n,): 1})
         u, v = edges[0]

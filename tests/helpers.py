@@ -60,9 +60,13 @@ def dfs_forest(graph: GainGraph, subset) -> frozenset[int]:
     """A maximal forest chosen depth-first with edges in reversed id order,
     deliberately different from the library's breadth-first choice."""
     subset = frozenset(subset)
-    touched = sorted(
-        {w for eid in subset for w in (graph.edge(eid).u, graph.edge(eid).v)}
-    )
+    # the subset's edges at each vertex, in reversed id order
+    incident: dict[int, list[Edge]] = {}
+    for e in sorted(graph.edges, key=lambda e: e.id, reverse=True):
+        if e.id in subset:
+            for w in {e.u, e.v}:
+                incident.setdefault(w, []).append(e)
+    touched = sorted(incident)
     visited: set[int] = set()
     forest: set[int] = set()
     for start in touched:
@@ -73,14 +77,11 @@ def dfs_forest(graph: GainGraph, subset) -> frozenset[int]:
         while stack:
             w = stack[-1]
             advanced = False
-            for eid in reversed(graph.incident_ids(w)):
-                if eid not in subset:
-                    continue
-                e = graph.edge(eid)
+            for e in incident[w]:
                 other = e.v if e.u == w else e.u
                 if other not in visited:
                     visited.add(other)
-                    forest.add(eid)
+                    forest.add(e.id)
                     stack.append(other)
                     advanced = True
                     break
@@ -227,6 +228,17 @@ def univariate(*coeffs: int) -> MultiPoly:
     """The one-variable polynomial with these coefficients, lowest degree
     first."""
     return MultiPoly(1, {(power,): c for power, c in enumerate(coeffs)})
+
+
+def total_degree(poly: MultiPoly) -> int:
+    """The largest exponent sum of the polynomial's terms, or -1 for the
+    zero polynomial."""
+    return max((sum(expo) for expo in poly.terms), default=-1)
+
+
+def homogeneous_part(poly: MultiPoly, degree: int) -> MultiPoly:
+    """The terms of the polynomial whose exponents sum to ``degree``."""
+    return MultiPoly(poly.arity, {expo: c for expo, c in poly.terms.items() if sum(expo) == degree})
 
 
 def oracle_interpolate(points) -> MultiPoly:
@@ -498,7 +510,7 @@ def oracle_walk_lattice(graph: GainGraph):
     ``oracle_full_walk``, each leaf finding its closure from the stored
     level of a superset, and ``ClosedSetLattice.terms`` summed set by set."""
     walk = _EdgeWalk(graph)
-    m = len(walk.ids)
+    m = len(walk.edges)
     level, where = {}, {}
     closed, mu = [], []
 
@@ -520,7 +532,7 @@ def oracle_walk_lattice(graph: GainGraph):
     order = sorted(range(len(closed)), key=lambda j: (bin(closed[j][0]).count("1"), j))
     bottomless = closed[order[0]][0] != 0
     lattice = ClosedSetLattice(
-        walk.ids,
+        tuple(sorted(e.id for e in graph.edges)),
         tuple(closed[j][0] for j in order),
         () if bottomless else tuple(mu[j] for j in order),
         bottomless,

@@ -311,7 +311,7 @@ class TestCountCommand:
         assert "agree" not in payload
         assert all(payload[name] == {"error": "over a bound"} for name in COUNTERS)
 
-    def test_long_cycle_counts_by_elim_and_delcon_exits_3(self, tmp_path, capsys):
+    def test_long_cycle_counts_by_elim_alone_exits_0_not_cross_checked(self, tmp_path, capsys):
         # delcon recurses once per link; over its link bound it refuses
         # instead of running into the recursion limit
         n = 1500

@@ -58,11 +58,6 @@ class TestConstruction:
         assert GainGraph(Z2, graphs.VERTEX_LIMIT, []).vertex_count == graphs.VERTEX_LIMIT
         assert cli.VERTEX_LIMIT == graphs.VERTEX_LIMIT
 
-    def test_incident_ids_sorted(self):
-        g = gain_graph(Z3, 3, [(1, 2, 0), (0, 1, 1), (0, 0, 2)])
-        assert g.incident_ids(0) == (1, 2)
-        assert g.incident_ids(1) == (0, 1)
-
 
 class TestSwitching:
     def test_identity_switch(self):
@@ -268,6 +263,20 @@ class TestSpanningForest:
 
 
 class TestTraverse:
+    def test_each_vertex_takes_the_subsets_edges_by_ascending_id(self):
+        # edges listed out of id order, with a loop, a parallel pair and an
+        # untouched vertex; vertex 2 is reached from 0 by edge 4, or from 1
+        # by edge 1 when the subset leaves 4 out
+        g = GainGraph(
+            Z3, 5, [Edge(5, 0, 1, 2), Edge(2, 1, 0, 1), Edge(3, 1, 1, 1), Edge(1, 1, 2, 0), Edge(4, 0, 2, 1), Edge(0, 3, 2, 2)]
+        )
+        split, forest, psi = traverse(g)
+        assert split.vertex_sets == (frozenset({0, 1, 2, 3}),) and split.isolated == (4,)
+        assert forest == frozenset({0, 2, 4}) and psi == {0: 0, 1: 2, 2: 1, 3: 2}
+        split, forest, psi = traverse(g, {0, 1, 2, 3, 5})
+        assert split.edge_sets == (frozenset({0, 1, 2, 3, 5}),)
+        assert forest == frozenset({0, 1, 2}) and psi == {0: 0, 1: 2, 2: 2, 3: 0}
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_potentials_are_tree_path_gains(self, seed):

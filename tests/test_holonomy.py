@@ -471,11 +471,11 @@ class TestWalkLevel:
         rng = random.Random(71)
         for i in range(25):
             g = random_graph(rng, self.GROUPS[i % 5], max_vertices=5, max_edges=7)
-            walk = holonomy._EdgeWalk(g)
+            ids = sorted(e.id for e in g.edges)
             levels = {}
-            walk.run(lambda mask, sign, level: levels.__setitem__(mask, level))
+            holonomy._EdgeWalk(g).run(lambda mask, sign, level: levels.__setitem__(mask, level))
             for mask, level in levels.items():
-                assert level == _level(g, {walk.ids[i] for i in range(len(walk.ids)) if mask >> i & 1})
+                assert level == _level(g, {ids[i] for i in range(len(ids)) if mask >> i & 1})
 
 
 class TestUntouchedVertices:
@@ -569,6 +569,7 @@ class TestUntouchedVertices:
         # the leaves are those of nonzero sign.
         g = self._graph()
         m = len(g.edges)
+        ids = sorted(e.id for e in g.edges)
         walk = holonomy._EdgeWalk(g)
         seen = []
         walk.run(lambda mask, sign, level: seen.append((mask, sign)), keep_closed=True)
@@ -576,7 +577,7 @@ class TestUntouchedVertices:
         assert len(position) == len(seen) < 2**m
 
         def edge_set(mask):
-            return frozenset(walk.ids[i] for i in range(m) if mask >> i & 1)
+            return frozenset(ids[i] for i in range(m) if mask >> i & 1)
 
         closed = set(oracle_walk_lattice(g)[0].masks)
         assert closed <= set(position)

@@ -97,10 +97,6 @@ def test_every_export_is_used_in_the_package_or_listed():
 # package reads, and why each stays.
 UNUSED_MEMBERS = {
     "ClosedSetLattice.sets": "perfbench-pinned: the tracer counts the closed sets with it",
-    "GainGraph.incident_ids": "the tests' depth-first forest oracle walks the graph with it",
-    "MultiPoly.is_zero": "the polynomial tests compare with the zero polynomial through it",
-    "MultiPoly.total_degree": "the tests check the grand polynomial's degree with it",
-    "MultiPoly.homogeneous_part": "the tests check leading_form against the grand polynomial with it",
 }
 
 

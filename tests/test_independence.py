@@ -1,20 +1,27 @@
 """The counters check one another only while some counter avoids each
-helper that others share.  A plausible mutation of each shared helper must
-make ``verify_all`` report counters that disagree, README's sharing table
-must name the counters that call each helper, and ``FAMILY`` must group the
+helper that others share.  A trace of the counters over a fixed sample
+finds every package function that two of them reach, and README's sharing
+table must have a row for each, naming the counters that reach it.  A
+plausible mutation of each shared helper that is not exempt must make
+``verify_all`` report counters that disagree, and ``FAMILY`` must group the
 counters as the table's shared helpers join them."""
 
+import functools
+import os
 import pathlib
 import random
 import re
 import sys
+import types
 
 import pytest
 
+import gainchroma
 from gainchroma import counting, graphs, groups, harness, holonomy
 from gainchroma.counting import COUNTERS, FAMILY, verify_all
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = str(pathlib.Path(gainchroma.__file__).parent) + os.sep
 SAMPLE = [harness.random_instance(random.Random(s), 5, 8) for s in range(60)]
 
 
@@ -36,12 +43,17 @@ def join_that_never_grows(self, h, x):
     return h
 
 
+def subgroup_without_last_generator(group, gens):
+    return groups.generate_subgroup(group, tuple(gens)[:-1])
+
+
 # Helper -> the (owner, attribute) bindings to patch and the mutation.
 MUTATIONS = {
     "touched_core": ([(counting, "touched_core"), (holonomy, "touched_core")], shifted_core),
     "fixed_set": ([(counting, "fixed_set")], fixed_set_one_short),
     "loop_domains": ([(counting, "loop_domains")], domains_ignoring_loops),
     "_EdgeWalk": ([(holonomy._EdgeWalk, "join")], join_that_never_grows),
+    "generate_subgroup": ([(holonomy, "generate_subgroup")], subgroup_without_last_generator),
 }
 
 
@@ -71,62 +83,85 @@ def sharing_table() -> dict[str, tuple[set[str], set[str], bool]]:
     that avoid it, whether it is exempt from a mutation row)."""
     rows = {}
     for line in README.read_text(encoding="utf-8").splitlines():
-        match = re.fullmatch(r"\| `(\w+)` \| ([\w, ]+) \| ([\w, ]+) \| (.*) \|", line)
+        match = re.fullmatch(r"\| `([\w.]+)` \| ([\w, ]+) \| ([\w, ]+) \| (.*) \|", line)
         if match:
             name, callers, avoiders, mutation = match.groups()
             rows[name] = (counter_names(callers), counter_names(avoiders), mutation.startswith("exempt"))
     return rows
 
 
-# Each helper the table names, where it is defined.
-HELPERS = {
-    "touched_core": graphs.touched_core,
-    "_EdgeWalk": holonomy._EdgeWalk,
-    "fixed_set": groups.fixed_set,
-    "loop_domains": graphs.loop_domains,
-    "check_action": graphs.check_action,
-}
+@functools.cache
+def traced_reach() -> dict[types.CodeType, set[str]]:
+    """The code of each package function -> the counters that reach it on
+    the sample, from one ``sys.setprofile`` pass per counter.  Functions
+    are told apart by their code, not their names, so each runner in
+    ``COUNTERS``, a lambda, is reached by its own counter alone."""
+    reach: dict[types.CodeType, set[str]] = {}
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            reach.setdefault(frame.f_code, set()).add(running)
+
+    for running, run in COUNTERS.items():
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for inst in SAMPLE:
+                run(inst.graph, inst.action)
+        finally:
+            sys.setprofile(previous)
+    return reach
 
 
-def observed_callers(monkeypatch) -> dict[str, set[str]]:
-    """Helper -> the counters that call it on one instance with a loop, a
-    link and an untouched vertex.  Each helper is wrapped in every loaded
-    namespace that binds it."""
-    running: list[str] = []
-    callers: dict[str, set[str]] = {name: set() for name in HELPERS}
-
-    def wrap(name, fn):
-        def recorded(*args, **kwargs):
-            callers[name].add(running[-1])
-            return fn(*args, **kwargs)
-
-        return recorded
-
-    for name, fn in HELPERS.items():
-        for module in list(sys.modules.values()):
-            namespace = getattr(module, "__dict__", None)
-            if isinstance(namespace, dict):
-                for key, value in list(namespace.items()):
-                    if value is fn:
-                        monkeypatch.setitem(namespace, key, wrap(name, fn))
-    g = graphs.gain_graph(groups.build_cyclic(3), 3, [(0, 1, 1), (1, 1, 1)])
-    a = groups.regular_action(g.group)
-    for counter, run in COUNTERS.items():
-        running.append(counter)
-        run(g, a)
-    return callers
+def nested_codes(code: types.CodeType) -> set[types.CodeType]:
+    """The code and that of every function nested in it."""
+    return {code}.union(*(nested_codes(c) for c in code.co_consts if isinstance(c, types.CodeType)))
 
 
-def test_the_sharing_table_names_the_callers_of_each_helper(monkeypatch):
+def helper_codes(name: str) -> set[types.CodeType]:
+    """The code a row covers: that of the function, method or property it
+    names, or of every method and property of the class it names, with the
+    functions nested in them."""
+    head, *rest = name.split(".")
+    modules = [module for key, module in list(sys.modules.items()) if key.startswith("gainchroma.")]
+    helper = next(vars(module)[head] for module in modules if head in vars(module))
+    for attr in rest:
+        helper = vars(helper)[attr]
+    codes: set[types.CodeType] = set()
+    for member in vars(helper).values() if isinstance(helper, type) else [helper]:
+        function = getattr(member, "fget", member)  # a property's getter
+        if hasattr(function, "__code__"):
+            codes |= nested_codes(function.__code__)
+    return codes
+
+
+def where(code: types.CodeType) -> str:
+    return f"{code.co_name} at {pathlib.Path(code.co_filename).name}:{code.co_firstlineno}"
+
+
+def test_the_trace_sees_methods_properties_nested_functions_and_each_runner():
+    reach = traced_reach()
+    assert {code.co_name for code in helper_codes("_EdgeWalk") if code in reach} == {"__init__", "join", "run", "descend"}
+    assert reach[graphs.Edge.is_loop.fget.__code__] == {"brute", "delcon", "elim"}
+    assert [reach[run.__code__] for run in COUNTERS.values()] == [{name} for name in COUNTERS]
+
+
+def test_every_function_two_counters_reach_has_a_row():
+    covered = set().union(*map(helper_codes, sharing_table()))
+    shared = [code for code, counters in traced_reach().items() if len(counters) >= 2]
+    assert {where(code) for code in shared if code not in covered} == set()
+
+
+def test_the_sharing_table_names_the_callers_of_each_helper():
     table = sharing_table()
-    assert set(table) == set(HELPERS)
-    observed = observed_callers(monkeypatch)
-    assert {name: row[0] for name, row in table.items()} == observed
+    reach = traced_reach()
     for name, (callers, avoiders, exempt) in table.items():
+        observed = set().union(*(reach.get(code, set()) for code in helper_codes(name)))
+        assert callers == observed, name
+        assert len(callers) >= 2, f"{name} feeds at most one counter, so it needs no row"
         assert avoiders == set(COUNTERS) - callers, name
         assert exempt or avoiders, f"{name} feeds every counter, so no counter checks it"
-    shared = {name for name, (callers, _, exempt) in table.items() if len(callers) >= 2 and not exempt}
-    assert shared == set(MUTATIONS)
+    assert {name for name, (_, _, exempt) in table.items() if not exempt} == set(MUTATIONS)
 
 
 def test_the_families_are_the_counters_joined_by_shared_helpers():
