@@ -189,7 +189,7 @@ _SIGN_CHARS = {"+": 1, "-": -1, "−": -1}
 
 
 def _read_sign(sign, slot: str) -> int:
-    _expect(isinstance(sign, str) and sign in _SIGN_CHARS, slot, "sign must be '+' or '-'")
+    _expect(isinstance(sign, str) and sign in _SIGN_CHARS, slot, "sign must be '+', '-' or '−' (U+2212)")
     return _SIGN_CHARS[sign]
 
 
@@ -277,19 +277,7 @@ def _int_list(text: str) -> list[int]:
         raise InstanceError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _budget(option: str, value: int | None) -> int | None:
-    """The value of a work budget option; a negative budget is an invalid
-    argument."""
-    if value is not None and value < 0:
-        raise ValueError(f"{option} must be at least 0, got {value}")
-    return value
-
-
 def cmd_count(args) -> int:
-    bounds = {
-        "max_states": _budget("--max-states", args.max_states),
-        "max_subsets": _budget("--max-subsets", args.max_subsets),
-    }
     inst = load_instance(args.file)
     action = _combined_action(inst, _int_list(args.mults) if args.mults else None)
     with _any_length_ints():
@@ -297,7 +285,7 @@ def cmd_count(args) -> int:
         lines = []
         started = time.perf_counter()
         if args.method == "all":
-            outcome = verify_all(inst.graph, action, **bounds)
+            outcome = verify_all(inst.graph, action)
             for name, result in outcome.results.items():
                 report[name] = {"value": result.value, "stats": result.stats}
                 lines.append(f"{name}: {result.value}")
@@ -315,7 +303,7 @@ def cmd_count(args) -> int:
             else:  # every counter refused, so there is nothing to compare
                 exit_code = EXIT_BOUND
         else:
-            result = COUNTERS[args.method](inst.graph, action, **bounds)
+            result = COUNTERS[args.method](inst.graph, action)
             report["value"] = result.value
             report["stats"] = result.stats
             lines.append(f"{args.method}: {result.value}")
@@ -425,11 +413,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_potts(args) -> int:
-    max_states = _budget("--max-states", args.max_states)
     inst = load_instance(args.file)
     if inst.signed is None:
         raise InstanceError("instance: missing 'signed_graph' block required by potts")
-    encoded, direct = potts_routes(inst.signed, inst.group, max_states=max_states)
+    encoded, direct = potts_routes(inst.signed, inst.group)
     agree = encoded == direct
     report = {
         "command": "potts",
@@ -497,9 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--mults", default="", help="comma list of part multiplicities")
-    # None: the counters read counting's budgets when they run
-    p.add_argument("--max-states", type=int, default=None, dest="max_states")
-    p.add_argument("--max-subsets", type=int, default=None, dest="max_subsets")
     add_json(p)
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.set_defaults(run=cmd_count)
@@ -529,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potts", help="count satisfied Potts states")
     p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=None, dest="max_states")
     add_json(p)
     p.set_defaults(run=cmd_potts)
 

@@ -14,11 +14,13 @@ The counters are deliberately independent routes to the same number:
 ``count_auto`` runs the first of elim, brute and inclexcl that is within
 its bounds.  ``FAMILY`` sorts the counters by the helpers they share, and
 ``MethodReport.cross_checked`` asks for agreement across both families.
-``lattice_sum`` is mobius's fold over the closed-set lattice; the
-polynomials in ``polynomials`` run the same fold, with polynomial factors,
-over ``holonomy.subset_terms``, which groups the edge subsets as the
-lattice groups the closed sets.  All arithmetic is exact integer
-arithmetic.
+``lattice_sum`` is mobius's fold over the closed-set lattice;
+``polynomials.grand_polynomial`` and ``regular_plus_zeroes`` run the same
+fold, with polynomial factors, over ``holonomy.subset_terms``, which groups
+the edge subsets as the lattice groups the closed sets, and
+``chromatic_polynomial`` and ``zero_free_polynomial`` add the same terms
+up as int coefficients, without ``lattice_sum``.  All arithmetic is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ class CountResult:
     stats: dict[str, int]
 
 
-# The default work budgets: the most states or elimination transitions
-# (brute, elim) and edge subsets (inclexcl) a counter takes on.  A budget
-# keyword left at None reads them at call time.
+# The work budgets: the most states or elimination transitions (brute,
+# elim) and edge subsets (inclexcl) a counter takes on, read when it runs.
 STATE_BUDGET = 10**8
 SUBSET_BUDGET = 2**22
 
@@ -56,7 +57,7 @@ DELCON_LINK_LIMIT = 400
 DELCON_CALL_LIMIT = 10**6
 
 
-def count_brute(g: GainGraph, a: SpinAction, max_states: int | None = None) -> CountResult:
+def count_brute(g: GainGraph, a: SpinAction) -> CountResult:
     """Count states with no satisfied edge by backtracking enumeration.
 
     A partial state is abandoned as soon as any edge among the assigned
@@ -70,12 +71,10 @@ def count_brute(g: GainGraph, a: SpinAction, max_states: int | None = None) -> C
     per vertex, so ``BRUTE_VERTEX_LIMIT`` caps the vertices.
     """
     check_action(g, a)
-    if max_states is None:
-        max_states = STATE_BUDGET
     n = g.vertex_count
     m = a.size
-    if m**n > max_states:
-        raise BoundExceeded(f"{m}**{n} states exceed the brute-force limit {max_states}")
+    if m**n > STATE_BUDGET:
+        raise BoundExceeded(f"{m}**{n} states exceed the brute-force limit {STATE_BUDGET}")
     if m and n > BRUTE_VERTEX_LIMIT:
         raise BoundExceeded(f"{n} vertices exceed the brute-force depth limit {BRUTE_VERTEX_LIMIT}")
     if n == 0:
@@ -236,7 +235,7 @@ def lattice_sum(lattice: ClosedSetLattice | SubsetTerms, factor: Callable[[froze
     return total
 
 
-def count_inclexcl(g: GainGraph, a: SpinAction, max_subsets: int | None = None) -> CountResult:
+def count_inclexcl(g: GainGraph, a: SpinAction) -> CountResult:
     """Count by inclusion-exclusion over all edge subsets: each subset
     contributes (-1)**|A| times the product of holonomy fixed counts over its
     components, times |Q| per vertex it leaves isolated.
@@ -245,11 +244,9 @@ def count_inclexcl(g: GainGraph, a: SpinAction, max_subsets: int | None = None) 
     those the walk reached, the others cancelling in pairs.
     """
     check_action(g, a)
-    if max_subsets is None:
-        max_subsets = SUBSET_BUDGET
     m = len(g.edges)
-    if 2**m > max_subsets:
-        raise BoundExceeded(f"2**{m} subsets exceed the inclusion-exclusion limit {max_subsets}")
+    if 2**m > SUBSET_BUDGET:
+        raise BoundExceeded(f"2**{m} subsets exceed the inclusion-exclusion limit {SUBSET_BUDGET}")
     total, leaves = signed_subset_sum(g, lambda h: len(fixed_set(a, h)))
     return CountResult(total, {"subsets": 1 << m, "leaves": leaves})
 
@@ -334,7 +331,7 @@ def _elim_order(g: GainGraph) -> tuple[list[tuple[int, set[int]]], list[int]]:
 # The most keys an elimination table may hold.  An entry, an int key and an
 # int count, takes about 104 bytes (measured with tracemalloc on tables of
 # 2**18 keys; tuple keys took 160-256), and two tables are alive at once, so
-# this keeps count_elim's tables near 52 MB whatever ``max_states`` says.
+# this keeps count_elim's tables near 52 MB; ``STATE_BUDGET`` bounds its work.
 ELIM_TABLE_LIMIT = 2**18
 
 
@@ -369,7 +366,7 @@ def _elim_pins(steps: list[tuple[int, set[int]]], sizes: list[int], q: int) -> s
     return pins
 
 
-def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> CountResult:
+def count_elim(g: GainGraph, a: SpinAction) -> CountResult:
     """Count by a transfer matrix along ``_elim_order``'s vertex order.
 
     The table maps the spins of the frontier (placed vertices with an
@@ -380,7 +377,7 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> Co
     frontier, and the work is at most the sum over steps of
     |Q|**(frontier + 1).  Before any
     table is built, the first is checked against ``ELIM_TABLE_LIMIT`` and
-    the second against ``max_states``, the same budget as brute's |Q|**|V|.
+    the second against ``STATE_BUDGET``, the same budget as brute's |Q|**|V|.
 
     A key is one int.  Each frontier vertex owns a slot of b bits, enough
     for any spin, from the step that places it to the one that retires it;
@@ -407,8 +404,6 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> Co
     over the steps, and ``stats["peak_states"]`` the largest table.
     """
     check_action(g, a)
-    if max_states is None:
-        max_states = STATE_BUDGET
     n = g.vertex_count
     q = a.size
     steps, sizes = _elim_order(g)
@@ -416,8 +411,8 @@ def count_elim(g: GainGraph, a: SpinAction, max_states: int | None = None) -> Co
     if q**width > ELIM_TABLE_LIMIT:
         raise BoundExceeded(f"{q}**{width} frontier states exceed the elimination table limit {ELIM_TABLE_LIMIT}")
     work = sum(q ** (f + 1) for f in sizes)
-    if work > max_states:
-        raise BoundExceeded(f"{work} elimination transitions exceed the limit {max_states}")
+    if work > STATE_BUDGET:
+        raise BoundExceeded(f"{work} elimination transitions exceed the limit {STATE_BUDGET}")
     pins = _elim_pins(steps, sizes, q)
     class_size = {spins[0]: len(spins) for spins in stabilizer_classes(a)} if pins else {}
     act = a.act
@@ -565,16 +560,15 @@ class MethodReport:
         return values.pop() if len(values) == 1 else None
 
 
-# Counter name -> runner, in report order.  A runner takes the graph, the
-# action and verify_all's budget keywords, None for the module's budgets.
-# The runners are lambdas so that each call looks count_* up in this
-# module's globals, where perfbench's tracer rebinds them.
+# Counter name -> runner, in report order.  A runner takes the graph and
+# the action.  The runners are lambdas so that each call looks count_* up in
+# this module's globals, where perfbench's tracer rebinds them.
 COUNTERS = {
-    "brute": lambda g, a, max_states=None, **_: count_brute(g, a, max_states=max_states),
-    "delcon": lambda g, a, **_: count_delcon(g, a),
-    "inclexcl": lambda g, a, max_subsets=None, **_: count_inclexcl(g, a, max_subsets=max_subsets),
-    "mobius": lambda g, a, **_: count_mobius(g, a),
-    "elim": lambda g, a, max_states=None, **_: count_elim(g, a, max_states=max_states),
+    "brute": lambda g, a: count_brute(g, a),
+    "delcon": lambda g, a: count_delcon(g, a),
+    "inclexcl": lambda g, a: count_inclexcl(g, a),
+    "mobius": lambda g, a: count_mobius(g, a),
+    "elim": lambda g, a: count_elim(g, a),
 }
 
 # Counter name -> its family.  Brute and elim share ``graphs.loop_domains``,
@@ -584,14 +578,13 @@ COUNTERS = {
 FAMILY = {"brute": "states", "delcon": "subsets", "inclexcl": "subsets", "mobius": "subsets", "elim": "states"}
 
 
-def verify_all(g: GainGraph, a: SpinAction, max_states: int | None = None, max_subsets: int | None = None) -> MethodReport:
+def verify_all(g: GainGraph, a: SpinAction) -> MethodReport:
     """Run every counter in ``COUNTERS`` and report agreement; counters
-    that overrun their bounds are recorded instead of raising.  A budget
-    left at None is the module's, read when each counter runs."""
+    that overrun their bounds are recorded instead of raising."""
     report = MethodReport()
     for name, run in COUNTERS.items():
         try:
-            report.results[name] = run(g, a, max_states=max_states, max_subsets=max_subsets)
+            report.results[name] = run(g, a)
         except BoundExceeded as exc:
             report.errors[name] = str(exc)
     return report

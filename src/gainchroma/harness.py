@@ -1,11 +1,14 @@
 """Seeded random instances and the invariant suite behind ``verify``.
 
 The generator draws the group from Z2, Z3, Z4, S3, builds a multigraph with
-at most 5 vertices and 8 edges (loops and parallel edges allowed), and picks
-a spin action from the stock constructors, with multiplicities capped so the
-brute-force counter stays cheap.  Roughly a quarter of the instances are
-balanced by construction (identity gains, then a random switching) so the
-balance checks get exercised.
+at most ``max_vertices`` vertices and ``max_edges`` edges (loops and parallel
+edges allowed; ``run_suite`` defaults to 5 and 8, and ``verify
+--max-vertices/--max-edges`` raise them up to ``VERTEX_LIMIT`` and
+``LATTICE_EDGE_LIMIT``), and picks a spin action from the stock
+constructors, with multiplicities capped so the brute-force counter stays
+cheap.  Roughly a quarter of the instances are balanced by construction
+(identity gains, then a random switching) so the balance checks get
+exercised.
 """
 
 from __future__ import annotations

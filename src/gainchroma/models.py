@@ -69,12 +69,12 @@ def potts_direct_count(signed: SignedGraph, spin_count: int) -> int:
     return _count_states(signed.vertex_count, spin_count, constraints)
 
 
-def potts_routes(signed: SignedGraph, group: FiniteGroup, max_states: int | None = None) -> tuple[int, int]:
+def potts_routes(signed: SignedGraph, group: FiniteGroup) -> tuple[int, int]:
     """The number of satisfied Potts states through the gain-graph encoding,
-    counted by brute force within ``max_states`` (``counting.STATE_BUDGET``
-    when None), and the number the direct evaluator gives."""
+    counted by brute force within ``counting.STATE_BUDGET``, and the number
+    the direct evaluator gives."""
     phi = potts_gain_graph(signed, group)
-    encoded = count_brute(phi, regular_action(group), max_states=max_states).value
+    encoded = count_brute(phi, regular_action(group)).value
     return encoded, potts_direct_count(signed, group.order)
 
 

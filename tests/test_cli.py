@@ -235,11 +235,10 @@ class TestCountCommand:
     def test_missing_file_exit(self, capsys):
         assert main(["count", "/nonexistent/path.json"]) == EXIT_PARSE
 
-    def test_bound_exit(self, tmp_path, capsys):
-        assert (
-            main(["count", write(tmp_path, DIGON), "--method", "brute", "--max-states", "1"])
-            == EXIT_BOUND
-        )
+    def test_bound_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "STATE_BUDGET", 1)
+        assert main(["count", write(tmp_path, DIGON), "--method", "brute"]) == EXIT_BOUND
+        assert capsys.readouterr().err == "error: 2**2 states exceed the brute-force limit 1\n"
 
     @pytest.mark.parametrize("spin", [{"kind": "regular"}, {"kind": "subsets"}])
     def test_a_huge_symmetric_group_exits_3(self, spin, tmp_path, capsys):
@@ -249,14 +248,16 @@ class TestCountCommand:
         assert captured.out == ""
         assert captured.err == "error: symmetric group on 1000000000 points has order over the limit 5040\n"
 
-    @pytest.mark.parametrize("bound", [[], ["--max-states", "1000"]])
-    def test_elim_bound_exits_3_without_traceback(self, bound, tmp_path, capsys):
+    @pytest.mark.parametrize("bound", [{}, {"STATE_BUDGET": 1000}])
+    def test_elim_bound_exits_3_without_traceback(self, bound, tmp_path, capsys, monkeypatch):
+        for name, value in bound.items():
+            monkeypatch.setattr(counting, name, value)
         k12 = {
             "group": {"kind": "symmetric", "d": 3},
             "spins": [{"kind": "standard_colors", "k": 1}],
             "graph": {"vertices": 12, "edges": [[u, v, (u + v) % 6] for u in range(12) for v in range(u + 1, 12)]},
         }
-        assert main(["count", write(tmp_path, k12), "--method", "elim", *bound]) == EXIT_BOUND
+        assert main(["count", write(tmp_path, k12), "--method", "elim"]) == EXIT_BOUND
         err = capsys.readouterr().err
         assert err.startswith("error:") and "elimination" in err and "Traceback" not in err
 
@@ -795,6 +796,13 @@ class TestPottsAndSetcolor:
 
 
 class TestSignedEdges:
+    def test_bad_sign_names_every_accepted_spelling(self, tmp_path, capsys):
+        payload = dict(POTTS, signed_graph={"vertices": 2, "edges": [[0, 1, "*"]]})
+        assert main(["potts", write(tmp_path, payload)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: signed_graph.edges[0]: sign must be '+', '-' or '−' (U+2212)\n"
+
     @pytest.mark.parametrize("edge", [[True, False, "+"], [0, 1, ["+"]]])
     def test_bad_edge_is_a_parse_error(self, edge, tmp_path, capsys):
         payload = dict(POTTS, signed_graph={"vertices": 2, "edges": [edge]})
@@ -819,27 +827,21 @@ class TestInvalidArguments:
         assert main(argv) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize(
-        "argv, option",
-        [
-            (["count", "DIGON", "--max-subsets", "-1"], "--max-subsets"),
-            (["count", "DIGON", "--max-states=-1"], "--max-states"),
-            (["count", "DIGON", "--method", "brute", "--max-states", "-1"], "--max-states"),
-            (["count", "DIGON", "--method", "inclexcl", "--max-subsets", "-1"], "--max-subsets"),
-            (["potts", "POTTS", "--max-states", "-1"], "--max-states"),
-        ],
-    )
-    def test_negative_budget_exits_2_before_any_counter(self, argv, option, tmp_path, capsys, monkeypatch):
+    def test_budget_options_are_gone_and_exit_2_before_any_counter(self, tmp_path, capsys, monkeypatch):
+        # the work budgets are fixed limits, which no option sets
         def refuse(*args, **kwargs):
-            raise AssertionError("a counter ran before the budget was checked")
+            raise AssertionError("a counter ran")
 
         monkeypatch.setattr(cli, "verify_all", refuse)
         monkeypatch.setattr(cli, "potts_routes", refuse)
         monkeypatch.setattr(cli, "COUNTERS", dict.fromkeys(COUNTERS, refuse))
-        files = {"DIGON": DIGON, "POTTS": POTTS}
-        argv = [write(tmp_path, files[a]) if a in files else a for a in argv]
-        assert main(argv) == EXIT_PARSE
-        assert capsys.readouterr().err == f"error: {option} must be at least 0, got -1\n"
+        file = write(tmp_path, POTTS)
+        for command, option in [("count", "--max-states"), ("count", "--max-subsets"), ("potts", "--max-states")]:
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, file, option, "1"])
+            assert exit_info.value.code == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: unrecognized arguments: {option} 1\n")
 
     @pytest.mark.parametrize(
         "changes",

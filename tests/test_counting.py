@@ -87,10 +87,11 @@ class TestBruteForce:
         assert naive_count(g, standard_colors(Z2, 1)) == 4
         assert count_brute(g, standard_colors(Z2, 1)).value == 4
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
         g = gain_graph(Z2, 4, [])
-        with pytest.raises(BoundExceeded):
-            count_brute(g, standard_colors(Z2, 2), max_states=100)
+        monkeypatch.setattr(counting, "STATE_BUDGET", 100)
+        with pytest.raises(BoundExceeded, match=r"^5\*\*4 states exceed the brute-force limit 100$"):
+            count_brute(g, standard_colors(Z2, 2))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -242,10 +243,11 @@ class TestInclusionExclusion:
     def test_digon_regular(self):
         assert count_inclexcl(digon(), regular_action(Z2)).value == 0
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
         g = gain_graph(Z2, 2, [(0, 1, 0)] * 5)
-        with pytest.raises(BoundExceeded):
-            count_inclexcl(g, regular_action(Z2), max_subsets=16)
+        monkeypatch.setattr(counting, "SUBSET_BUDGET", 16)
+        with pytest.raises(BoundExceeded, match=r"^2\*\*5 subsets exceed the inclusion-exclusion limit 16$"):
+            count_inclexcl(g, regular_action(Z2))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -346,10 +348,11 @@ class TestVerifyAll:
             assert report.agree and not report.errors
             assert report.value == naive_count(g, a)
 
-    def test_reports_bound_overruns(self):
+    def test_reports_bound_overruns(self, monkeypatch):
         g = gain_graph(Z2, 5, [])
-        report = verify_all(g, standard_colors(Z2, 3), max_states=10)
-        assert "brute" in report.errors
+        monkeypatch.setattr(counting, "STATE_BUDGET", 10)
+        report = verify_all(g, standard_colors(Z2, 3))
+        assert report.errors["brute"] == "7**5 states exceed the brute-force limit 10"
         assert report.agree  # the remaining methods still agree
 
     def test_only_agreement_across_both_families_is_a_cross_check(self):
@@ -518,7 +521,7 @@ class TestElimination:
             assert (result.value, result.stats) == oracle_elim(g, action)
             assert result.stats == {"width": 1, "peak_states": 1, "transitions": 0}
 
-    def test_bound_is_checked_before_any_table(self):
+    def test_bound_is_checked_before_any_table(self, monkeypatch):
         class Untouchable:
             def __getitem__(self, index):
                 raise AssertionError("a spin was looked up before the bound was checked")
@@ -529,17 +532,20 @@ class TestElimination:
         with pytest.raises(BoundExceeded):
             count_elim(k12, action)
         fake = type("Spins", (), {"group": S3, "size": 7, "act": Untouchable()})()
-        with pytest.raises(BoundExceeded):
-            count_elim(k12, fake, max_states=7**10)
+        monkeypatch.setattr(counting, "STATE_BUDGET", 7**10)
+        with pytest.raises(BoundExceeded, match="elimination table limit"):
+            count_elim(k12, fake)
 
-    def test_table_limit_holds_whatever_max_states_says(self):
+    def test_table_limit_holds_whatever_max_states_says(self, monkeypatch):
+        # a work budget far past any table still leaves the table limit
         k10 = gain_graph(Z3, 10, [(u, v, 0) for u in range(10) for v in range(u + 1, 10)])
         action = trivial_action(Z3, 5)
         assert 5**9 > counting.ELIM_TABLE_LIMIT
+        monkeypatch.setattr(counting, "STATE_BUDGET", 10**30)
         with pytest.raises(BoundExceeded, match="table limit"):
-            count_elim(k10, action, max_states=10**30)
+            count_elim(k10, action)
 
-    def test_work_is_checked_against_max_states_before_any_table(self):
+    def test_work_is_checked_against_max_states_before_any_table(self, monkeypatch):
         class Untouchable:
             def __getitem__(self, index):
                 raise AssertionError("a spin was looked up before the bound was checked")
@@ -549,8 +555,9 @@ class TestElimination:
         fake = type("Spins", (), {"group": Z3, "size": 3, "act": Untouchable()})()
         # every frontier is at most 2 wide, so the table limit passes, and the
         # work, more than 3 transitions per vertex, does not
-        with pytest.raises(BoundExceeded, match="transitions"):
-            count_elim(cycle, fake, max_states=3 * n)
+        monkeypatch.setattr(counting, "STATE_BUDGET", 3 * n)
+        with pytest.raises(BoundExceeded, match=f"elimination transitions exceed the limit {3 * n}$"):
+            count_elim(cycle, fake)
 
     @pytest.mark.parametrize("shape", ["cycle", "star"])
     def test_vertex_limit_sized_sparse_graphs(self, shape):
@@ -796,7 +803,7 @@ class TestCountAuto:
     def test_falls_back_when_elim_is_over_its_bounds(self, monkeypatch):
         chosen = self.record_choices(monkeypatch)
         # K10 with 5 colours: 5**9 frontier states pass the table limit,
-        # while brute's 5**10 states are within max_states
+        # while brute's 5**10 states are within STATE_BUDGET
         k10 = gain_graph(Z3, 10, [(u, v, 0) for u in range(10) for v in range(u + 1, 10)])
         assert count_auto(k10, trivial_action(Z3, 5)) == 0
         assert chosen == ["elim", "brute"]

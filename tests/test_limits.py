@@ -1,7 +1,8 @@
 """Every size limit lives in one module constant.  The only ``max_*``
-keywords a caller may set are the counters' work budgets and the sizes of
-the harness's random instances, and the budgets' defaults are written once,
-in ``counting.STATE_BUDGET`` and ``counting.SUBSET_BUDGET``."""
+keywords a caller may set are the sizes of the harness's random instances,
+and the counters' work budgets are written once, in
+``counting.STATE_BUDGET`` and ``counting.SUBSET_BUDGET``, which each counter
+reads when it runs."""
 
 import ast
 import inspect
@@ -13,9 +14,7 @@ import pytest
 
 from gainchroma import cli, counting, graphs, groups, harness, holonomy, models, polynomials
 
-BUDGETS = {"max_states", "max_subsets"}
 GENERATOR_SIZES = {"max_vertices", "max_edges"}
-BUDGETED = {"verify_all", "potts_routes"}
 
 
 def _callables():
@@ -26,36 +25,38 @@ def _callables():
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
             if inspect.isfunction(obj):
-                yield f"{module.__name__}.{name}", name, obj
+                yield f"{module.__name__}.{name}", obj
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
                     member = getattr(member, "__func__", member)
                     if inspect.isfunction(member):
-                        yield f"{module.__name__}.{name}.{attr}", attr, member
+                        yield f"{module.__name__}.{name}.{attr}", member
     for method, run in counting.COUNTERS.items():
-        yield f"COUNTERS[{method!r}]", "count_" + method, run
-
-
-def _allowed(module_name: str, name: str) -> set[str]:
-    if name.startswith("count_") or name in BUDGETED:
-        return BUDGETS
-    if module_name.startswith("gainchroma.harness."):
-        return GENERATOR_SIZES
-    return set()
+        yield f"COUNTERS[{method!r}]", run
 
 
 def test_only_budgets_and_generator_sizes_are_keywords():
-    seen = {qualified: func for qualified, _, func in _callables()}
+    # the budgets are constants: only the harness's generator sizes are keywords
+    seen = dict(_callables())
     # the walk reaches private helpers, methods and the counter runners
     assert {"gainchroma.polynomials._univariate", "gainchroma.polynomials.MultiPoly.__mul__"} <= set(seen)
-    assert "max_subsets" in inspect.signature(seen["COUNTERS['inclexcl']"]).parameters
+    assert "COUNTERS['inclexcl']" in seen
     found = {}
-    for qualified, name, func in _callables():
-        limits = {p for p in inspect.signature(func).parameters if p.startswith("max_")}
-        extra = limits - _allowed(qualified, name)
+    for qualified, func in seen.items():
+        allowed = GENERATOR_SIZES if qualified.startswith("gainchroma.harness.") else set()
+        extra = {p for p in inspect.signature(func).parameters if p.startswith("max_")} - allowed
         if extra:
             found[qualified] = sorted(extra)
     assert found == {}
+
+
+def test_the_counters_take_the_graph_and_the_action_only():
+    runners = {f"COUNTERS[{name!r}]": run for name, run in counting.COUNTERS.items()}
+    names = [f"count_{name}" for name in counting.COUNTERS] + ["verify_all"]
+    counters = {name: getattr(counting, name) for name in names}
+    signatures = {name: list(inspect.signature(func).parameters) for name, func in {**runners, **counters}.items()}
+    assert signatures == dict.fromkeys(signatures, ["g", "a"])
+    assert list(inspect.signature(models.potts_routes).parameters) == ["signed", "group"]
 
 
 BUDGET_CONSTANTS = {"STATE_BUDGET", "SUBSET_BUDGET"}
@@ -97,12 +98,8 @@ def test_the_budget_defaults_are_written_once():
 
 
 def test_the_command_line_budgets_default_to_the_constants(tmp_path, capsys, monkeypatch):
-    # the options default to None, and the counters read the constants
-    # when they run, so a patched constant reaches the command line
-    parser = cli.build_parser()
-    count = parser.parse_args(["count", "instance.json"])
-    potts = parser.parse_args(["potts", "instance.json"])
-    assert (count.max_states, count.max_subsets, potts.max_states) == (None, None, None)
+    # no option sets a budget, and the counters read the constants when
+    # they run, so a patched constant reaches the command line
     path = tmp_path / "instance.json"
     path.write_text(
         '{"group": {"kind": "cyclic", "n": 3}, "spins": [{"kind": "regular"}],'
@@ -134,8 +131,7 @@ def test_a_patched_budget_reaches_every_budgeted_counter(monkeypatch):
     assert report.agree and sorted(report.results) == ["delcon", "inclexcl", "mobius"]
     monkeypatch.setattr(counting, "SUBSET_BUDGET", 4)
     assert sorted(counting.verify_all(g, action).errors) == ["brute", "elim", "inclexcl"]
-    # an explicit budget still wins over the constant
-    assert sorted(counting.verify_all(g, action, max_states=10**3, max_subsets=8).errors) == []
+    assert "limit 4" in counting.verify_all(g, action).errors["inclexcl"]
 
 
 def test_inclexcl_runs_on_every_suite_instance():
