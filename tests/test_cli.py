@@ -827,7 +827,17 @@ class TestInvalidArguments:
         assert main(argv) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_budget_options_are_gone_and_exit_2_before_any_counter(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["count", "DIGON", "--max-subsets", "-1"], "--max-subsets"),
+            (["count", "DIGON", "--max-states=-1"], "--max-states"),
+            (["count", "DIGON", "--method", "brute", "--max-states", "-1"], "--max-states"),
+            (["count", "DIGON", "--method", "inclexcl", "--max-subsets", "-1"], "--max-subsets"),
+            (["potts", "POTTS", "--max-states", "-1"], "--max-states"),
+        ],
+    )
+    def test_negative_budget_exits_2_before_any_counter(self, argv, option, tmp_path, capsys, monkeypatch):
         # the work budgets are fixed limits, which no option sets
         def refuse(*args, **kwargs):
             raise AssertionError("a counter ran")
@@ -835,13 +845,19 @@ class TestInvalidArguments:
         monkeypatch.setattr(cli, "verify_all", refuse)
         monkeypatch.setattr(cli, "potts_routes", refuse)
         monkeypatch.setattr(cli, "COUNTERS", dict.fromkeys(COUNTERS, refuse))
-        file = write(tmp_path, POTTS)
-        for command, option in [("count", "--max-states"), ("count", "--max-subsets"), ("potts", "--max-states")]:
-            with pytest.raises(SystemExit) as exit_info:
-                main([command, file, option, "1"])
-            assert exit_info.value.code == EXIT_PARSE
-            err = capsys.readouterr().err
-            assert err.endswith(f"error: unrecognized arguments: {option} 1\n")
+        files = {"DIGON": DIGON, "POTTS": POTTS}
+        argv = [write(tmp_path, files[a]) if a in files else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_PARSE
+        unrecognized = " ".join(argv[next(i for i, a in enumerate(argv) if a.startswith(option)) :])
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
+
+    def test_positive_budget_option_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["count", write(tmp_path, DIGON), "--max-states", "1"])
+        assert exit_info.value.code == EXIT_PARSE
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --max-states 1\n")
 
     @pytest.mark.parametrize(
         "changes",
