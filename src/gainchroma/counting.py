@@ -62,13 +62,17 @@ def count_brute(g: GainGraph, a: SpinAction) -> CountResult:
 
     A partial state is abandoned as soon as any edge among the assigned
     vertices is satisfied, so only the bound |Q|**|V| is checked up front.
-    Each vertex tries only its ``graphs.loop_domains`` spins.  At each
-    search node the spins that the edges back to assigned vertices forbid
-    are one int bitmask, and the last vertex is counted, not
-    descended into: the popcount of its allowed spins minus the forbidden
-    ones.  ``stats["states_visited"]`` still counts every spin tried at
-    every vertex, the last one included.  With any spin it recurses once
-    per vertex, so ``BRUTE_VERTEX_LIMIT`` caps the vertices.
+    Each vertex tries only its ``graphs.loop_domains`` spins.  Once the
+    bounds pass, each vertex v gets one row per lower neighbour u, shared
+    by their parallel edges: ``row[s]`` is the mask of spins that u's edges
+    forbid v when u has spin s.  At each search node the forbidden spins
+    are the OR of the rows at the assigned spins, and the search stops at
+    the penultimate vertex: the last vertex's mask of spins the vertices
+    below it leave free is built once per node, and each spin the
+    penultimate vertex may take adds the popcount of that mask minus its
+    row at that spin.  ``stats["states_visited"]`` still counts every spin
+    tried at every vertex, the last one included.  With any spin it
+    recurses once per vertex, so ``BRUTE_VERTEX_LIMIT`` caps the vertices.
     """
     check_action(g, a)
     n = g.vertex_count
@@ -79,17 +83,26 @@ def count_brute(g: GainGraph, a: SpinAction) -> CountResult:
         raise BoundExceeded(f"{n} vertices exceed the brute-force depth limit {BRUTE_VERTEX_LIMIT}")
     if n == 0:
         return CountResult(1, {"states_visited": 0})
-    act = a.act
-    inv = g.group.inv
     allowed = loop_domains(g, a)
-    constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    last = n - 1
+    free_last = sum(1 << q for q in allowed[last])
+    if n == 1:
+        return CountResult(free_last.bit_count(), {"states_visited": len(allowed[last])})
+    inv = g.group.inv
+    gains: list[dict[int, set[int]]] = [{} for _ in range(n)]  # v -> lower neighbour -> gains towards v
     for e in g.edges:
         if e.u < e.v:
-            constraints[e.v].append((e.u, e.gain))
+            gains[e.v].setdefault(e.u, set()).add(e.gain)
         elif e.u > e.v:
-            constraints[e.u].append((e.v, inv[e.gain]))
-    last = n - 1
-    last_mask = sum(1 << q for q in allowed[last])
+            gains[e.u].setdefault(e.v, set()).add(inv[e.gain])
+    rows = [
+        [(u, [sum(1 << x for x in {image[h] for h in hs}) for image in a.act]) for u, hs in lower.items()]
+        for lower in gains
+    ]
+    pen = n - 2
+    pen_row = next((row for u, row in rows[last] if u == pen), [0] * m)
+    last_rows = [(u, row) for u, row in rows[last] if u != pen]
+    per_last = len(allowed[last])
     assigned = [0] * n
     total = 0
     visited = 0
@@ -97,11 +110,17 @@ def count_brute(g: GainGraph, a: SpinAction) -> CountResult:
     def descend(v: int):
         nonlocal total, visited
         forbidden = 0
-        for u, phi in constraints[v]:
-            forbidden |= 1 << act[assigned[u]][phi]
+        for u, row in rows[v]:
+            forbidden |= row[assigned[u]]
         visited += len(allowed[v])
-        if v == last:
-            total += (last_mask & ~forbidden).bit_count()
+        if v == pen:
+            free = free_last
+            for u, row in last_rows:
+                free &= ~row[assigned[u]]
+            for q in allowed[v]:
+                if not forbidden >> q & 1:
+                    visited += per_last
+                    total += (free & ~pen_row[q]).bit_count()
             return
         for q in allowed[v]:
             if not forbidden >> q & 1:
@@ -125,23 +144,27 @@ def _contract(minor: Minor, i: int, group: FiniteGroup) -> Minor:
     ``graphs.contract_link`` contracts it: the absorbed endpoint v is
     switched by gain(i)**-1 and merged into the other endpoint u, every
     vertex above v moves down by one, and a loop at v becomes a loop at u
-    with gain gain(i) * h * gain(i)**-1."""
+    with gain gain(i) * h * gain(i)**-1.  A loop stays a loop, so the
+    contracted triples before i are loops when those of the minor are."""
     vertex_count, edges = minor
     u, v, h = edges[i]
     mul = group.mul
     h_times = mul[h]  # x -> h * x, for an edge leaving v
     h_inv = group.inv[h]  # x -> x * h**-1, for an edge entering v
-    label = [w if w < v else w - 1 for w in range(vertex_count)]
-    label[v] = label[u]
+    merged = u if u < v else u - 1
     contracted = []
-    for j, (a, b, x) in enumerate(edges):
-        if j == i:
-            continue
+    for a, b, x in edges[:i] + edges[i + 1 :]:
         if a == v:
+            a = merged
             x = h_times[x]
+        elif a > v:
+            a -= 1
         if b == v:
+            b = merged
             x = mul[x][h_inv]
-        contracted.append((label[a], label[b], x))
+        elif b > v:
+            b -= 1
+        contracted.append((a, b, x))
     return vertex_count - 1, tuple(contracted)
 
 
@@ -151,11 +174,13 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     A minor is a vertex count and the (u, v, gain) triples of its edges in
     edge-id order, so the lowest-id link is the first non-loop triple:
     deletion drops it, and ``_contract`` contracts it as
-    ``graphs.contract_link`` would.  A loops-only minor is evaluated
-    directly as the product, over vertices, of |Q| minus the number of
-    spins fixed by some loop gain there: the popcount of the OR of the
-    loops' fixed-spin masks, each built once for a gain that occurs.  The
-    recursion is as deep as the graph has links, so more than
+    ``graphs.contract_link`` would.  Every triple before it is a loop, and
+    stays one in both minors, so each minor's scan for its first link
+    resumes at the index of the link just branched on.  A loops-only minor
+    is evaluated directly as the product, over vertices, of |Q| minus the
+    number of spins fixed by some loop gain there: the popcount of the OR
+    of the loops' fixed-spin masks, one per gain, built before the first
+    call.  The recursion is as deep as the graph has links, so more than
     ``DELCON_LINK_LIMIT`` are refused before the first call, and it gives
     up past ``DELCON_CALL_LIMIT`` calls.  It starts from
     ``graphs.touched_core``, the minor on the vertices some edge touches;
@@ -169,34 +194,35 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     m = a.size
     act = a.act
     group = g.group
-    fixed_mask = functools.cache(lambda h: sum(1 << q for q in range(m) if act[q][h] == q))
+    fixed_mask = [sum(1 << q for q, image in enumerate(act) if image[h] == q) for h in range(group.order)]
     calls = 0
 
     def loops_only_value(minor: Minor) -> int:
         vertex_count, edges = minor
         banned: dict[int, int] = {}
         for u, _, h in edges:
-            banned[u] = banned.get(u, 0) | fixed_mask(h)
+            banned[u] = banned.get(u, 0) | fixed_mask[h]
         value = m ** (vertex_count - len(banned))
         for mask in banned.values():
             value *= m - mask.bit_count()
         return value
 
-    def recurse(minor: Minor) -> int:
+    def recurse(minor: Minor, start: int) -> int:
         nonlocal calls
         calls += 1
         if calls > DELCON_CALL_LIMIT:
             raise BoundExceeded(f"deletion-contraction exceeded {DELCON_CALL_LIMIT} calls")
         vertex_count, edges = minor
-        for i, (u, v, _) in enumerate(edges):
+        for i in range(start, len(edges)):
+            u, v, _ = edges[i]
             if u != v:
                 deleted = vertex_count, edges[:i] + edges[i + 1 :]
-                return recurse(deleted) - recurse(_contract(minor, i, group))
+                return recurse(deleted, i) - recurse(_contract(minor, i, group), i)
         return loops_only_value(minor)
 
     core = touched_core(g)
     try:
-        value = recurse(core) * m ** (g.vertex_count - core[0])
+        value = recurse(core, 0) * m ** (g.vertex_count - core[0])
     finally:
         recurse = None  # break the closure's cycle through its own cell
     return CountResult(value, {"calls": calls})

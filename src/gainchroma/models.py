@@ -69,11 +69,26 @@ def potts_direct_count(signed: SignedGraph, spin_count: int) -> int:
     return _count_states(signed.vertex_count, spin_count, constraints)
 
 
+# The most states the direct evaluators enumerate, q**n for q spins on n
+# vertices.  They visit every state, unlike brute, which prunes, so they get
+# a limit of their own: a Potts path over Z3 took 0.08 s at 3**12 states
+# (Python 3.11, one core of a 2-core VM).
+DIRECT_STATE_LIMIT = 10**6
+
+
+def _check_direct_states(n: int, q: int):
+    if q**n > DIRECT_STATE_LIMIT:
+        raise BoundExceeded(f"{q}**{n} states exceed the direct enumeration limit {DIRECT_STATE_LIMIT}")
+
+
 def potts_routes(signed: SignedGraph, group: FiniteGroup) -> tuple[int, int]:
     """The number of satisfied Potts states through the gain-graph encoding,
     counted by brute force within ``counting.STATE_BUDGET``, and the number
-    the direct evaluator gives."""
+    the direct evaluator gives.  Once the encoded graph is built, which
+    checks the vertex count, more than ``DIRECT_STATE_LIMIT`` states are
+    refused before either route counts."""
     phi = potts_gain_graph(signed, group)
+    _check_direct_states(signed.vertex_count, group.order)
     encoded = count_brute(phi, regular_action(group)).value
     return encoded, potts_direct_count(signed, group.order)
 
@@ -101,10 +116,13 @@ SET_COLORING_K_LIMIT = 4
 
 def set_coloring_routes(template: SimpleGraph, k: int) -> tuple[int, int]:
     """The count of proper set colorations through the symmetric-group
-    expansion, and the count of the direct enumerator."""
+    expansion, and the count of the direct enumerator.  Once the expansion
+    is built, which checks the vertex count, more than
+    ``DIRECT_STATE_LIMIT`` states are refused before either route counts."""
     if k < 1:
         raise ValueError("set coloring needs k >= 1")
     if k > SET_COLORING_K_LIMIT:
         raise BoundExceeded(f"set coloring limited to k <= {SET_COLORING_K_LIMIT}")
     expansion = group_expansion(template, build_symmetric(k))
+    _check_direct_states(template.vertex_count, 1 << k)
     return count_brute(expansion, subset_action(k)).value, set_coloring_direct(template, k)

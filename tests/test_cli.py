@@ -779,6 +779,19 @@ class TestPottsAndSetcolor:
         assert captured.out == ""
         assert captured.err == f"error: vertex count 5000 exceeds limit {cli.VERTEX_LIMIT}\n"
 
+    @pytest.mark.parametrize("command", ["potts", "setcolor"])
+    def test_over_the_direct_enumeration_limit_exits_3(self, command, tmp_path, capsys):
+        if command == "potts":
+            edges = [[v, v + 1, "+"] for v in range(12)]
+            payload = dict(POTTS, signed_graph={"vertices": 13, "edges": edges})
+            argv, states = ["potts", write(tmp_path, payload)], "3**13"
+        else:
+            argv, states = ["setcolor", "--vertices", "5", "--edges", "0-1", "--k", "4"], "16**5"
+        assert main(argv) == EXIT_BOUND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {states} states exceed the direct enumeration limit 1000000\n"
+
     def test_positive_triangle(self, tmp_path, capsys):
         payload = {
             "group": {"kind": "cyclic", "n": 2},

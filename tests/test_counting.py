@@ -33,7 +33,7 @@ from gainchroma import (
     verify_all,
     zero_free_colors,
 )
-from gainchroma import SimpleGraph, contract_link, counting, harness, polynomials
+from gainchroma import SimpleGraph, contract_link, counting, graphs, harness, polynomials
 from helpers import (
     naive_count,
     oracle_brute,
@@ -186,6 +186,85 @@ def harness_instances(count=2000):
         yield harness.random_instance(random.Random(seed), 6, 9)
 
 
+def dense_instances(count=50):
+    """Instances of the shape of perfbench's count_dense workload: connected
+    multigraphs on 6 vertices with 11 edges over Z3 and S3, whose loops never
+    carry the identity, with ``standard_colors(group, 1)``."""
+    for seed in range(count):
+        rng = random.Random(f"dense:{seed}")
+        group = (Z3, S3, S3)[seed % 3]
+        triples = []
+        for v in range(1, 6):
+            pair = (rng.randrange(v), v)
+            u, w = pair if rng.random() < 0.5 else pair[::-1]
+            triples.append((u, w, rng.randrange(group.order)))
+        while len(triples) < 11:
+            u, v = rng.randrange(6), rng.randrange(6)
+            triples.append((u, v, rng.randrange(1, group.order) if u == v else rng.randrange(group.order)))
+        rng.shuffle(triples)
+        yield gain_graph(group, 6, triples), standard_colors(group, 1)
+
+
+# Brute counts the last vertex inline at the penultimate one, from one row
+# of spin masks per (vertex, lower neighbour) pair: the cases at its edges.
+BRUTE_EDGE_CASES = {
+    "one vertex": (Z3, 1, [], regular_action(Z3)),
+    "one vertex with a loop": (Z3, 1, [(0, 0, 1)], standard_colors(Z3, 1)),
+    "two vertices, no edge": (Z3, 2, [], standard_colors(Z3, 1)),
+    "two vertices, reversed link and loops": (S3, 2, [(1, 0, 4), (0, 0, 1), (1, 1, 2)], standard_colors(S3, 1)),
+    "penultimate not joined to the last": (Z3, 4, [(0, 1, 1), (1, 3, 2), (0, 2, 0), (3, 0, 1)], regular_action(Z3)),
+    "three vertices, a star on the first": (Z4, 3, [(0, 1, 1), (2, 0, 3)], standard_colors(Z4, 1)),
+    "parallel penultimate-last edges": (
+        S3,
+        3,
+        [(0, 1, 1), (1, 2, 1), (2, 1, 2), (1, 2, 4), (0, 2, 3)],
+        standard_colors(S3, 1),
+    ),
+    "empty domain at the penultimate": (Z3, 3, [(0, 1, 1), (1, 2, 2), (1, 1, 0)], regular_action(Z3)),
+    "empty domain at the last": (Z3, 3, [(0, 1, 1), (1, 2, 2), (2, 2, 0)], regular_action(Z3)),
+    "empty domain at the last, no edge to it": (Z2, 3, [(0, 1, 1), (2, 2, 1)], trivial_action(Z2, 2)),
+}
+
+
+class TestBruteFastPath:
+    @pytest.mark.parametrize("case", sorted(BRUTE_EDGE_CASES))
+    def test_edge_cases_match_the_oracle(self, case):
+        group, n, triples, action = BRUTE_EDGE_CASES[case]
+        g = gain_graph(group, n, triples)
+        result = count_brute(g, action)
+        assert (result.value, result.stats) == oracle_brute(g, action)
+
+    def test_the_edge_cases_are_what_they_say(self):
+        def domains(case):
+            group, n, triples, action = BRUTE_EDGE_CASES[case]
+            return graphs.loop_domains(gain_graph(group, n, triples), action)
+
+        assert domains("empty domain at the penultimate")[1] == []
+        assert domains("empty domain at the last")[2] == []
+        assert domains("empty domain at the last, no edge to it")[2] == []
+        _, _, triples, action = BRUTE_EDGE_CASES["parallel penultimate-last edges"]
+        gains = {h if u < v else S3.inv[h] for u, v, h in triples if {u, v} == {1, 2}}
+        assert len(gains) == 3
+        # some spin of the penultimate vertex has one image under two gains
+        assert any(len({image[h] for h in gains}) < len(gains) for image in action.act)
+
+    def test_dense_instances_match_the_oracle(self):
+        for g, action in dense_instances():
+            result = count_brute(g, action)
+            assert (result.value, result.stats) == oracle_brute(g, action), g
+
+    def test_the_bounds_are_checked_before_the_rows_are_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search was set up")
+
+        monkeypatch.setattr(counting, "loop_domains", refuse)
+        with pytest.raises(BoundExceeded, match="brute-force limit"):
+            count_brute(gain_graph(Z3, 17, [(0, 1, 1)]), regular_action(Z3))
+        n = counting.BRUTE_VERTEX_LIMIT + 1
+        with pytest.raises(BoundExceeded, match="brute-force depth limit"):
+            count_brute(gain_graph(Z3, n, [(v, v + 1, 1) for v in range(n - 1)]), trivial_action(Z3, 1))
+
+
 class TestAgainstTheGraphRecordPaths:
     """Brute and delcon run on plain ints; the oracles keep the per-node
     spin set, the recursion into the last vertex and a ``GainGraph`` per
@@ -204,6 +283,7 @@ class TestAgainstTheGraphRecordPaths:
     @pytest.mark.parametrize("group", [S3, Z4], ids=["S3", "Z4"])
     def test_light_contraction_is_contract_link(self, group):
         rng = random.Random(f"contract:{group.order}")
+        resumed = 0
         for _ in range(100):
             n = rng.randint(2, 5)
             triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(group.order)) for _ in range(rng.randint(1, 7))]
@@ -215,7 +295,21 @@ class TestAgainstTheGraphRecordPaths:
                     continue
                 c = contract_link(g, e.id)
                 expected = c.vertex_count, tuple((f.u, f.v, f.gain) for f in c.edges)
-                assert counting._contract((n, tuple(triples)), i, group) == expected
+                contracted = counting._contract((n, tuple(triples)), i, group)
+                assert contracted == expected
+                # count_delcon resumes each minor's scan for a link at the
+                # index of the link it branched on: a loop stays a loop
+                kept = triples[:i] + triples[i + 1 :]
+                assert all(a == b for (x, y, _), (a, b, _) in zip(kept, contracted[1]) if x == y)
+                if all(a == b for a, b, _ in triples[:i]):
+                    resumed += i > 0
+                    assert all(a == b for a, b, _ in contracted[1][:i])
+        assert resumed > 20
+
+    def test_dense_instances_match_the_delcon_oracle(self):
+        for g, action in dense_instances():
+            result = count_delcon(g, action)
+            assert (result.value, result.stats) == oracle_delcon(g, action), g
 
     def test_contracted_loops_are_conjugated(self):
         # Deeper in the recursion a contraction absorbs a vertex that carries

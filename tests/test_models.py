@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from gainchroma import (
     verify_group,
     zero_free_polynomial,
 )
+from gainchroma import BoundExceeded, models
 from gainchroma.models import potts_routes, set_coloring_routes
 from helpers import block_permutation_action, equivalence_direct_count, equivalence_expansion, naive_count
 
@@ -87,6 +89,44 @@ class TestPottsCounts:
             value, direct = potts_routes(signed, group)
             assert value == direct
             assert zero_free_polynomial(phi).evaluate([group.order]) == value
+
+
+def positive_path(n: int) -> SignedGraph:
+    return SignedGraph(n, tuple((v, v + 1, 1) for v in range(n - 1)))
+
+
+class TestDirectStateLimit:
+    """The direct evaluators enumerate every state, so both routes refuse
+    past ``models.DIRECT_STATE_LIMIT`` states before either one counts."""
+
+    @pytest.mark.parametrize(
+        "run,message",
+        [
+            (lambda: potts_routes(positive_path(13), Z3), "3**13 states"),
+            (lambda: set_coloring_routes(SimpleGraph(5, ((0, 1),)), 4), "16**5 states"),
+        ],
+        ids=["potts", "setcolor"],
+    )
+    def test_the_limit_is_checked_before_either_route_counts(self, run, message, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a route ran")
+
+        for name in ("count_brute", "potts_direct_count", "set_coloring_direct", "_count_states"):
+            monkeypatch.setattr(models, name, refuse)
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match=rf"^{re.escape(message)} exceed the direct enumeration limit 1000000$"):
+            run()
+        assert time.perf_counter() - start < 0.1
+
+    def test_the_limit_counts_every_state(self, monkeypatch):
+        monkeypatch.setattr(models, "DIRECT_STATE_LIMIT", 3**4)
+        assert potts_routes(positive_path(4), Z3) == (3, 3)
+        with pytest.raises(BoundExceeded, match=r"3\*\*5 states"):
+            potts_routes(positive_path(5), Z3)
+        monkeypatch.setattr(models, "DIRECT_STATE_LIMIT", 4**2)
+        assert set_coloring_routes(SimpleGraph(2, ((0, 1),)), 2) == (10, 10)
+        with pytest.raises(BoundExceeded, match=r"4\*\*3 states"):
+            set_coloring_routes(SimpleGraph(3, ()), 2)
 
 
 class TestSetColoring:
