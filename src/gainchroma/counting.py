@@ -179,8 +179,8 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     resumes at the index of the link just branched on.  A loops-only minor
     is evaluated directly as the product, over vertices, of |Q| minus the
     number of spins fixed by some loop gain there: the popcount of the OR
-    of the loops' fixed-spin masks, one per gain, built before the first
-    call.  The recursion is as deep as the graph has links, so more than
+    of the loops' fixed-spin masks, kept in a list indexed by gain and each
+    built once, when its gain first occurs.  The recursion is as deep as the graph has links, so more than
     ``DELCON_LINK_LIMIT`` are refused before the first call, and it gives
     up past ``DELCON_CALL_LIMIT`` calls.  It starts from
     ``graphs.touched_core``, the minor on the vertices some edge touches;
@@ -194,14 +194,19 @@ def count_delcon(g: GainGraph, a: SpinAction) -> CountResult:
     m = a.size
     act = a.act
     group = g.group
-    fixed_mask = [sum(1 << q for q, image in enumerate(act) if image[h] == q) for h in range(group.order)]
+    # gain -> the mask of the spins it fixes, filled in as gains occur: an
+    # eager table costs |G| * |Q|, seconds for the largest groups and actions
+    fixed_mask: list[int | None] = [None] * group.order
     calls = 0
 
     def loops_only_value(minor: Minor) -> int:
         vertex_count, edges = minor
         banned: dict[int, int] = {}
         for u, _, h in edges:
-            banned[u] = banned.get(u, 0) | fixed_mask[h]
+            mask = fixed_mask[h]
+            if mask is None:
+                mask = fixed_mask[h] = sum(1 << q for q, image in enumerate(act) if image[h] == q)
+            banned[u] = banned.get(u, 0) | mask
         value = m ** (vertex_count - len(banned))
         for mask in banned.values():
             value *= m - mask.bit_count()
