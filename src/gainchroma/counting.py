@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .groups import BoundExceeded, FiniteGroup, SpinAction, fixed_set, stabilizer_classes
-from .graphs import GainGraph, balanced_component_count, check_action, loop_domains, touched_core
+from .graphs import GainGraph, balanced_component_count, check_action, link_gains, loop_domains, touched_core
 from .graphs import components  # noqa: F401  perfbench's tracer rebinds it in this namespace
 from .holonomy import ClosedSetLattice, SubsetTerms, enumerate_closed_sets, signed_subset_sum
 
@@ -57,16 +57,25 @@ DELCON_LINK_LIMIT = 400
 DELCON_CALL_LIMIT = 10**6
 
 
+def _forbid_row(action: SpinAction, gains: set[int]) -> list[int]:
+    """For each spin s, the mask of the spins s * h over the gains: those
+    that a neighbour with spin s forbids across links with these gains,
+    read towards the vertex, as ``graphs.link_gains`` gives them.  Gains
+    with equal images give one bit, so the sum of the set is the OR."""
+    return [sum({1 << image[h] for h in gains}) for image in action.act]
+
+
 def count_brute(g: GainGraph, a: SpinAction) -> CountResult:
     """Count states with no satisfied edge by backtracking enumeration.
 
     A partial state is abandoned as soon as any edge among the assigned
     vertices is satisfied, so only the bound |Q|**|V| is checked up front.
     Each vertex tries only its ``graphs.loop_domains`` spins.  Once the
-    bounds pass, each vertex v gets one row per lower neighbour u, shared
-    by their parallel edges: ``row[s]`` is the mask of spins that u's edges
-    forbid v when u has spin s.  At each search node the forbidden spins
-    are the OR of the rows at the assigned spins, and the search stops at
+    bounds pass, each vertex v gets one row per lower neighbour u in its
+    ``graphs.link_gains``, shared by their parallel edges: ``row[s]``, from
+    ``_forbid_row``, is the mask of spins that u's edges forbid v when u
+    has spin s.  At each search node the forbidden spins are the OR of the
+    rows at the assigned spins, and the search stops at
     the penultimate vertex: the last vertex's mask of spins the vertices
     below it leave free is built once per node, and each spin the
     penultimate vertex may take adds the popcount of that mask minus its
@@ -88,17 +97,8 @@ def count_brute(g: GainGraph, a: SpinAction) -> CountResult:
     free_last = sum(1 << q for q in allowed[last])
     if n == 1:
         return CountResult(free_last.bit_count(), {"states_visited": len(allowed[last])})
-    inv = g.group.inv
-    gains: list[dict[int, set[int]]] = [{} for _ in range(n)]  # v -> lower neighbour -> gains towards v
-    for e in g.edges:
-        if e.u < e.v:
-            gains[e.v].setdefault(e.u, set()).add(e.gain)
-        elif e.u > e.v:
-            gains[e.u].setdefault(e.v, set()).add(inv[e.gain])
-    rows = [
-        [(u, [sum(1 << x for x in {image[h] for h in hs}) for image in a.act]) for u, hs in lower.items()]
-        for lower in gains
-    ]
+    links = link_gains(g)
+    rows = [[(u, _forbid_row(a, hs)) for u, hs in links[v].items() if u < v] for v in range(n)]
     pen = n - 2
     pen_row = next((row for u, row in rows[last] if u == pen), [0] * m)
     last_rows = [(u, row) for u, row in rows[last] if u != pen]
@@ -305,14 +305,10 @@ def _elim_order(g: GainGraph) -> tuple[list[tuple[int, set[int]]], list[int]]:
     placed ones that leaves the smallest frontier, then the one with the
     most placed neighbours, then the lowest id.  Those keys only fall as
     vertices are placed, so a heap with stale entries skipped keeps the
-    order O(m log m).
+    order O(m log m).  The neighbours are the keys of ``graphs.link_gains``.
     """
     n = g.vertex_count
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for e in g.edges:
-        if not e.is_loop:
-            nbrs[e.u].add(e.v)
-            nbrs[e.v].add(e.u)
+    nbrs = link_gains(g)  # only the neighbours, its keys, are read
     unplaced = [len(s) for s in nbrs]  # unplaced neighbours
     back = [0] * n  # placed neighbours
     retiring = [0] * n  # placed neighbours whose last unplaced neighbour this is
@@ -416,10 +412,11 @@ def count_elim(g: GainGraph, a: SpinAction) -> CountResult:
     width slots and equal frontier spins give equal keys.  Dropping the
     retired vertices is one AND per entry, placing v one OR.  The spins v's
     edges forbid depend only on the digits of its placed neighbours, the
-    key's pattern under a back mask: each neighbour's row maps its spin to
-    the mask of spins its edges to v forbid, and per distinct pattern the
-    step caches the spins v may take, or their number when v retires at
-    once.
+    key's pattern under a back mask: each step takes the placed neighbours
+    from v's ``graphs.link_gains``, and each one's row, from
+    ``_forbid_row``, maps its spin to the mask of spins its edges to v
+    forbid.  Per distinct pattern the step caches the spins v may take, or
+    their number when v retires at once.
 
     One vertex per connected component, chosen by ``_elim_pins``, is
     pinned: it tries only the first spin of each ``stabilizer_classes``
@@ -435,7 +432,6 @@ def count_elim(g: GainGraph, a: SpinAction) -> CountResult:
     over the steps, and ``stats["peak_states"]`` the largest table.
     """
     check_action(g, a)
-    n = g.vertex_count
     q = a.size
     steps, sizes = _elim_order(g)
     width = max(sizes, default=0)
@@ -446,14 +442,8 @@ def count_elim(g: GainGraph, a: SpinAction) -> CountResult:
         raise BoundExceeded(f"{work} elimination transitions exceed the limit {STATE_BUDGET}")
     pins = _elim_pins(steps, sizes, q)
     class_size = {spins[0]: len(spins) for spins in stabilizer_classes(a)} if pins else {}
-    act = a.act
-    inv = g.group.inv
     domains = loop_domains(g, a)
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (other end, gain oriented towards v)
-    for e in g.edges:
-        if not e.is_loop:
-            into[e.v].append((e.u, e.gain))
-            into[e.u].append((e.v, inv[e.gain]))
+    links = link_gains(g)
     b = max(q - 1, 1).bit_length()
     digit = (1 << b) - 1
     slots: list[int | None] = [None] * width  # the frontier vertex in each slot
@@ -462,21 +452,9 @@ def count_elim(g: GainGraph, a: SpinAction) -> CountResult:
     peak = 1
     transitions = 0
     for v, gone in steps:
-        gains: dict[int, set[int]] = {}
-        for u, h in into[v]:
-            if u in shift_of:
-                gains.setdefault(shift_of[u], set()).add(h)
-        back_mask = 0
-        rows = []  # (shift, row): a back neighbour with spin d forbids v the spins in row[d]
-        for shift, hs in gains.items():
-            back_mask |= digit << shift
-            row = []
-            for image in act:
-                mask = 0
-                for x in {image[h] for h in hs}:  # parallel links often share images
-                    mask |= 1 << x
-                row.append(mask)
-            rows.append((shift, row))
+        # (shift, row): a back neighbour with spin d forbids v the spins in row[d]
+        rows = [(shift_of[u], _forbid_row(a, hs)) for u, hs in links[v].items() if u in shift_of]
+        back_mask = sum(digit << shift for shift, _ in rows)  # the slots are disjoint
 
         def forbidden(pattern: int) -> int:
             mask = 0

@@ -263,6 +263,20 @@ def loop_domains(g: GainGraph, action: SpinAction) -> list[list[int]]:
     return [[q for q in range(action.size) if all(act[q][h] != q for h in hs)] for hs in loop_gains]
 
 
+def link_gains(g: GainGraph) -> list[dict[int, set[int]]]:
+    """For each vertex v, each neighbour u -> the gains of the links joining
+    them, read u -> v: h for a link u -> v with gain h, h**-1 for a link
+    v -> u.  A state frustrates all of them exactly when s_v is none of the
+    s_u * h.  Loops are left out."""
+    inv = g.group.inv
+    links: list[dict[int, set[int]]] = [{} for _ in range(g.vertex_count)]
+    for e in g.edges:
+        if not e.is_loop:
+            links[e.v].setdefault(e.u, set()).add(e.gain)
+            links[e.u].setdefault(e.v, set()).add(inv[e.gain])
+    return links
+
+
 def delete_edge(g: GainGraph, eid: int) -> GainGraph:
     """Remove one edge; everything else, including ids, is unchanged."""
     g.edge(eid)

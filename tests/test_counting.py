@@ -258,11 +258,29 @@ class TestBruteFastPath:
             raise AssertionError("the search was set up")
 
         monkeypatch.setattr(counting, "loop_domains", refuse)
+        monkeypatch.setattr(counting, "link_gains", refuse)
         with pytest.raises(BoundExceeded, match="brute-force limit"):
             count_brute(gain_graph(Z3, 17, [(0, 1, 1)]), regular_action(Z3))
         n = counting.BRUTE_VERTEX_LIMIT + 1
         with pytest.raises(BoundExceeded, match="brute-force depth limit"):
             count_brute(gain_graph(Z3, n, [(v, v + 1, 1) for v in range(n - 1)]), trivial_action(Z3, 1))
+
+
+class TestLinkOrientation:
+    """A link stored u -> v with gain h forbids v the spin s_u * h and u the
+    spin s_v * h**-1.  Few random instances change count when the inverse is
+    dropped, so two Z3 triangles pin it: with all gains 1, the cycle stored
+    0 -> 1 -> 2 -> 0 is balanced, and with its last link stored 0 -> 2 its
+    gain is 1 * 1 * 1**-1 = 1, not the identity."""
+
+    @pytest.mark.parametrize(
+        "triples,expected",
+        [([(0, 1, 1), (1, 2, 1), (2, 0, 1)], 24), ([(0, 1, 1), (1, 2, 1), (0, 2, 1)], 27)],
+        ids=["balanced", "unbalanced"],
+    )
+    @pytest.mark.parametrize("counter", ALL_COUNTERS + [count_elim], ids=lambda c: c.__name__)
+    def test_every_counter_reads_a_link_against_its_orientation(self, counter, triples, expected):
+        assert counter(gain_graph(Z3, 3, triples), standard_colors(Z3, 1)).value == expected
 
 
 class TestAgainstTheGraphRecordPaths:

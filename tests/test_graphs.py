@@ -25,7 +25,7 @@ from gainchroma import (
     trivial_action,
 )
 from gainchroma import BoundExceeded, cli, graphs, harness
-from gainchroma.graphs import loop_domains, traverse
+from gainchroma.graphs import link_gains, loop_domains, traverse
 from gainchroma.groups import fixed_set
 from helpers import graphic_closure, naive_count, oracle_tree_gains, powerset, random_graph, walk_gain
 
@@ -149,6 +149,26 @@ class TestLoopDomains:
         assert domains[2] == list(range(a.size))
         assert domains[1] == sorted(set(range(a.size)) - fixed_set(a, {1}))
         assert 0 < len(domains[1]) < a.size
+
+
+class TestLinkGains:
+    def test_some_gain_maps_s_u_to_s_v_exactly_when_a_link_is_satisfied(self):
+        rng = random.Random("link_gains")
+        for seed in range(200):
+            inst = harness.random_instance(random.Random(seed), 5, 8)
+            g, a = inst.graph, inst.action
+            links = link_gains(g)
+            for v, nbrs in enumerate(links):
+                assert set(nbrs) == {e.u + e.v - v for e in g.edges if v in (e.u, e.v) and not e.is_loop}
+            if not a.size:
+                continue
+            for _ in range(5):
+                state = [rng.randrange(a.size) for _ in range(g.vertex_count)]
+                satisfied = satisfied_edges(g, a, state)
+                for v, nbrs in enumerate(links):
+                    for u, hs in nbrs.items():
+                        joining = {e.id for e in g.edges if {e.u, e.v} == {u, v}}
+                        assert (state[v] in {a.act[state[u]][h] for h in hs}) == bool(joining & satisfied)
 
 
 class TestDeleteContract:

@@ -39,6 +39,17 @@ def domains_ignoring_loops(g, action):
     return [list(range(action.size)) for _ in range(g.vertex_count)]
 
 
+def links_keeping_the_smallest_gain(g):
+    return [{u: {min(hs)} for u, hs in nbrs.items()} for nbrs in graphs.link_gains(g)]
+
+
+unmutated_row = counting._forbid_row
+
+
+def row_with_the_last_spin_empty(action, gains):
+    return unmutated_row(action, gains)[:-1] + [0]
+
+
 def join_that_never_grows(self, h, x):
     return h
 
@@ -52,6 +63,8 @@ MUTATIONS = {
     "touched_core": ([(counting, "touched_core"), (holonomy, "touched_core")], shifted_core),
     "fixed_set": ([(counting, "fixed_set")], fixed_set_one_short),
     "loop_domains": ([(counting, "loop_domains")], domains_ignoring_loops),
+    "link_gains": ([(counting, "link_gains")], links_keeping_the_smallest_gain),
+    "_forbid_row": ([(counting, "_forbid_row")], row_with_the_last_spin_empty),
     "_EdgeWalk": ([(holonomy._EdgeWalk, "join")], join_that_never_grows),
     "generate_subgroup": ([(holonomy, "generate_subgroup")], subgroup_without_last_generator),
 }
